@@ -6,6 +6,10 @@ are axis-aligned boxes; walls are the room boundary itself.  Target
 objects are small discs that range sensing ignores and the camera model
 looks for.  An :class:`Arena` is immutable after construction and safe
 to share across concurrently executing runs.
+
+The geometric primitives of every control tick are methods of
+:class:`Arena`: ray casting (slab method), point-in-free-space and disc
+collision.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import geometry
 from .errors import InvalidOriginError, ValidationError
 
 OBJECT_CLASSES = ("bottle", "tin_can")
 DEFAULT_OBJECT_RADIUS = 0.05
+_INF = math.inf
 
 # Default mission room: 6.5 x 5.5 m, empty, six objects (three bottles,
 # three tin cans); one of each class near the center, four near the
@@ -77,7 +81,6 @@ class Arena:
                 raise ValidationError(f"obstacles[{i}]", "must lie within the room")
             boxes.append((x0, y0, x1, y1))
         self.obstacles = tuple(boxes)
-        self._geom = geometry.GeomCore(width, height, self.obstacles)
         objs = tuple(objects)
         seen_ids = set()
         for i, obj in enumerate(objs):
@@ -90,7 +93,7 @@ class Arena:
             if obj.id in seen_ids:
                 raise ValidationError(f"objects[{i}].id", f"duplicate id {obj.id}")
             seen_ids.add(obj.id)
-            if not self._geom.point_free(obj.pos.x, obj.pos.y):
+            if not self.in_free_space(obj.pos.x, obj.pos.y):
                 raise ValidationError(f"objects[{i}].pos", "must lie in free space")
         self.objects = objs
 
@@ -98,19 +101,83 @@ class Arena:
         """Exact distance to the first obstacle face or room wall.
 
         Raises :class:`InvalidOriginError` if the origin is not in free
-        space.
+        space; walls enclose the room, so the result is always finite.
         """
-        if not self._geom.point_free(ox, oy):
+        if not self.in_free_space(ox, oy):
             raise InvalidOriginError(f"ray origin ({ox}, {oy}) is not in free space")
-        return self._geom.ray_distance(ox, oy, math.cos(heading), math.sin(heading))
+        dx = math.cos(heading)
+        dy = math.sin(heading)
+        if dx > 0.0:
+            t = (self.width - ox) / dx
+        elif dx < 0.0:
+            t = -ox / dx
+        else:
+            t = _INF
+        if dy > 0.0:
+            ty = (self.height - oy) / dy
+        elif dy < 0.0:
+            ty = -oy / dy
+        else:
+            ty = _INF
+        if ty < t:
+            t = ty
+        for x0, y0, x1, y1 in self.obstacles:
+            if dx != 0.0:
+                inv = 1.0 / dx
+                ta = (x0 - ox) * inv
+                tb = (x1 - ox) * inv
+                if ta > tb:
+                    ta, tb = tb, ta
+                tmin = ta
+                tmax = tb
+            else:
+                if ox <= x0 or ox >= x1:
+                    continue
+                tmin = -_INF
+                tmax = _INF
+            if dy != 0.0:
+                inv = 1.0 / dy
+                ta = (y0 - oy) * inv
+                tb = (y1 - oy) * inv
+                if ta > tb:
+                    ta, tb = tb, ta
+                if ta > tmin:
+                    tmin = ta
+                if tb < tmax:
+                    tmax = tb
+            else:
+                if oy <= y0 or oy >= y1:
+                    continue
+            if tmin <= tmax and tmin > 0.0 and tmin < t:
+                t = tmin
+        return t
 
     def in_free_space(self, x: float, y: float) -> bool:
         """True iff strictly inside the room and outside every obstacle."""
-        return self._geom.point_free(x, y)
+        if x <= 0.0 or x >= self.width or y <= 0.0 or y >= self.height:
+            return False
+        for x0, y0, x1, y1 in self.obstacles:
+            if x0 <= x <= x1 and y0 <= y <= y1:
+                return False
+        return True
 
     def disc_blocked(self, x: float, y: float, radius: float) -> bool:
-        """True iff a disc at (x, y) strictly penetrates a wall or obstacle."""
-        return self._geom.disc_blocked(x, y, radius)
+        """True iff a disc at (x, y) strictly penetrates a wall or obstacle.
+
+        Contact at exactly ``radius`` is free.
+        """
+        if (x - radius < 0.0 or x + radius > self.width
+                or y - radius < 0.0 or y + radius > self.height):
+            return True
+        rr = radius * radius
+        for x0, y0, x1, y1 in self.obstacles:
+            cx = x0 if x < x0 else (x1 if x > x1 else x)
+            cy = y0 if y < y0 else (y1 if y > y1 else y)
+            ddx = x - cx
+            ddy = y - cy
+            if ddx * ddx + ddy * ddy < rr:
+                return True
+        return False
 
     @property
     def center(self) -> Vec2:

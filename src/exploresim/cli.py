@@ -20,7 +20,8 @@ from .config import (KEY_DOCS, apply_overrides, build_arena, build_run_config,
 from .detection import DETECTORS
 from .errors import SimError, ValidationError
 from .harness import RunConfig, aggregate, aggregate_detection, run_single, run_sweep
-from .metrics import EnergyModel, dwell_matrix_csv, dwell_matrix_pgm, parse_dwell_csv
+from .metrics import (EnergyModel, dwell_matrix_csv, dwell_matrix_pgm, export_heatmap,
+                      parse_dwell_csv)
 from .policies import POLICY_KINDS
 from . import report as rep
 
@@ -131,10 +132,8 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "trajectory.csv", "".join(result.trajectory))
     _write(out / "detections.csv", rep.detections_csv(result, run_cfg.arena))
-    matrix = result.grid.matrix_north_first()
-    _write(out / "heatmap.csv", dwell_matrix_csv(matrix))
-    (out / "heatmap.pgm").write_bytes(
-        dwell_matrix_pgm(matrix, float(cfg_doc["heatmap"]["saturation_s"])))
+    export_heatmap(result.grid, out / "heatmap.csv", out / "heatmap.pgm",
+                   float(cfg_doc["heatmap"]["saturation_s"]))
     _write(out / "summary.json", _summary_json(run_cfg, result, run_cfg.arena))
     rate = ("n/a" if result.detection_rate is None
             else f"{result.detection_rate * 100.0:.1f}%")

@@ -11,6 +11,7 @@ network's quantized accuracy score as its per-frame success probability
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import SimError
@@ -25,8 +26,8 @@ class DetectorModel:
     mmacs: float = 0.0         # per-inference work, millions of MACs (metadata)
 
     def __post_init__(self):
-        if self.fps <= 0.0:
-            raise ValueError("fps must be > 0")
+        if not (self.fps > 0.0 and math.isfinite(self.fps)):
+            raise ValueError("fps must be a positive finite number")
         if not 0.0 <= self.p_detect <= 1.0:
             raise ValueError("p_detect must be within [0, 1]")
 
@@ -45,14 +46,6 @@ class DetectionLedger:
     first_seen: dict[int, float] = field(default_factory=dict)
     frames_fired: int = 0
     frames_with_target: int = 0
-
-
-def inference_due(model: DetectorModel, t: float, last_fire: float) -> bool:
-    """True once a full inference period has elapsed since the last frame.
-
-    With ``last_fire`` starting at 0 the first frame fires at t = 1/fps.
-    """
-    return t - last_fire >= 1.0 / model.fps
 
 
 def attempt_detection(model: DetectorModel, visible: list[int],

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 from .arena import Arena, default_arena
 from .detection import DetectionLedger, DetectorModel, attempt_detection, detection_rate
-from .errors import SimError
+from .errors import SimError, ValidationError
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_step
 from .seeding import derive_seed
@@ -62,18 +62,27 @@ class RunConfig:
     omega_max: float = DEFAULT_OMEGA_MAX
 
     def validate(self) -> None:
+        """Raise :class:`ValidationError`, with the config key's path, on
+        any value this run cannot fly with."""
         if self.policy not in POLICY_KINDS:
-            raise SimError(f"unknown policy {self.policy!r}")
-        if self.duration <= 0.0 or self.control_dt <= 0.0:
-            raise SimError("duration and control_dt must be > 0")
+            raise ValidationError("policy.kind", f"unknown policy {self.policy!r}")
+        for name in ("duration", "control_dt", "drone_radius", "v_max", "omega_max"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValidationError(f"run.{name}", "must be a positive finite number")
+        if int(round(self.duration / self.control_dt)) < 1:
+            raise ValidationError("run.duration", "shorter than one control tick")
         if self.policy_cfg.cruise_speed > self.v_max + _EPS:
-            raise SimError("cruise_speed exceeds v_max")
+            raise ValidationError("policy.cruise_speed", "exceeds run.v_max")
         if self.policy_cfg.turn_rate > self.omega_max + _EPS:
-            raise SimError("turn_rate exceeds omega_max")
+            raise ValidationError("policy.turn_rate", "exceeds run.omega_max")
         if self.policy_cfg.trigger_dist > self.tof.max_range + _EPS:
-            raise SimError("trigger_dist exceeds the ranging saturation distance")
-        if self.drone_radius <= 0.0:
-            raise SimError("drone_radius must be > 0")
+            raise ValidationError("policy.trigger_dist", "exceeds tof.max_range")
+        x0, y0, h0 = self.start_pose()
+        if not all(math.isfinite(v) for v in (x0, y0, h0)):
+            raise ValidationError("run.start", "must be finite numbers")
+        if not self.arena.in_free_space(x0, y0) or self.arena.disc_blocked(x0, y0, self.drone_radius):
+            raise ValidationError("run.start", f"({x0}, {y0}) is not in free space")
 
     def start_pose(self) -> tuple[float, float, float]:
         if self.start is not None:
@@ -99,18 +108,14 @@ def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
     """Execute one mission deterministically.
 
     Identical configs (seed included) produce identical results and
-    trajectory digests, regardless of backend or process.
+    trajectory digests, regardless of process or platform.
     """
     cfg.validate()
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
-    if not arena.in_free_space(x0, y0) or arena.disc_blocked(x0, y0, cfg.drone_radius):
-        raise SimError(f"start pose ({x0}, {y0}) is not in free space")
 
     dt = cfg.control_dt
     n_ticks = int(round(cfg.duration / dt))
-    if n_ticks < 1:
-        raise SimError("duration shorter than one control tick")
     end_t = n_ticks * dt
 
     policy_rng = random.Random(derive_seed(cfg.seed, "policy"))

@@ -79,10 +79,6 @@ class OccupancyGrid:
                 for r in range(self.rows - 1, -1, -1)]
 
 
-def coverage(grid: OccupancyGrid) -> float:
-    return grid.coverage()
-
-
 def dwell_matrix_csv(matrix: list[list[float]]) -> str:
     """Render a north-first dwell matrix as fixed-format CSV text."""
     return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in matrix)

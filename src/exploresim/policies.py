@@ -61,8 +61,9 @@ class PolicyConfig:
         for name in ("cruise_speed", "trigger_dist", "wall_standoff", "spiral_step",
                      "scan_step", "leg_max", "turn_rate", "k_wall", "kd_wall",
                      "k_heading", "corner_margin", "align_tol", "wall_lost_margin"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"policy config field {name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"policy config field {name} must be a positive finite number")
         if self.follow_side not in ("left", "right"):
             raise ValueError("follow_side must be 'left' or 'right'")
 

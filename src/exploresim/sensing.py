@@ -31,8 +31,12 @@ class TofConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.max_range <= 0.0 or self.rate_hz <= 0.0 or self.noise_sigma < 0.0:
-            raise ValueError("max_range and rate_hz must be > 0, noise_sigma >= 0")
+        for name in ("max_range", "rate_hz"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be a positive finite number")
+        if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
+            raise ValueError("noise_sigma must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,10 @@ class CameraModel:
     mount_angle: float = 0.0        # forward
 
     def __post_init__(self):
-        if not (0.0 < self.fov < math.pi) or self.max_detect_range <= 0.0:
-            raise ValueError("fov must be in (0, pi) and max_detect_range > 0")
+        if not (0.0 < self.fov < math.pi):
+            raise ValueError("fov must be in (0, pi)")
+        if not (self.max_detect_range > 0.0 and math.isfinite(self.max_detect_range)):
+            raise ValueError("max_detect_range must be a positive finite number")
 
 
 class TofBank:

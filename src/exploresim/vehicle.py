@@ -1,4 +1,4 @@
-"""Planar drone kinematics: set-point integration and collision checks.
+"""Planar drone kinematics: set-point integration and the collision record.
 
 Set-points (forward speed, yaw rate) apply instantaneously; there are no
 attitude dynamics.  Integration uses the midpoint-heading rule, which is
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .arena import Arena
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_DRONE_RADIUS = 0.05  # 10 cm diameter airframe
@@ -62,7 +60,3 @@ def step(state: VehicleState, sp: Setpoint, dt: float) -> VehicleState:
         state.t + dt,
     )
 
-
-def check_collision(arena: Arena, state: VehicleState, drone_radius: float = DEFAULT_DRONE_RADIUS) -> bool:
-    """True iff the airframe disc penetrates an obstacle or exits the room."""
-    return arena.disc_blocked(state.x, state.y, drone_radius)

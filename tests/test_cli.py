@@ -80,6 +80,26 @@ class TestRun:
         assert first_row.startswith("0.000000,1.000000,1.000000,0.000000")
 
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--set", "run.drone_radius=NaN", "--set", "run.start=[0.01,2.75,0]"],
+         "run.drone_radius"),
+        (["--set", "run.duration=NaN"], "run.duration"),
+        (["--set", "run.duration=Infinity"], "run.duration"),
+        (["--set", "run.control_dt=0"], "run.control_dt"),
+        (["--set", "run.start=[0.01,2.75,0]"], "run.start"),
+        (["--set", "run.start=[1.0,1.0,NaN]"], "run.start"),
+        (["--speed", "5"], "policy.cruise_speed"),
+        (["--set", "policy.k_wall=NaN"], "k_wall"),
+        (["--set", "tof.rate_hz=NaN"], "rate_hz"),
+        (["--set", "camera.max_range=NaN"], "max_detect_range"),
+        (["--set", "detector.fps=NaN", "--detector", "ssd-1.0"], "fps"),
+    ])
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
+        assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "o").exists()
+
 SMALL_SWEEP = ["--set", 'sweep.policies=["pseudo-random","spiral"]',
                "--set", "sweep.speeds=[0.5]",
                "--set", "sweep.duration=10.0"]

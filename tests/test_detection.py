@@ -4,8 +4,7 @@ import pytest
 
 from exploresim.arena import default_arena
 from exploresim.detection import (DETECTORS, DetectionLedger, DetectorModel,
-                                  attempt_detection, detection_rate,
-                                  inference_due)
+                                  attempt_detection, detection_rate)
 from exploresim.errors import SimError
 from exploresim.harness import RunConfig, run_single
 from exploresim.policies import PolicyConfig
@@ -27,17 +26,6 @@ class TestModelTable:
             DetectorModel("x", fps=0.0, p_detect=0.5)
         with pytest.raises(ValueError):
             DetectorModel("x", fps=1.0, p_detect=1.5)
-
-
-class TestInferenceDue:
-    def test_period_boundaries(self):
-        model = DETECTORS["ssd-1.0"]
-        assert not inference_due(model, 0.624, 0.0)
-        assert inference_due(model, 0.625, 0.0)
-        assert inference_due(model, 1.25, 0.625)
-
-    def test_before_first_period(self):
-        assert not inference_due(DETECTORS["ssd-0.5"], 0.1, 0.0)
 
 
 def _run_with(det, duration=180.0, policy="pseudo-random", speed=0.1, seed=1):

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exploresim.arena import Arena
-from exploresim.vehicle import (Setpoint, VehicleState, check_collision,
-                                normalize_heading, step)
+from exploresim.vehicle import Setpoint, VehicleState, normalize_heading, step
 
 from oracles import fine_integrate
 
@@ -63,21 +62,23 @@ def test_normalize_idempotent(h):
 
 
 class TestCollision:
+    """The airframe disc test the run loop applies after every step."""
+
     def test_center_of_empty_room(self, room):
-        assert not check_collision(room, VehicleState(3.25, 2.75, 0.0))
+        assert not room.disc_blocked(3.25, 2.75, 0.05)
 
     def test_wall_penetration(self, room):
-        assert check_collision(room, VehicleState(0.02, 2.75, 0.0), 0.05)
+        assert room.disc_blocked(0.02, 2.75, 0.05)
 
     def test_grazing_exactly_at_radius_is_free(self):
         # face contact at exactly r (binary-exact values) is not a collision
         arena = Arena(6.5, 5.5, obstacles=[(2.0, 2.0, 3.0, 3.0)])
-        assert not check_collision(arena, VehicleState(1.75, 2.5, 0.0), 0.25)
+        assert not arena.disc_blocked(1.75, 2.5, 0.25)
         # corner contact at exactly r via a 0.75/1.0/1.25 triple
         corner = Arena(6.5, 5.5, obstacles=[(3.0, 3.0, 4.0, 4.0)])
-        assert not check_collision(corner, VehicleState(2.25, 2.0, 0.0), 1.25)
+        assert not corner.disc_blocked(2.25, 2.0, 1.25)
         # any closer penetrates
-        assert check_collision(arena, VehicleState(1.76, 2.5, 0.0), 0.25)
+        assert arena.disc_blocked(1.76, 2.5, 0.25)
 
     def test_wall_touch_is_free(self, room):
-        assert not check_collision(room, VehicleState(0.25, 2.75, 0.0), 0.25)
+        assert not room.disc_blocked(0.25, 2.75, 0.25)
