@@ -175,23 +175,33 @@ def build_arena(cfg: dict) -> Arena:
     return load_arena(source)
 
 
+def _number(value, path: str, kind=float):
+    """``kind(value)``; a value that does not convert is a
+    :class:`ValidationError` naming its config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(path, f"expected a number, got {value!r}") from None
+
+
 def build_policy_config(cfg: dict, cruise_speed=None) -> PolicyConfig:
     p = cfg["policy"]
     try:
         return PolicyConfig(
-            cruise_speed=float(cruise_speed if cruise_speed is not None else p["cruise_speed"]),
-            trigger_dist=float(p["trigger_dist"]),
-            wall_standoff=float(p["wall_standoff"]),
-            spiral_step=float(p["spiral_step"]),
-            scan_step=math.radians(float(p["scan_step_deg"])),
-            leg_max=float(p["leg_max"]),
-            turn_rate=float(p["turn_rate"]),
-            k_wall=float(p["k_wall"]),
-            kd_wall=float(p["kd_wall"]),
-            k_heading=float(p["k_heading"]),
+            cruise_speed=_number(cruise_speed if cruise_speed is not None else p["cruise_speed"],
+                                 "policy.cruise_speed"),
+            trigger_dist=_number(p["trigger_dist"], "policy.trigger_dist"),
+            wall_standoff=_number(p["wall_standoff"], "policy.wall_standoff"),
+            spiral_step=_number(p["spiral_step"], "policy.spiral_step"),
+            scan_step=math.radians(_number(p["scan_step_deg"], "policy.scan_step_deg")),
+            leg_max=_number(p["leg_max"], "policy.leg_max"),
+            turn_rate=_number(p["turn_rate"], "policy.turn_rate"),
+            k_wall=_number(p["k_wall"], "policy.k_wall"),
+            kd_wall=_number(p["kd_wall"], "policy.kd_wall"),
+            k_heading=_number(p["k_heading"], "policy.k_heading"),
             follow_side=p["follow_side"],
-            corner_margin=float(p["corner_margin"]),
-            align_tol=float(p["align_tol"]),
+            corner_margin=_number(p["corner_margin"], "policy.corner_margin"),
+            align_tol=_number(p["align_tol"], "policy.align_tol"),
         )
     except ValueError as exc:
         raise ValidationError("policy", str(exc)) from None
@@ -212,8 +222,9 @@ def build_detector(cfg: dict) -> DetectorModel | None:
     try:
         return DetectorModel(
             name=name or "custom",
-            fps=float(fps if fps is not None else base.fps),
-            p_detect=float(p_detect if p_detect is not None else base.p_detect),
+            fps=_number(fps, "detector.fps") if fps is not None else base.fps,
+            p_detect=(_number(p_detect, "detector.p_detect") if p_detect is not None
+                      else base.p_detect),
             params_m=base.params_m if base else 0.0,
             mmacs=base.mmacs if base else 0.0,
         )
@@ -223,9 +234,10 @@ def build_detector(cfg: dict) -> DetectorModel | None:
 
 def build_camera(cfg: dict) -> CameraModel:
     c = cfg["camera"]
+    fov = (math.radians(_number(c["fov_deg"], "camera.fov_deg")) if c["fov_deg"] is not None
+           else CameraModel.fov)
     try:
-        fov = math.radians(float(c["fov_deg"])) if c["fov_deg"] is not None else CameraModel.fov
-        return CameraModel(fov=fov, max_detect_range=float(c["max_range"]))
+        return CameraModel(fov=fov, max_detect_range=_number(c["max_range"], "camera.max_range"))
     except ValueError as exc:
         raise ValidationError("camera", str(exc)) from None
 
@@ -233,8 +245,9 @@ def build_camera(cfg: dict) -> CameraModel:
 def build_tof(cfg: dict) -> TofConfig:
     t = cfg["tof"]
     try:
-        return TofConfig(max_range=float(t["max_range"]), rate_hz=float(t["rate_hz"]),
-                         noise_sigma=float(t["noise_sigma"]))
+        return TofConfig(max_range=_number(t["max_range"], "tof.max_range"),
+                         rate_hz=_number(t["rate_hz"], "tof.rate_hz"),
+                         noise_sigma=_number(t["noise_sigma"], "tof.noise_sigma"))
     except ValueError as exc:
         raise ValidationError("tof", str(exc)) from None
 
@@ -245,7 +258,7 @@ def build_run_config(cfg: dict, arena: Arena | None = None) -> RunConfig:
     if start is not None:
         if not isinstance(start, (list, tuple)) or len(start) != 3:
             raise ValidationError("run.start", "must be [x, y, heading_rad]")
-        start = (float(start[0]), float(start[1]), float(start[2]))
+        start = tuple(_number(v, "run.start") for v in start)
     return RunConfig(
         arena=arena if arena is not None else build_arena(cfg),
         policy=cfg["policy"]["kind"],
@@ -253,18 +266,21 @@ def build_run_config(cfg: dict, arena: Arena | None = None) -> RunConfig:
         tof=build_tof(cfg),
         camera=build_camera(cfg),
         detector=build_detector(cfg),
-        duration=float(r["duration"]),
-        seed=int(r["seed"]),
+        duration=_number(r["duration"], "run.duration"),
+        seed=_number(r["seed"], "run.seed", int),
         start=start,
-        control_dt=float(r["control_dt"]),
-        drone_radius=float(r["drone_radius"]),
-        v_max=float(r["v_max"]),
-        omega_max=float(r["omega_max"]),
+        control_dt=_number(r["control_dt"], "run.control_dt"),
+        drone_radius=_number(r["drone_radius"], "run.drone_radius"),
+        v_max=_number(r["v_max"], "run.v_max"),
+        omega_max=_number(r["omega_max"], "run.omega_max"),
     )
 
 
 def build_sweep_spec(cfg: dict) -> SweepSpec:
     s = cfg["sweep"]
+    for key in ("policies", "speeds", "detectors"):
+        if not isinstance(s[key], list):
+            raise ValidationError(f"sweep.{key}", "must be a list")
     detectors = tuple(s["detectors"]) if s["detectors"] else (None,)
     for det in detectors:
         if det is not None and det not in DETECTORS:
@@ -273,9 +289,9 @@ def build_sweep_spec(cfg: dict) -> SweepSpec:
             )
     return SweepSpec(
         policies=tuple(s["policies"]),
-        speeds=tuple(float(v) for v in s["speeds"]),
+        speeds=tuple(_number(v, "sweep.speeds") for v in s["speeds"]),
         detectors=detectors,
-        runs_per_config=int(s["runs_per_config"]),
-        base_seed=int(s["base_seed"]),
-        duration=float(s["duration"]),
+        runs_per_config=_number(s["runs_per_config"], "sweep.runs_per_config", int),
+        base_seed=_number(s["base_seed"], "sweep.base_seed", int),
+        duration=_number(s["duration"], "sweep.duration"),
     )

@@ -13,7 +13,12 @@ class ValidationError(SimError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):
+        # rebuilt from both fields when a sweep worker sends it back
+        return type(self), (self.path, self.message)
 
 
 class InvalidOriginError(SimError):

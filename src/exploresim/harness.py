@@ -2,9 +2,10 @@
 
 One run interleaves two clocked tasks on a single timeline:
 
-* the control task, every ``control_dt`` (50 Hz default): refresh the
-  ranging frame if its slower clock is due, step the policy, integrate
-  the vehicle, check collision, deposit dwell into the occupancy grid;
+* the control task, :func:`fly`, every ``control_dt`` (50 Hz default):
+  refresh the ranging frame if its slower clock is due, step the policy,
+  integrate the vehicle, check collision; :func:`run_single` consumes it
+  and deposits dwell into the occupancy grid;
 * the detection task, at the detector's own frame rate: each frame has
   an exact instant k/fps and is evaluated against the first vehicle
   state timestamped at or after it (at 50 Hz that is within one tick of
@@ -70,8 +71,11 @@ class RunConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"run.{name}", "must be a positive finite number")
-        if int(round(self.duration / self.control_dt)) < 1:
+        n_ticks = self.n_ticks()
+        if n_ticks < 1:
             raise ValidationError("run.duration", "shorter than one control tick")
+        if abs(n_ticks * self.control_dt - self.duration) > _EPS:
+            raise ValidationError("run.duration", "not a whole number of control ticks")
         if self.policy_cfg.cruise_speed > self.v_max + _EPS:
             raise ValidationError("policy.cruise_speed", "exceeds run.v_max")
         if self.policy_cfg.turn_rate > self.omega_max + _EPS:
@@ -83,6 +87,10 @@ class RunConfig:
             raise ValidationError("run.start", "must be finite numbers")
         if not self.arena.in_free_space(x0, y0) or self.arena.disc_blocked(x0, y0, self.drone_radius):
             raise ValidationError("run.start", f"({x0}, {y0}) is not in free space")
+
+    def n_ticks(self) -> int:
+        """Control ticks in the mission."""
+        return int(round(self.duration / self.control_dt))
 
     def start_pose(self) -> tuple[float, float, float]:
         if self.start is not None:
@@ -104,27 +112,47 @@ class RunResult:
     trajectory: list[str] | None = None  # log lines incl. header, when kept
 
 
-def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
-    """Execute one mission deterministically.
+def fly(cfg: RunConfig):
+    """The control task of one mission: validate ``cfg``, then per tick
+    refresh the ranging frame if due, step the policy, integrate the
+    vehicle and test the airframe disc at the new state for a collision.
 
-    Identical configs (seed included) produce identical results and
-    trajectory digests, regardless of process or platform.
+    Yields ``(t, state_seen, frame, ps, sp, next_state, blocked)`` per
+    tick; stops after the last tick or the first blocked one.
     """
     cfg.validate()
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
-
     dt = cfg.control_dt
-    n_ticks = int(round(cfg.duration / dt))
-    end_t = n_ticks * dt
-
     policy_rng = random.Random(derive_seed(cfg.seed, "policy"))
-    detect_rng = random.Random(derive_seed(cfg.seed, "detect"))
     noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
-
     state = VehicleState(x0, y0, h0)
     ps = initial_state(cfg.policy, cfg.policy_cfg, h0, arena, cfg.drone_radius)
     bank = TofBank(cfg.tof)
+    for i in range(cfg.n_ticks()):
+        t_i = i * dt
+        frame = bank.sample(arena, state, noise_rng, t_i)
+        ps, sp = policy_step(cfg.policy, ps, frame, state.heading, dt,
+                             cfg.policy_cfg, policy_rng)
+        nxt = step(state, sp, dt)
+        blocked = arena.disc_blocked(nxt.x, nxt.y, cfg.drone_radius)
+        yield t_i, state, frame, ps, sp, nxt, blocked
+        if blocked:
+            return
+        state = nxt
+
+
+def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
+    """Execute one mission deterministically: :func:`fly` plus the log,
+    digest, grid, collision record and detection task.
+
+    Identical configs (seed included) produce identical results and
+    trajectory digests, regardless of process or platform.
+    """
+    arena = cfg.arena
+    x0, y0, h0 = cfg.start_pose()
+    dt = cfg.control_dt
+    detect_rng = random.Random(derive_seed(cfg.seed, "detect"))
     grid = OccupancyGrid(arena.width, arena.height)
     collision = CollisionRecord()
 
@@ -133,33 +161,28 @@ def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
     if det is not None:
         frame_k = 1
         frame_t = 1.0 / det.fps
-        frame_due = math.ceil(frame_t / dt - _EPS) if frame_t <= end_t + _EPS else -1
+        frame_due = math.ceil(frame_t / dt - _EPS)
     else:
         frame_due = -1
 
     hasher = hashlib.blake2b(digest_size=8)
     lines: list[str] | None = [TRAJECTORY_HEADER + "\n"] if keep_trajectory else None
     hasher.update((TRAJECTORY_HEADER + "\n").encode("ascii"))
-    xs = f"{state.x:.6f}"
-    ys = f"{state.y:.6f}"
-    hs = f"{state.heading:.6f}"
+    xs = f"{x0:.6f}"
+    ys = f"{y0:.6f}"
+    hs = f"{h0:.6f}"
 
-    for i in range(n_ticks):
-        t_i = i * dt
-        frame = bank.sample(arena, state, noise_rng, t_i)
-        ps, sp = policy_step(cfg.policy, ps, frame, state.heading, dt,
-                             cfg.policy_cfg, policy_rng)
+    for i, (t_i, _, _, _, sp, state, blocked) in enumerate(fly(cfg)):
         row = f"{t_i:.6f},{xs},{ys},{hs},{sp.v:.6f},{sp.omega:.6f}\n"
         hasher.update(row.encode("ascii"))
         if lines is not None:
             lines.append(row)
-        state = step(state, sp, dt)
         xs = f"{state.x:.6f}"
         ys = f"{state.y:.6f}"
         hs = f"{state.heading:.6f}"
         xq = float(xs)
         yq = float(ys)
-        if arena.disc_blocked(state.x, state.y, cfg.drone_radius):
+        if blocked:
             collision = CollisionRecord(True, state.t, state.x, state.y)
             grid.mark(min(max(xq, 0.0), arena.width), min(max(yq, 0.0), arena.height), dt)
             break
@@ -169,7 +192,7 @@ def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
             attempt_detection(det, visible, ledger, frame_t, detect_rng)
             frame_k += 1
             frame_t = frame_k / det.fps
-            frame_due = math.ceil(frame_t / dt - _EPS) if frame_t <= end_t + _EPS else -1
+            frame_due = math.ceil(frame_t / dt - _EPS)
 
     terminal = f"{state.t:.6f},{xs},{ys},{hs},0.000000,0.000000\n"
     hasher.update(terminal.encode("ascii"))
@@ -202,15 +225,20 @@ class SweepSpec:
     duration: float = 180.0
 
     def validate(self) -> None:
-        if not self.policies or not self.speeds or not self.detectors:
-            raise SimError("sweep needs at least one policy, speed and detector entry")
+        """Raise :class:`ValidationError`, with the ``sweep.*`` key's path,
+        on any value the sweep cannot run with."""
+        for name in ("policies", "speeds", "detectors"):
+            if not getattr(self, name):
+                raise ValidationError(f"sweep.{name}", "needs at least one entry")
         for p in self.policies:
             if p not in POLICY_KINDS:
-                raise SimError(f"unknown policy {p!r}")
-        if any(s <= 0.0 for s in self.speeds):
-            raise SimError("speeds must be > 0")
+                raise ValidationError("sweep.policies", f"unknown policy {p!r}")
+        if not all(s > 0.0 and math.isfinite(s) for s in self.speeds):
+            raise ValidationError("sweep.speeds", "must be positive finite numbers")
         if self.runs_per_config < 1:
-            raise SimError("runs_per_config must be >= 1")
+            raise ValidationError("sweep.runs_per_config", "must be >= 1")
+        if not (self.duration > 0.0 and math.isfinite(self.duration)):
+            raise ValidationError("sweep.duration", "must be a positive finite number")
 
     def configurations(self):
         for policy in self.policies:
@@ -270,8 +298,10 @@ def _sweep_task(args):
     try:
         res = run_single(cfg)
     except SimError as exc:
-        raise SimError(f"run failed for {policy}/{speed}/{det or 'none'} "
-                       f"run {run_idx}: {exc}") from exc
+        where = f"run failed for {policy}/{speed}/{det or 'none'} run {run_idx}"
+        if isinstance(exc, ValidationError):
+            raise ValidationError(exc.path, f"{exc.message} ({where})") from exc
+        raise SimError(f"{where}: {exc}") from exc
     row = SweepRow(policy, speed, det, run_idx, cfg.seed, res.coverage,
                    res.detection_rate, res.collision.occurred,
                    res.energy["total"], res.digest)

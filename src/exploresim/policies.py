@@ -38,6 +38,7 @@ from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, normalize_heading
 POLICY_KINDS = ("pseudo-random", "wall-following", "spiral", "rotate-and-measure")
 
 _EPS = 1e-12
+_WALL_LOST_MARGIN = 0.5  # side error beyond this means the wall is lost, m
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,11 @@ class PolicyConfig:
     follow_side: str = "left"    # which side sensor tracks the wall
     corner_margin: float = 0.1   # corner trigger is standoff + margin, m
     align_tol: float = 0.05      # in-place turns finish within this, rad
-    wall_lost_margin: float = 0.5  # side error beyond this means wall lost, m
 
     def __post_init__(self):
         for name in ("cruise_speed", "trigger_dist", "wall_standoff", "spiral_step",
                      "scan_step", "leg_max", "turn_rate", "k_wall", "kd_wall",
-                     "k_heading", "corner_margin", "align_tol", "wall_lost_margin"):
+                     "k_heading", "corner_margin", "align_tol"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"policy config field {name} must be a positive finite number")
@@ -171,7 +171,7 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
                      target_heading=normalize_heading(heading + delta))
         return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, delta)), False
     side_reading = tof.left if side_is_left else tof.right
-    if side_reading - standoff > cfg.wall_lost_margin:
+    if side_reading - standoff > _WALL_LOST_MARGIN:
         # wall lost (inner rings mostly): chasing a far reading at full turn
         # authority just circles in place, so cruise straight instead and
         # let the front trigger re-square the heading at the next wall

@@ -73,31 +73,30 @@ def parse_trajectory(text: str) -> list[tuple[float, float, float, float, float,
     return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
 
 
-def grid_from_trajectory(text: str, width: float, height: float) -> OccupancyGrid:
+def replay_trajectory(text: str, width: float, height: float):
     """Replay a trajectory log into a fresh occupancy grid.
 
-    Marks every post-start sample with the time gap to its predecessor,
+    Yields ``(t, grid)`` for the start sample (empty grid) and then after
+    marking each later sample with the time gap to its predecessor,
     clamping into the room (a collision's final sample can sit outside),
-    exactly mirroring the run loop.  The replayed grid matches the run's
-    grid cell for cell because the loop marks log-quantized coordinates.
+    exactly mirroring the run loop.  The grid is one object updated in
+    place.  After the last sample it matches the run's grid cell for cell
+    because the loop marks log-quantized coordinates.
     """
     rows = parse_trajectory(text)
     grid = OccupancyGrid(width, height)
+    yield rows[0][0], grid
     for prev, cur in zip(rows, rows[1:]):
         dt = cur[0] - prev[0]
         grid.mark(min(max(cur[1], 0.0), width), min(max(cur[2], 0.0), height), dt)
-    return grid
+        yield cur[0], grid
 
 
 def coverage_series_csv(text: str, width: float, height: float) -> str:
     """Coverage over time recomputed from a trajectory log."""
-    rows = parse_trajectory(text)
-    grid = OccupancyGrid(width, height)
-    out = [SERIES_CSV_HEADER, f"{rows[0][0]:.6f},{0.0:.6f}"]
-    for prev, cur in zip(rows, rows[1:]):
-        dt = cur[0] - prev[0]
-        grid.mark(min(max(cur[1], 0.0), width), min(max(cur[2], 0.0), height), dt)
-        out.append(f"{cur[0]:.6f},{grid.coverage():.6f}")
+    out = [SERIES_CSV_HEADER]
+    for t, grid in replay_trajectory(text, width, height):
+        out.append(f"{t:.6f},{grid.coverage():.6f}")
     return "\n".join(out) + "\n"
 
 

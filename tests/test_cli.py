@@ -93,6 +93,10 @@ class TestRun:
         (["--set", "tof.rate_hz=NaN"], "rate_hz"),
         (["--set", "camera.max_range=NaN"], "max_detect_range"),
         (["--set", "detector.fps=NaN", "--detector", "ssd-1.0"], "fps"),
+        (["--set", "run.duration=abc"], "run.duration"),
+        (["--set", "run.duration=null"], "run.duration"),
+        (["--set", "run.seed=1.5x"], "run.seed"),
+        (["--set", "run.control_dt=0.3", "--set", "run.duration=1"], "run.duration"),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
@@ -139,6 +143,22 @@ class TestSweep:
         run_cli("sweep", "--runs-per-config", "1", "--jobs", "2",
                 "--out", str(parallel), *SMALL_SWEEP)
         assert (serial / "runs.csv").read_bytes() == (parallel / "runs.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--set", 'sweep.speeds=["a"]'], "sweep.speeds"),
+        (["--set", "sweep.speeds=0.5"], "sweep.speeds"),
+        (["--set", 'sweep.policies=["bogus"]'], "sweep.policies"),
+        (["--set", "sweep.runs_per_config=0"], "sweep.runs_per_config"),
+        (["--set", "sweep.duration=NaN"], "sweep.duration"),
+        (["--set", "sweep.speeds=[5]"], "policy.cruise_speed"),
+        (["--set", "run.drone_radius=NaN"], "run.drone_radius"),
+        (["--set", "run.drone_radius=NaN", "--jobs", "2"], "run.drone_radius"),
+    ])
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
+        assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "o").exists()
 
     def test_detection_report_emitted_with_detectors(self, tmp_path):
         out = tmp_path / "det"

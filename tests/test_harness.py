@@ -7,10 +7,11 @@ from exploresim.arena import Arena, default_arena, load_arena
 from exploresim.detection import DETECTORS
 from exploresim.errors import SimError
 from exploresim.harness import (RunConfig, SweepSpec, aggregate,
-                                aggregate_detection, run_seed_for, run_single,
-                                run_sweep)
+                                aggregate_detection, fly, run_seed_for,
+                                run_single, run_sweep)
 from exploresim.policies import PolicyConfig
-from exploresim.report import grid_from_trajectory, parse_trajectory
+from exploresim.report import parse_trajectory, replay_trajectory
+from exploresim.sensing import TofConfig
 
 
 def make_cfg(**kw):
@@ -47,9 +48,22 @@ class TestRunSingle:
             res = run_single(make_cfg(policy=policy,
                                       policy_cfg=PolicyConfig(cruise_speed=speed)),
                              keep_trajectory=True)
-            replay = grid_from_trajectory("".join(res.trajectory), 6.5, 5.5)
+            _, replay = list(replay_trajectory("".join(res.trajectory), 6.5, 5.5))[-1]
             assert replay.coverage() == res.coverage
             assert replay.dwell == pytest.approx(res.grid.dwell, abs=1e-9)
+
+    @pytest.mark.parametrize("policy", ["pseudo-random", "wall-following"])
+    def test_flown_ticks_are_the_logged_mission(self, policy):
+        # with ranging noise on, the policy and noise streams must stay apart
+        # exactly as in the mission, or the traced ticks leave its trajectory
+        cfg = make_cfg(policy=policy, seed=3, duration=30.0,
+                       tof=TofConfig(noise_sigma=0.02))
+        rows = parse_trajectory("".join(run_single(cfg, keep_trajectory=True).trajectory))
+        ticks = list(fly(cfg))
+        assert len(ticks) == len(rows) - 1
+        for row, (t, seen, _, _, sp, _, _) in zip(rows, ticks):
+            values = (t, seen.x, seen.y, seen.heading, sp.v, sp.omega)
+            assert row == tuple(float(f"{v:.6f}") for v in values)
 
     def test_wall_following_stays_out_of_the_core(self):
         # started on the perimeter track, the inner 9x7 cell core stays dark

@@ -1,8 +1,10 @@
 import math
+from collections import namedtuple
 
 import pytest
 
 from exploresim.arena import Arena, default_arena
+from exploresim.harness import RunConfig, fly
 from exploresim.policies import (POLICY_KINDS, PolicyConfig, PseudoRandomState,
                                  RotateMeasureState, SpiralState,
                                  WallFollowState, initial_state, policy_step,
@@ -11,9 +13,19 @@ from exploresim.policies import (POLICY_KINDS, PolicyConfig, PseudoRandomState,
 from exploresim.sensing import TofFrame
 from exploresim.vehicle import normalize_heading
 
-from util import drive
-
 CFG = PolicyConfig()
+
+Tick = namedtuple("Tick", "t state frame ps sp next_state blocked")
+
+
+def drive(arena, kind, cfg, start, duration, seed=0):
+    """The mission's control task, tick by tick; fails on a collision."""
+    run = RunConfig(arena=arena, policy=kind, policy_cfg=cfg, start=start,
+                    duration=duration, seed=seed)
+    trace = [Tick(*tick) for tick in fly(run)]
+    end = trace[-1].next_state
+    assert not trace[-1].blocked, f"collision at t={end.t:.2f} ({end.x:.2f}, {end.y:.2f})"
+    return trace
 
 
 def frame(front=4.0, left=4.0, right=4.0, back=4.0, t=0.0):
