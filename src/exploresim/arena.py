@@ -235,6 +235,8 @@ def load_arena(document) -> Arena:
         objects.append(TargetObject(oid, cls, Vec2(*pos), radius))
     try:
         return Arena(width, height, obstacles, objects)
+    except ValidationError:  # also a ValueError; keep its own path
+        raise
     except (TypeError, ValueError) as exc:
         raise ValidationError("<document>", str(exc)) from None
 

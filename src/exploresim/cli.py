@@ -15,21 +15,21 @@ from pathlib import Path
 
 from . import __version__
 from .arena import Arena
-from .config import (KEY_DOCS, apply_overrides, build_arena, build_run_config,
-                     build_sweep_spec, load_config)
+from .config import (LEAF, LEAVES, apply_overrides, build_arena, build_run_config,
+                     build_sweep_spec, check_config, load_config)
 from .detection import DETECTORS
 from .errors import SimError, ValidationError
 from .harness import RunConfig, aggregate, aggregate_detection, run_single, run_sweep
-from .metrics import (EnergyModel, dwell_matrix_csv, dwell_matrix_pgm, export_heatmap,
-                      parse_dwell_csv)
+from .metrics import (HEATMAP_SATURATION_S, EnergyModel, dwell_matrix_csv, dwell_matrix_pgm,
+                      export_heatmap, parse_dwell_csv)
 from .policies import POLICY_KINDS
 from . import report as rep
 
 
 def _config_epilog() -> str:
     lines = ["config keys (override with --set KEY=VALUE):"]
-    for key, doc in KEY_DOCS.items():
-        lines.append(f"  {key:<24} {doc}")
+    for leaf in LEAVES:
+        lines.append(f"  {leaf.key:<24} {leaf.doc}")
     return "\n".join(lines)
 
 
@@ -52,16 +52,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one mission and write its artifacts")
     common(p_run)
-    p_run.add_argument("--policy", choices=POLICY_KINDS)
-    p_run.add_argument("--speed", type=float, metavar="M_PER_S")
-    p_run.add_argument("--detector", choices=tuple(DETECTORS) + ("none",))
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--duration", type=float, metavar="SECONDS")
+    # a shortcut flag's dest is the config key it assigns (see _load_cfg)
+    p_run.add_argument("--policy", dest="policy.kind", choices=POLICY_KINDS)
+    p_run.add_argument("--speed", dest="policy.cruise_speed", type=float, metavar="M_PER_S")
+    p_run.add_argument("--detector", dest="detector.model", choices=tuple(DETECTORS) + ("none",))
+    p_run.add_argument("--seed", dest="run.seed", type=int, metavar="SEED")
+    p_run.add_argument("--duration", dest="run.duration", type=float, metavar="SECONDS")
 
     p_sweep = sub.add_parser("sweep", help="run the multi-configuration sweep")
     common(p_sweep)
-    p_sweep.add_argument("--seed", type=int, help="sweep base seed")
-    p_sweep.add_argument("--runs-per-config", type=int, metavar="N")
+    p_sweep.add_argument("--seed", dest="sweep.base_seed", type=int, metavar="SEED",
+                         help="sweep base seed")
+    p_sweep.add_argument("--runs-per-config", dest="sweep.runs_per_config", type=int,
+                         metavar="N")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="parallel workers (results are identical at any N)")
 
@@ -74,14 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--in", dest="input_csv", required=True, metavar="CSV")
     p_heat.add_argument("--out", default=None, metavar="PGM",
                         help="output file (default: alongside the CSV)")
-    p_heat.add_argument("--saturation", type=float, default=18.0, metavar="SECONDS")
+    p_heat.add_argument("--saturation", type=float, default=HEATMAP_SATURATION_S,
+                        metavar="SECONDS")
     return parser
 
 
 def _load_cfg(args) -> dict:
-    cfg = load_config(args.config)
-    cfg = apply_overrides(cfg, args.overrides)
-    return cfg
+    """The config file, then ``--set``, then each shortcut flag given as one
+    more override of the key that is its dest; ``none`` assigns null."""
+    flags = [f"{key}={json.dumps(None if value == 'none' else value)}"
+             for key, value in vars(args).items() if "." in key and value is not None]
+    return apply_overrides(load_config(args.config), args.overrides + flags)
 
 
 def _write(path: Path, text: str) -> None:
@@ -115,16 +121,7 @@ def _summary_json(cfg: RunConfig, result, arena: Arena) -> str:
 
 def cmd_run(args) -> int:
     cfg_doc = _load_cfg(args)
-    if args.policy:
-        cfg_doc["policy"]["kind"] = args.policy
-    if args.speed is not None:
-        cfg_doc["policy"]["cruise_speed"] = args.speed
-    if args.detector is not None:
-        cfg_doc["detector"]["model"] = None if args.detector == "none" else args.detector
-    if args.seed is not None:
-        cfg_doc["run"]["seed"] = args.seed
-    if args.duration is not None:
-        cfg_doc["run"]["duration"] = args.duration
+    saturation = check_config(cfg_doc)["heatmap.saturation_s"]
     run_cfg = build_run_config(cfg_doc)
     result = run_single(run_cfg, keep_trajectory=True)
 
@@ -132,8 +129,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "trajectory.csv", "".join(result.trajectory))
     _write(out / "detections.csv", rep.detections_csv(result, run_cfg.arena))
-    export_heatmap(result.grid, out / "heatmap.csv", out / "heatmap.pgm",
-                   float(cfg_doc["heatmap"]["saturation_s"]))
+    export_heatmap(result.grid, out / "heatmap.csv", out / "heatmap.pgm", saturation)
     _write(out / "summary.json", _summary_json(run_cfg, result, run_cfg.arena))
     rate = ("n/a" if result.detection_rate is None
             else f"{result.detection_rate * 100.0:.1f}%")
@@ -145,10 +141,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg_doc = _load_cfg(args)
-    if args.seed is not None:
-        cfg_doc["sweep"]["base_seed"] = args.seed
-    if args.runs_per_config is not None:
-        cfg_doc["sweep"]["runs_per_config"] = args.runs_per_config
+    saturation = check_config(cfg_doc)["heatmap.saturation_s"]
     spec = build_sweep_spec(cfg_doc)
     arena = build_arena(cfg_doc)
     template = build_run_config(cfg_doc, arena=arena)
@@ -164,7 +157,6 @@ def cmd_sweep(args) -> int:
         matrix = aggregate_detection(sweep.rows)
         _write(out / "detection_rates.csv",
                rep.detection_matrix_csv(matrix, spec.policies))
-    saturation = float(cfg_doc["heatmap"]["saturation_s"])
     for (policy, speed, det), dwells in sweep.dwell.items():
         n = len(dwells)
         mean_flat = [sum(run[i] for run in dwells) / n for i in range(len(dwells[0]))]
@@ -211,6 +203,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    saturation = LEAF["heatmap.saturation_s"].kind(args.saturation, "--saturation")
     src = Path(args.input_csv)
     if not src.exists():
         raise SimError(f"missing artifact: {src}")
@@ -218,7 +211,7 @@ def cmd_heatmap(args) -> int:
     if not matrix:
         raise SimError(f"empty dwell matrix: {src}")
     out = Path(args.out) if args.out else src.with_suffix(".pgm")
-    out.write_bytes(dwell_matrix_pgm(matrix, args.saturation))
+    out.write_bytes(dwell_matrix_pgm(matrix, saturation))
     print(f"wrote {out}")
     return 0
 

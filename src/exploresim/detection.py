@@ -11,10 +11,10 @@ network's quantized accuracy score as its per-frame success probability
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import SimError
+from .kinds import POSITIVE, PROBABILITY, check_fields
 
 
 @dataclass(frozen=True)
@@ -22,20 +22,17 @@ class DetectorModel:
     name: str
     fps: float                 # inference throughput, frames per second
     p_detect: float            # per in-view frame success probability
-    params_m: float = 0.0      # model size, millions of parameters (metadata)
-    mmacs: float = 0.0         # per-inference work, millions of MACs (metadata)
+
+    KINDS = {"fps": POSITIVE, "p_detect": PROBABILITY}
 
     def __post_init__(self):
-        if not (self.fps > 0.0 and math.isfinite(self.fps)):
-            raise ValueError("fps must be a positive finite number")
-        if not 0.0 <= self.p_detect <= 1.0:
-            raise ValueError("p_detect must be within [0, 1]")
+        check_fields(self)
 
 
 DETECTORS = {
-    "ssd-1.0": DetectorModel("ssd-1.0", fps=1.6, p_detect=0.50, params_m=4.7, mmacs=534.0),
-    "ssd-0.75": DetectorModel("ssd-0.75", fps=2.3, p_detect=0.48, params_m=2.7, mmacs=358.0),
-    "ssd-0.5": DetectorModel("ssd-0.5", fps=4.3, p_detect=0.32, params_m=1.2, mmacs=193.0),
+    "ssd-1.0": DetectorModel("ssd-1.0", fps=1.6, p_detect=0.50),
+    "ssd-0.75": DetectorModel("ssd-0.75", fps=2.3, p_detect=0.48),
+    "ssd-0.5": DetectorModel("ssd-0.5", fps=4.3, p_detect=0.32),
 }
 
 

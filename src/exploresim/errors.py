@@ -5,10 +5,11 @@ class SimError(Exception):
     """Base class for all simulator errors."""
 
 
-class ValidationError(SimError):
+class ValidationError(SimError, ValueError):
     """A document or config value violates the schema or an invariant.
 
     ``path`` points at the offending field, e.g. ``"objects[2].pos"``.
+    Also a ``ValueError``: model dataclasses raise it for a bad field.
     """
 
     def __init__(self, path: str, message: str):

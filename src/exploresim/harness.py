@@ -32,8 +32,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .arena import Arena, default_arena
-from .detection import DetectionLedger, DetectorModel, attempt_detection, detection_rate
+from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detection,
+                        detection_rate)
 from .errors import SimError, ValidationError
+from .kinds import COUNT, POSE, POSITIVE, SEED, check_fields, choice, list_of, nullable
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_step
 from .seeding import derive_seed
@@ -42,6 +44,8 @@ from .vehicle import (DEFAULT_DRONE_RADIUS, DEFAULT_OMEGA_MAX, DEFAULT_V_MAX,
                       CollisionRecord, VehicleState, step)
 
 TRAJECTORY_HEADER = "t,x,y,heading,v_cmd,omega_cmd"
+POLICY_NAME = choice(POLICY_KINDS)
+DETECTOR_NAME = nullable(choice(DETECTORS))  # null: no detector
 DEFAULT_CONTROL_DT = 0.02
 _EPS = 1e-9
 
@@ -62,15 +66,14 @@ class RunConfig:
     v_max: float = DEFAULT_V_MAX
     omega_max: float = DEFAULT_OMEGA_MAX
 
+    KINDS = {"policy": POLICY_NAME, "duration": POSITIVE, "seed": SEED,
+             "start": nullable(POSE), "control_dt": POSITIVE, "drone_radius": POSITIVE,
+             "v_max": POSITIVE, "omega_max": POSITIVE}
+
     def validate(self) -> None:
-        """Raise :class:`ValidationError`, with the config key's path, on
-        any value this run cannot fly with."""
-        if self.policy not in POLICY_KINDS:
-            raise ValidationError("policy.kind", f"unknown policy {self.policy!r}")
-        for name in ("duration", "control_dt", "drone_radius", "v_max", "omega_max"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"run.{name}", "must be a positive finite number")
+        """Raise :class:`ValidationError` on any value this run cannot fly
+        with; its path is the field name, or a config key across fields."""
+        check_fields(self)
         n_ticks = self.n_ticks()
         if n_ticks < 1:
             raise ValidationError("run.duration", "shorter than one control tick")
@@ -82,9 +85,7 @@ class RunConfig:
             raise ValidationError("policy.turn_rate", "exceeds run.omega_max")
         if self.policy_cfg.trigger_dist > self.tof.max_range + _EPS:
             raise ValidationError("policy.trigger_dist", "exceeds tof.max_range")
-        x0, y0, h0 = self.start_pose()
-        if not all(math.isfinite(v) for v in (x0, y0, h0)):
-            raise ValidationError("run.start", "must be finite numbers")
+        x0, y0, _ = self.start_pose()
         if not self.arena.in_free_space(x0, y0) or self.arena.disc_blocked(x0, y0, self.drone_radius):
             raise ValidationError("run.start", f"({x0}, {y0}) is not in free space")
 
@@ -219,31 +220,22 @@ def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
 class SweepSpec:
     policies: tuple[str, ...] = POLICY_KINDS
     speeds: tuple[float, ...] = (0.1, 0.5, 1.0)
-    detectors: tuple[str | None, ...] = (None,)
+    detectors: tuple[str | None, ...] = ()  # empty: exploration only
     runs_per_config: int = 5
     base_seed: int = 42
     duration: float = 180.0
 
-    def validate(self) -> None:
-        """Raise :class:`ValidationError`, with the ``sweep.*`` key's path,
-        on any value the sweep cannot run with."""
-        for name in ("policies", "speeds", "detectors"):
-            if not getattr(self, name):
-                raise ValidationError(f"sweep.{name}", "needs at least one entry")
-        for p in self.policies:
-            if p not in POLICY_KINDS:
-                raise ValidationError("sweep.policies", f"unknown policy {p!r}")
-        if not all(s > 0.0 and math.isfinite(s) for s in self.speeds):
-            raise ValidationError("sweep.speeds", "must be positive finite numbers")
-        if self.runs_per_config < 1:
-            raise ValidationError("sweep.runs_per_config", "must be >= 1")
-        if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise ValidationError("sweep.duration", "must be a positive finite number")
+    KINDS = {"policies": list_of(POLICY_NAME), "speeds": list_of(POSITIVE),
+             "detectors": list_of(DETECTOR_NAME, nonempty=False),
+             "runs_per_config": COUNT, "base_seed": SEED, "duration": POSITIVE}
+
+    def __post_init__(self):
+        check_fields(self)
 
     def configurations(self):
         for policy in self.policies:
             for speed in self.speeds:
-                for det in self.detectors:
+                for det in self.detectors or (None,):
                     yield policy, speed, det
 
 
@@ -280,8 +272,6 @@ def run_seed_for(base_seed: int, policy: str, speed: float, detector: str | None
 
 def _make_run_config(template: RunConfig, policy: str, speed: float,
                      det: str | None, seed: int, duration: float) -> RunConfig:
-    from .detection import DETECTORS  # local to keep module import light
-
     detector = DETECTORS[det] if det is not None else None
     return replace(
         template,
@@ -312,7 +302,6 @@ def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
               jobs: int = 1) -> SweepResult:
     """Execute the full sweep; per-run results are independent of the
     execution order or degree of parallelism."""
-    spec.validate()
     if template is None:
         template = RunConfig(arena=default_arena())
     tasks = []

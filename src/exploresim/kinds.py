@@ -1,0 +1,95 @@
+"""Value kinds: the conversion and the range of one config value or model
+field.  A model dataclass names the kind of each checked field in its
+``KINDS`` class attribute and checks them with :func:`check_fields`; the
+config table (:mod:`exploresim.config`) reads the same declarations, so
+each bound is written once.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .errors import ValidationError
+
+
+class Kind:
+    """``convert`` maps a JSON value to the field's value, raising
+    ``TypeError`` or ``ValueError`` when it cannot; ``test`` bounds the
+    result; ``text`` says what the value must be."""
+
+    def __init__(self, text: str, convert, test=lambda value: True):
+        self.text, self.convert, self.test = text, convert, test
+
+    def __call__(self, value, path: str, note: str = ""):
+        """The converted value, or a :class:`ValidationError` naming ``path``."""
+        try:
+            out = self.convert(value)
+            if self.test(out):
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ValidationError(path, f"must be {self.text}, got {value!r}{note}")
+
+
+def _real(value) -> float:
+    # JSON true/false are Python ints; they are not numbers here
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def _items(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(value)
+    return tuple(value)
+
+
+POSITIVE = Kind("a positive finite number", _real, lambda x: x > 0.0 and math.isfinite(x))
+NON_NEGATIVE = Kind("a finite number >= 0", _real, lambda x: x >= 0.0 and math.isfinite(x))
+PROBABILITY = Kind("a number in [0, 1]", _real, lambda x: 0.0 <= x <= 1.0)
+FOV = Kind("an angle in (0, pi)", _real, lambda x: 0.0 < x < math.pi)
+# a finer scan records 2*pi/step ranges per revolution: 1e-6 degrees kept a
+# 1 s mission busy for minutes
+SCAN_STEP = Kind("a finite angle >= pi/180 (1 degree)", _real,
+                 lambda x: x >= math.pi / 180.0 and math.isfinite(x))
+SEED = Kind("an integer in [0, 2^64)", _integer, lambda n: 0 <= n < 1 << 64)
+COUNT = Kind("an integer >= 1", _integer, lambda n: n >= 1)
+POSE = Kind("[x, y, heading_rad], three finite numbers", lambda v: tuple(map(_real, _items(v))),
+            lambda pose: len(pose) == 3 and all(map(math.isfinite, pose)))
+ARENA = Kind("null, an arena file path or an arena object", lambda v: v,
+             lambda v: v is None or isinstance(v, (str, dict)))
+
+
+def choice(options) -> Kind:
+    options = tuple(options)
+    return Kind(f"one of {', '.join(options)}", lambda v: v, lambda v: v in options)
+
+
+def nullable(kind: Kind) -> Kind:
+    return Kind(f"null or {kind.text}", lambda v: None if v is None else kind.convert(v),
+                lambda v: v is None or kind.test(v))
+
+
+def list_of(kind: Kind, nonempty: bool = True) -> Kind:
+    return Kind(f"a {'non-empty ' if nonempty else ''}list, each {kind.text}",
+                lambda v: tuple(map(kind.convert, _items(v))),
+                lambda items: (bool(items) or not nonempty) and all(map(kind.test, items)))
+
+
+def in_degrees(kind: Kind) -> Kind:
+    """``kind`` of a field in radians, for a value given in degrees."""
+    return Kind(f"{kind.text} once converted from degrees to radians",
+                lambda v: kind.convert(math.radians(_real(v))), kind.test)
+
+
+def check_fields(obj) -> None:
+    """Check each field named in ``obj.KINDS``; the error's path is the
+    field name.  :class:`ValidationError` is a ``ValueError``."""
+    for name, kind in obj.KINDS.items():
+        kind(getattr(obj, name), name)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .kinds import POSITIVE, SCAN_STEP, check_fields, choice
 from .sensing import TofFrame
 from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, normalize_heading
 
@@ -57,15 +58,13 @@ class PolicyConfig:
     corner_margin: float = 0.1   # corner trigger is standoff + margin, m
     align_tol: float = 0.05      # in-place turns finish within this, rad
 
+    KINDS = {**dict.fromkeys(
+        ("cruise_speed", "trigger_dist", "wall_standoff", "spiral_step", "leg_max",
+         "turn_rate", "k_wall", "kd_wall", "k_heading", "corner_margin", "align_tol"),
+        POSITIVE), "scan_step": SCAN_STEP, "follow_side": choice(("left", "right"))}
+
     def __post_init__(self):
-        for name in ("cruise_speed", "trigger_dist", "wall_standoff", "spiral_step",
-                     "scan_step", "leg_max", "turn_rate", "k_wall", "kd_wall",
-                     "k_heading", "corner_margin", "align_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"policy config field {name} must be a positive finite number")
-        if self.follow_side not in ("left", "right"):
-            raise ValueError("follow_side must be 'left' or 'right'")
+        check_fields(self)
 
 
 @dataclass

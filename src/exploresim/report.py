@@ -84,6 +84,8 @@ def replay_trajectory(text: str, width: float, height: float):
     because the loop marks log-quantized coordinates.
     """
     rows = parse_trajectory(text)
+    if not rows:
+        raise SimError("trajectory log has no samples")
     grid = OccupancyGrid(width, height)
     yield rows[0][0], grid
     for prev, cur in zip(rows, rows[1:]):

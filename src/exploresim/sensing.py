@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arena import Arena
+from .kinds import FOV, NON_NEGATIVE, POSITIVE, check_fields
 from .vehicle import VehicleState, normalize_heading
 
 # beam mount angles relative to body heading: front, left, right, back
@@ -30,13 +31,10 @@ class TofConfig:
     rate_hz: float = 20.0
     noise_sigma: float = 0.0
 
+    KINDS = {"max_range": POSITIVE, "rate_hz": POSITIVE, "noise_sigma": NON_NEGATIVE}
+
     def __post_init__(self):
-        for name in ("max_range", "rate_hz"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite number")
-        if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
-            raise ValueError("noise_sigma must be a finite number >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -54,11 +52,10 @@ class CameraModel:
     max_detect_range: float = 2.0   # meters
     mount_angle: float = 0.0        # forward
 
+    KINDS = {"fov": FOV, "max_detect_range": POSITIVE}
+
     def __post_init__(self):
-        if not (0.0 < self.fov < math.pi):
-            raise ValueError("fov must be in (0, pi)")
-        if not (self.max_detect_range > 0.0 and math.isfinite(self.max_detect_range)):
-            raise ValueError("max_detect_range must be a positive finite number")
+        check_fields(self)
 
 
 class TofBank:

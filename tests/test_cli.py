@@ -97,6 +97,17 @@ class TestRun:
         (["--set", "run.duration=null"], "run.duration"),
         (["--set", "run.seed=1.5x"], "run.seed"),
         (["--set", "run.control_dt=0.3", "--set", "run.duration=1"], "run.duration"),
+        (["--set", "policy.k_wall=-1"], "config error: policy.k_wall: "),
+        (["--set", "camera.max_range=0"], "config error: camera.max_range: "),
+        (["--set", "detector.p_detect=2"], "config error: detector.p_detect: "),
+        (["--set", "run.seed=1.5"], "config error: run.seed: "),
+        (["--set", "run.seed=18446744073709551616"], "config error: run.seed: "),
+        (["--set", "run.seed=-1"], "config error: run.seed: "),
+        (["--seed", "-1"], "config error: run.seed: "),
+        (["--set", "policy.cruise_speed=true"], "config error: policy.cruise_speed: "),
+        (["--set", "heatmap.saturation_s=0"], "config error: heatmap.saturation_s: "),
+        (["--set", "heatmap.saturation_s=abc"], "config error: heatmap.saturation_s: "),
+        (["--set", "arena=no-such-arena.json"], "config error: arena: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
@@ -153,6 +164,8 @@ class TestSweep:
         (["--set", "sweep.speeds=[5]"], "policy.cruise_speed"),
         (["--set", "run.drone_radius=NaN"], "run.drone_radius"),
         (["--set", "run.drone_radius=NaN", "--jobs", "2"], "run.drone_radius"),
+        (["--set", "sweep.runs_per_config=2.7"], "config error: sweep.runs_per_config: "),
+        (["--set", "heatmap.saturation_s=0"], "config error: heatmap.saturation_s: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2
@@ -202,6 +215,13 @@ class TestReport:
         assert run_cli("report", "--in", str(tmp_path)) == 1
         assert str(tmp_path) in capsys.readouterr().err
 
+    def test_header_only_trajectory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "mission"
+        assert run_cli("run", "--duration", "1", "--out", str(out)) == 0
+        (out / "trajectory.csv").write_text("t,x,y,heading,v_cmd,omega_cmd\n")
+        assert run_cli("report", "--in", str(out)) == 1
+        assert "no samples" in capsys.readouterr().err
+
 
 class TestHeatmap:
     def test_rerender_matches_original(self, tmp_path):
@@ -222,6 +242,16 @@ class TestHeatmap:
 
     def test_missing_csv_exits_1(self, tmp_path):
         assert run_cli("heatmap", "--in", str(tmp_path / "nope.csv")) == 1
+
+    @pytest.mark.parametrize("saturation", ["0", "-1", "nan", "inf"])
+    def test_bad_saturation_exits_2(self, tmp_path, capsys, saturation):
+        out = tmp_path / "mission"
+        run_cli("run", "--duration", "1", "--out", str(out))
+        pgm = tmp_path / "again.pgm"
+        assert run_cli("heatmap", "--in", str(out / "heatmap.csv"), "--out", str(pgm),
+                       "--saturation", saturation) == 2
+        assert capsys.readouterr().err.startswith("config error: --saturation: ")
+        assert not pgm.exists()
 
 
 def test_help_documents_config_keys(capsys):

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exploresim.config import (DEFAULT_CONFIG, KEY_DOCS, apply_overrides,
-                               build_camera, build_detector, build_policy_config,
-                               build_run_config, build_sweep_spec, load_config)
+from exploresim.cli import main
+from exploresim.config import (DEFAULT_CONFIG, LEAF, apply_overrides, build_run_config,
+                               build_sweep_spec, load_config)
+from exploresim.detection import DETECTORS
 from exploresim.errors import ValidationError
+from exploresim.policies import POLICY_KINDS
 
 
 def test_defaults_load_without_a_file():
@@ -60,6 +68,10 @@ def test_override_needs_assignment():
         apply_overrides(load_config(None), ["policy.cruise_speed"])
 
 
+def build_detector(cfg):
+    return build_run_config(cfg).detector
+
+
 def test_detector_resolution():
     cfg = load_config(None)
     assert build_detector(cfg) is None
@@ -91,15 +103,15 @@ def test_incomplete_custom_detector():
 
 def test_camera_fov_degrees_conversion():
     cfg = load_config(None)
-    assert build_camera(cfg).fov == 1.1  # model default when unset
+    assert build_run_config(cfg).camera.fov == 1.1  # model default when unset
     cfg["camera"]["fov_deg"] = 90.0
-    assert build_camera(cfg).fov == pytest.approx(math.pi / 2)
+    assert build_run_config(cfg).camera.fov == pytest.approx(math.pi / 2)
 
 
 def test_policy_scan_step_degrees_conversion():
     cfg = load_config(None)
     cfg["policy"]["scan_step_deg"] = 60.0
-    assert build_policy_config(cfg).scan_step == pytest.approx(math.pi / 3)
+    assert build_run_config(cfg).policy_cfg.scan_step == pytest.approx(math.pi / 3)
 
 
 def test_run_config_round_trip():
@@ -122,7 +134,7 @@ def test_sweep_spec_defaults_are_the_full_protocol():
     spec = build_sweep_spec(load_config(None))
     assert len(spec.policies) == 4
     assert spec.speeds == (0.1, 0.5, 1.0)
-    assert spec.detectors == (None,)
+    assert {det for _, _, det in spec.configurations()} == {None}
     assert spec.runs_per_config == 5
 
 
@@ -142,8 +154,99 @@ def test_every_leaf_key_is_documented():
             else:
                 yield path
 
-    documented = set(KEY_DOCS)
     for leaf in leaves(DEFAULT_CONFIG):
         if leaf == "schema_version":
             continue
-        assert leaf in documented, f"undocumented config key {leaf}"
+        assert LEAF[leaf].doc, f"undocumented config key {leaf}"
+
+
+# --- any value for any key: it flies, or exits 2 naming its key -----------
+
+NUMBERS = st.integers() | st.floats()
+NON_NUMBERS = st.none() | st.booleans() | st.text(max_size=6)
+
+
+def json_values(numbers=NUMBERS, names=st.text(max_size=6)):
+    return st.recursive(NON_NUMBERS | numbers,
+                        lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(names, inner, max_size=3),
+                        max_leaves=6)
+
+
+def choices(options):
+    return st.sampled_from(list(options)) | json_values()
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+# Keys that scale the work of a mission draw numbers from these bounded
+# ranges: any run.duration, run.control_dt or detector.fps would let one
+# example fly for minutes (detector.fps=1e9 takes over 10 s on a 1 s
+# mission), and so would any count of sweep runs.  Arena sizes are bounded
+# for the same reason (the dwell grid grows with the room), and arena
+# paths are plain names so no example reads a device file.
+def _bounded(lo, hi):
+    return json_values(numbers=floats(lo, hi) | st.integers(int(lo) - 1, int(hi)))
+
+
+_SIZE = floats(-1.0, 10.0)
+VALUES = {
+    "run.duration": _bounded(-1.0, 2.0) | st.sampled_from([0.02, 0.5, 1.0, 2.0]),
+    "run.control_dt": _bounded(-1.0, 2.0) | st.sampled_from([0.01, 0.05, 0.1, 0.25, 1.0]),
+    "detector.fps": _bounded(-1.0, 100.0),
+    "sweep.duration": _bounded(-1.0, 2.0) | st.sampled_from([0.5, 1.0, 2.0]),
+    "sweep.runs_per_config": st.integers(-1, 2) | json_values(numbers=st.integers(-1, 2)
+                                                              | st.floats()),
+    "sweep.policies": st.lists(choices(POLICY_KINDS), max_size=2) | json_values(),
+    "sweep.speeds": st.lists(floats(-1.0, 2.0), max_size=2) | json_values(),
+    "sweep.detectors": st.lists(choices(DETECTORS) | st.none(), max_size=2) | json_values(),
+    "arena": (st.none() | st.text("abc.", max_size=6)
+              | st.fixed_dictionaries({"width": _SIZE, "height": _SIZE})
+              | json_values(numbers=_SIZE, names=st.sampled_from(["width", "height", "x"]))),
+    "run.start": st.lists(floats(-1.0, 7.0), min_size=3, max_size=3) | json_values(),
+    "policy.kind": choices(POLICY_KINDS),
+    "policy.follow_side": choices(["left", "right"]),
+    "detector.model": choices(DETECTORS),
+    "run.seed": st.integers(-(1 << 65), 1 << 65) | json_values(),
+    "sweep.base_seed": st.integers(-(1 << 65), 1 << 65) | json_values(),
+}
+
+# a value may also fail a check that spans two keys and names the other one
+CROSS = {
+    "run.control_dt": {"run.duration"},
+    "run.drone_radius": {"run.start"},
+    "run.v_max": {"policy.cruise_speed"},
+    "run.omega_max": {"policy.turn_rate"},
+    "tof.max_range": {"policy.trigger_dist"},
+    "arena": {"run.start"},
+    "sweep.speeds": {"policy.cruise_speed"},
+    "sweep.duration": {"run.duration"},
+}
+
+# the key under test is assigned last, so it overrides these
+ONE_SECOND_RUN = ["run", "--set", "run.duration=1", "--set", 'detector.model="ssd-1.0"']
+ONE_SECOND_SWEEP = ["sweep", "--set", "sweep.runs_per_config=1", "--set", "sweep.duration=1",
+                    "--set", 'sweep.policies=["pseudo-random"]', "--set", "sweep.speeds=[0.5]"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_value_for_any_key_flies_or_names_its_key(data):
+    key = data.draw(st.sampled_from(list(LEAF)), label="key")
+    value = data.draw(VALUES.get(key, floats(-1.0, 5.0) | json_values()), label="value")
+    policy = data.draw(st.sampled_from(POLICY_KINDS), label="policy")
+    base = ONE_SECOND_SWEEP if key.startswith("sweep.") else ONE_SECOND_RUN
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([*base, "--out", out, "--set", f"policy.kind={policy}",
+                     "--set", f"{key}={json.dumps(value)}"])
+        wrote = os.listdir(out)
+    if code == 0:
+        return
+    assert code == 2, err.getvalue()
+    assert not wrote
+    path = err.getvalue().removeprefix("config error: ").split(": ", 1)[0]
+    assert path in {key} | CROSS.get(key, set()), err.getvalue()

@@ -16,11 +16,6 @@ class TestModelTable:
         assert (DETECTORS["ssd-0.75"].fps, DETECTORS["ssd-0.75"].p_detect) == (2.3, 0.48)
         assert (DETECTORS["ssd-0.5"].fps, DETECTORS["ssd-0.5"].p_detect) == (4.3, 0.32)
 
-    def test_metadata(self):
-        assert DETECTORS["ssd-1.0"].params_m == 4.7
-        assert DETECTORS["ssd-1.0"].mmacs == 534.0
-        assert DETECTORS["ssd-0.5"].params_m == 1.2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DetectorModel("x", fps=0.0, p_detect=0.5)
