@@ -17,8 +17,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidOriginError, ValidationError
+from .kinds import INTEGER, LIST, POINT, POSITIVE, check_fields, choice
 
 OBJECT_CLASSES = ("bottle", "tin_can")
 DEFAULT_OBJECT_RADIUS = 0.05
@@ -42,9 +44,8 @@ DEFAULT_ARENA_DOC = {
 }
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Planar position in meters."""
+class Vec2(NamedTuple):
+    """Planar position in meters; a tuple, so the ``POINT`` kind checks it."""
 
     x: float
     y: float
@@ -59,37 +60,30 @@ class TargetObject:
     pos: Vec2
     radius: float = DEFAULT_OBJECT_RADIUS
 
+    KINDS = {"id": INTEGER, "cls": choice(OBJECT_CLASSES), "pos": POINT, "radius": POSITIVE}
+
+    def __post_init__(self):
+        check_fields(self)
+
 
 class Arena:
     """Validated, immutable room with obstacles and target objects."""
 
     def __init__(self, width, height, obstacles=(), objects=()):
-        width = float(width)
-        height = float(height)
-        if not (width > 0.0 and math.isfinite(width)):
-            raise ValidationError("width", "must be a positive finite number")
-        if not (height > 0.0 and math.isfinite(height)):
-            raise ValidationError("height", "must be a positive finite number")
-        self.width = width
-        self.height = height
+        self.width = POSITIVE(width, "width")
+        self.height = POSITIVE(height, "height")
         boxes = []
         for i, box in enumerate(obstacles):
             x0, y0, x1, y1 = (float(v) for v in box)
             if not (x0 < x1 and y0 < y1):
                 raise ValidationError(f"obstacles[{i}]", "min corner must be < max corner per axis")
-            if x0 < 0.0 or y0 < 0.0 or x1 > width or y1 > height:
+            if x0 < 0.0 or y0 < 0.0 or x1 > self.width or y1 > self.height:
                 raise ValidationError(f"obstacles[{i}]", "must lie within the room")
             boxes.append((x0, y0, x1, y1))
         self.obstacles = tuple(boxes)
         objs = tuple(objects)
         seen_ids = set()
         for i, obj in enumerate(objs):
-            if obj.radius <= 0.0:
-                raise ValidationError(f"objects[{i}].radius", "must be > 0")
-            if obj.cls not in OBJECT_CLASSES:
-                raise ValidationError(
-                    f"objects[{i}].class", f"must be one of {', '.join(OBJECT_CLASSES)}"
-                )
             if obj.id in seen_ids:
                 raise ValidationError(f"objects[{i}].id", f"duplicate id {obj.id}")
             seen_ids.add(obj.id)
@@ -184,61 +178,53 @@ class Arena:
         return Vec2(self.width / 2.0, self.height / 2.0)
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ValidationError(f"{path}{key}" if path else key, "missing required field")
-    return doc[key]
+def _entry(doc, path: str, required, optional=()) -> dict:
+    """``doc`` if it is an object with every ``required`` key and no key
+    outside ``required`` and ``optional``; errors name ``path`` or the key
+    under it."""
+    if not isinstance(doc, dict):
+        raise ValidationError(path or "<document>", "must be an object")
+    prefix = f"{path}." if path else ""
+    for key in required:
+        if key not in doc:
+            raise ValidationError(f"{prefix}{key}", "missing required field")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValidationError(f"{prefix}{key}", "unknown key")
+    return doc
 
 
-def _as_pair(value, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValidationError(path, "must be a [x, y] pair")
-    try:
-        return float(value[0]), float(value[1])
-    except (TypeError, ValueError):
-        raise ValidationError(path, "coordinates must be numbers") from None
+# document key -> TargetObject field
+_OBJECT_FIELDS = {"id": "id", "class": "cls", "pos": "pos", "radius": "radius"}
 
 
 def load_arena(document) -> Arena:
     """Build an Arena from a document (dict, or JSON text).
 
     Schema: ``{width, height, obstacles: [{min: [x,y], max: [x,y]}],
-    objects: [{id, class, pos: [x,y], radius}]}``, lengths in meters.
-    Raises :class:`ValidationError` with a field path on any violation.
+    objects: [{id, class, pos: [x,y], radius}]}``, lengths in meters;
+    ``obstacles``, ``objects`` and ``radius`` are optional, other keys are
+    rejected.  A :class:`ValidationError` names the offending document key.
     """
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ValidationError("<document>", f"not valid JSON: {exc}") from None
-    if not isinstance(document, dict):
-        raise ValidationError("<document>", "top level must be an object")
-    width = _require(document, "width", "")
-    height = _require(document, "height", "")
+    doc = _entry(document, "", ("width", "height"), ("obstacles", "objects"))
     obstacles = []
-    for i, entry in enumerate(document.get("obstacles", [])):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"obstacles[{i}]", "must be an object with min/max")
-        lo = _as_pair(_require(entry, "min", f"obstacles[{i}]."), f"obstacles[{i}].min")
-        hi = _as_pair(_require(entry, "max", f"obstacles[{i}]."), f"obstacles[{i}].max")
-        obstacles.append((lo[0], lo[1], hi[0], hi[1]))
+    for i, entry in enumerate(LIST(doc.get("obstacles", []), "obstacles")):
+        path = f"obstacles[{i}]"
+        box = _entry(entry, path, ("min", "max"))
+        obstacles.append(POINT(box["min"], f"{path}.min") + POINT(box["max"], f"{path}.max"))
     objects = []
-    for i, entry in enumerate(document.get("objects", [])):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"objects[{i}]", "must be an object")
-        oid = _require(entry, "id", f"objects[{i}].")
-        if not isinstance(oid, int):
-            raise ValidationError(f"objects[{i}].id", "must be an integer")
-        cls = _require(entry, "class", f"objects[{i}].")
-        pos = _as_pair(_require(entry, "pos", f"objects[{i}]."), f"objects[{i}].pos")
-        radius = float(entry.get("radius", DEFAULT_OBJECT_RADIUS))
-        objects.append(TargetObject(oid, cls, Vec2(*pos), radius))
-    try:
-        return Arena(width, height, obstacles, objects)
-    except ValidationError:  # also a ValueError; keep its own path
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("<document>", str(exc)) from None
+    for i, entry in enumerate(LIST(doc.get("objects", []), "objects")):
+        path = f"objects[{i}]"
+        _entry(entry, path, ("id", "class", "pos"), ("radius",))
+        values = {field: TargetObject.KINDS[field](entry[key], f"{path}.{key}")
+                  for key, field in _OBJECT_FIELDS.items() if key in entry}
+        objects.append(TargetObject(**dict(values, pos=Vec2(*values["pos"]))))
+    return Arena(doc["width"], doc["height"], obstacles, objects)
 
 
 def load_arena_file(path) -> Arena:

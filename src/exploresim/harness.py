@@ -35,7 +35,7 @@ from .arena import Arena, default_arena
 from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detection,
                         detection_rate)
 from .errors import SimError, ValidationError
-from .kinds import COUNT, POSE, POSITIVE, SEED, check_fields, choice, list_of, nullable
+from .kinds import COUNT, POSE, POSITIVE, SEED, TIME_STEP, check_fields, choice, list_of, nullable
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_step
 from .seeding import derive_seed
@@ -48,6 +48,16 @@ POLICY_NAME = choice(POLICY_KINDS)
 DETECTOR_NAME = nullable(choice(DETECTORS))  # null: no detector
 DEFAULT_CONTROL_DT = 0.02
 _EPS = 1e-9
+
+
+def tick_count(duration: float, dt: float, key: str) -> int:
+    """Whole control ticks of ``dt`` in ``duration``, else a ValidationError naming ``key``."""
+    n_ticks = int(round(duration / dt))
+    if n_ticks < 1:
+        raise ValidationError(key, "shorter than one control tick")
+    if abs(n_ticks * dt - duration) > _EPS:
+        raise ValidationError(key, "not a whole number of control ticks")
+    return n_ticks
 
 
 @dataclass
@@ -67,18 +77,14 @@ class RunConfig:
     omega_max: float = DEFAULT_OMEGA_MAX
 
     KINDS = {"policy": POLICY_NAME, "duration": POSITIVE, "seed": SEED,
-             "start": nullable(POSE), "control_dt": POSITIVE, "drone_radius": POSITIVE,
+             "start": nullable(POSE), "control_dt": TIME_STEP, "drone_radius": POSITIVE,
              "v_max": POSITIVE, "omega_max": POSITIVE}
 
     def validate(self) -> None:
         """Raise :class:`ValidationError` on any value this run cannot fly
         with; its path is the field name, or a config key across fields."""
         check_fields(self)
-        n_ticks = self.n_ticks()
-        if n_ticks < 1:
-            raise ValidationError("run.duration", "shorter than one control tick")
-        if abs(n_ticks * self.control_dt - self.duration) > _EPS:
-            raise ValidationError("run.duration", "not a whole number of control ticks")
+        self.n_ticks()
         if self.policy_cfg.cruise_speed > self.v_max + _EPS:
             raise ValidationError("policy.cruise_speed", "exceeds run.v_max")
         if self.policy_cfg.turn_rate > self.omega_max + _EPS:
@@ -90,8 +96,8 @@ class RunConfig:
             raise ValidationError("run.start", f"({x0}, {y0}) is not in free space")
 
     def n_ticks(self) -> int:
-        """Control ticks in the mission."""
-        return int(round(self.duration / self.control_dt))
+        """Control ticks in the mission; raises unless a whole number."""
+        return tick_count(self.duration, self.control_dt, "run.duration")
 
     def start_pose(self) -> tuple[float, float, float]:
         if self.start is not None:
@@ -173,7 +179,8 @@ def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
     ys = f"{y0:.6f}"
     hs = f"{h0:.6f}"
 
-    for i, (t_i, _, _, _, sp, state, blocked) in enumerate(fly(cfg)):
+    # time is the tick count times dt, never a running sum
+    for ticks, (t_i, _, _, _, sp, state, blocked) in enumerate(fly(cfg), 1):
         row = f"{t_i:.6f},{xs},{ys},{hs},{sp.v:.6f},{sp.omega:.6f}\n"
         hasher.update(row.encode("ascii"))
         if lines is not None:
@@ -184,18 +191,19 @@ def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
         xq = float(xs)
         yq = float(ys)
         if blocked:
-            collision = CollisionRecord(True, state.t, state.x, state.y)
+            collision = CollisionRecord(True, ticks * dt, state.x, state.y)
             grid.mark(min(max(xq, 0.0), arena.width), min(max(yq, 0.0), arena.height), dt)
             break
         grid.mark(xq, yq, dt)
-        while frame_due == i + 1:
+        while frame_due == ticks:
             visible = objects_in_fov(arena, state, cfg.camera)
             attempt_detection(det, visible, ledger, frame_t, detect_rng)
             frame_k += 1
             frame_t = frame_k / det.fps
             frame_due = math.ceil(frame_t / dt - _EPS)
 
-    terminal = f"{state.t:.6f},{xs},{ys},{hs},0.000000,0.000000\n"
+    elapsed = ticks * dt
+    terminal = f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n"
     hasher.update(terminal.encode("ascii"))
     if lines is not None:
         lines.append(terminal)
@@ -210,8 +218,8 @@ def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
         detection_rate=rate,
         collision=collision,
         digest=int.from_bytes(hasher.digest(), "big"),
-        energy=mission_energy(EnergyModel(), state.t),
-        elapsed=state.t,
+        energy=mission_energy(EnergyModel(), elapsed),
+        elapsed=elapsed,
         trajectory=lines,
     )
 
@@ -304,6 +312,8 @@ def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
     execution order or degree of parallelism."""
     if template is None:
         template = RunConfig(arena=default_arena())
+    # every run flies spec.duration: check it once, under its own key
+    tick_count(spec.duration, template.control_dt, "sweep.duration")
     tasks = []
     for policy, speed, det in spec.configurations():
         for run_idx in range(spec.runs_per_config):

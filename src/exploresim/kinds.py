@@ -58,10 +58,23 @@ FOV = Kind("an angle in (0, pi)", _real, lambda x: 0.0 < x < math.pi)
 # 1 s mission busy for minutes
 SCAN_STEP = Kind("a finite angle >= pi/180 (1 degree)", _real,
                  lambda x: x >= math.pi / 180.0 and math.isfinite(x))
+# a mission flies duration/dt ticks: 2.2e-16 s gave a 1 s mission 4.5e15
+# ticks and 5e-324 s overflowed; 1 ms is 20 times finer than the default
+TIME_STEP = Kind("a finite time step >= 0.001 s", _real,
+                 lambda x: x >= 0.001 and math.isfinite(x))
 SEED = Kind("an integer in [0, 2^64)", _integer, lambda n: 0 <= n < 1 << 64)
 COUNT = Kind("an integer >= 1", _integer, lambda n: n >= 1)
-POSE = Kind("[x, y, heading_rad], three finite numbers", lambda v: tuple(map(_real, _items(v))),
-            lambda pose: len(pose) == 3 and all(map(math.isfinite, pose)))
+INTEGER = Kind("an integer", _integer)
+LIST = Kind("a list", _items)
+
+
+def _finite_tuple(text: str, size: int) -> Kind:
+    return Kind(text, lambda v: tuple(map(_real, _items(v))),
+                lambda v: len(v) == size and all(map(math.isfinite, v)))
+
+
+POSE = _finite_tuple("[x, y, heading_rad], three finite numbers", 3)
+POINT = _finite_tuple("[x, y], two finite numbers", 2)
 ARENA = Kind("null, an arena file path or an arena object", lambda v: v,
              lambda v: v is None or isinstance(v, (str, dict)))
 

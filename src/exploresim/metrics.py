@@ -1,7 +1,7 @@
 """Occupancy grid bookkeeping, coverage, heatmap export, energy accounting.
 
-The grid divides the room into square cells (0.5 m default; the default
-room yields 13 x 11 = 143 cells).  Each control tick deposits its dt
+The grid divides the room into square 0.5 m cells (the default room
+yields 13 x 11 = 143 cells).  Each control tick deposits its dt
 into the cell containing the drone's center, so total dwell equals
 elapsed flight time.  Coverage is visited cells over total cells.
 
@@ -23,21 +23,18 @@ PGM_CELL_PIXELS = 32
 
 
 class OccupancyGrid:
-    def __init__(self, width: float, height: float, cell_size: float = DEFAULT_CELL_SIZE):
-        if cell_size <= 0.0:
-            raise ValueError("cell_size must be > 0")
+    def __init__(self, width: float, height: float):
         self.width = float(width)
         self.height = float(height)
-        self.cell_size = float(cell_size)
-        self.cols = int(math.ceil(width / cell_size - 1e-9))
-        self.rows = int(math.ceil(height / cell_size - 1e-9))
+        self.cols = int(math.ceil(width / DEFAULT_CELL_SIZE - 1e-9))
+        self.rows = int(math.ceil(height / DEFAULT_CELL_SIZE - 1e-9))
         self.dwell = [0.0] * (self.rows * self.cols)
         self._visited = 0
 
     def cell_index(self, x: float, y: float) -> tuple[int, int]:
         """(col, row) of the cell containing (x, y), clamped at the far edge."""
-        c = int(x / self.cell_size)
-        r = int(y / self.cell_size)
+        c = int(x / DEFAULT_CELL_SIZE)
+        r = int(y / DEFAULT_CELL_SIZE)
         if c >= self.cols:
             c = self.cols - 1
         if r >= self.rows:
@@ -94,8 +91,7 @@ def parse_dwell_csv(text: str) -> list[list[float]]:
 
 
 def dwell_matrix_pgm(matrix: list[list[float]],
-                     saturation: float = HEATMAP_SATURATION_S,
-                     cell_pixels: int = PGM_CELL_PIXELS) -> bytes:
+                     saturation: float = HEATMAP_SATURATION_S) -> bytes:
     """Binary PGM (P5, maxval 255) of a north-first dwell matrix.
 
     Intensity is min(dwell, saturation) / saturation scaled to 8 bits
@@ -103,15 +99,15 @@ def dwell_matrix_pgm(matrix: list[list[float]],
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    header = f"P5\n{cols * cell_pixels} {rows * cell_pixels}\n255\n".encode("ascii")
+    header = f"P5\n{cols * PGM_CELL_PIXELS} {rows * PGM_CELL_PIXELS}\n255\n".encode("ascii")
     body = bytearray()
     for row in matrix:
         line = bytearray()
         for v in row:
             if v > saturation:
                 v = saturation
-            line += bytes([int(v / saturation * 255.0 + 0.5)]) * cell_pixels
-        body += bytes(line) * cell_pixels
+            line += bytes([int(v / saturation * 255.0 + 0.5)]) * PGM_CELL_PIXELS
+        body += bytes(line) * PGM_CELL_PIXELS
     return header + bytes(body)
 
 

@@ -50,7 +50,6 @@ class TofFrame:
 class CameraModel:
     fov: float = 1.1                # horizontal, radians
     max_detect_range: float = 2.0   # meters
-    mount_angle: float = 0.0        # forward
 
     KINDS = {"fov": FOV, "max_detect_range": POSITIVE}
 
@@ -98,12 +97,12 @@ def objects_in_fov(arena: Arena, state: VehicleState, cam: CameraModel) -> list[
     """Ids of target objects inside the camera cone with clear line of sight.
 
     An object counts as visible when its center is within range, its
-    bearing within half the field of view of the camera axis, and the
-    ray toward it reaches past the object's near edge unobstructed.
+    bearing within half the field of view of the heading (the camera
+    faces forward), and the ray toward it reaches past the object's near
+    edge unobstructed.
     """
     out = []
     half_fov = cam.fov / 2.0
-    axis = state.heading + cam.mount_angle
     for obj in arena.objects:
         dx = obj.pos.x - state.x
         dy = obj.pos.y - state.y
@@ -114,7 +113,7 @@ def objects_in_fov(arena: Arena, state: VehicleState, cam: CameraModel) -> list[
             out.append(obj.id)
             continue
         bearing = math.atan2(dy, dx)
-        if abs(normalize_heading(bearing - axis)) > half_fov:
+        if abs(normalize_heading(bearing - state.heading)) > half_fov:
             continue
         if arena.raycast(state.x, state.y, bearing) > dist - obj.radius:
             out.append(obj.id)

@@ -35,9 +35,6 @@ class VehicleState:
     x: float
     y: float
     heading: float
-    v: float = 0.0
-    omega: float = 0.0
-    t: float = 0.0
 
 
 @dataclass
@@ -55,8 +52,5 @@ def step(state: VehicleState, sp: Setpoint, dt: float) -> VehicleState:
         state.x + sp.v * dt * math.cos(mid),
         state.y + sp.v * dt * math.sin(mid),
         normalize_heading(state.heading + sp.omega * dt),
-        sp.v,
-        sp.omega,
-        state.t + dt,
     )
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,13 @@ from exploresim.report import parse_runs_csv
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def arena_with(**keys):
+    """``--set`` item for a room with one object; ``keys`` replace or add
+    entries of that object."""
+    obj = dict({"id": 1, "class": "bottle", "pos": [1.0, 1.0]}, **keys)
+    return "arena=" + json.dumps({"width": 6.5, "height": 5.5, "objects": [obj]})
 
 
 class TestRun:
@@ -108,6 +116,20 @@ class TestRun:
         (["--set", "heatmap.saturation_s=0"], "config error: heatmap.saturation_s: "),
         (["--set", "heatmap.saturation_s=abc"], "config error: heatmap.saturation_s: "),
         (["--set", "arena=no-such-arena.json"], "config error: arena: "),
+        (["--set", 'arena={"width":true,"height":5.5}'], "config error: arena: width: "),
+        (["--set", 'arena={"width":"6.5","height":5.5}'], "config error: arena: width: "),
+        (["--set", arena_with(pos=[math.nan, 1])], "config error: arena: objects[0].pos: "),
+        (["--set", arena_with(radius=math.nan)], "config error: arena: objects[0].radius: "),
+        (["--set", arena_with(radius="abc")], "config error: arena: objects[0].radius: "),
+        (["--set", arena_with(id=True)], "config error: arena: objects[0].id: "),
+        (["--set", 'arena={"width":6.5,"height":5.5,"objects":5}'],
+         "config error: arena: objects: "),
+        (["--set", 'arena={"width":6.5,"height":5.5,"obstacles":null}'],
+         "config error: arena: obstacles: "),
+        (["--set", 'arena={"width":6.5,"height":5.5,"extra":1}'], "config error: arena: extra: "),
+        (["--set", arena_with(colour="red")], "config error: arena: objects[0].colour: "),
+        (["--set", "run.control_dt=0.0001"], "config error: run.control_dt: "),
+        (["--set", "run.control_dt=5e-324"], "config error: run.control_dt: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
@@ -166,6 +188,7 @@ class TestSweep:
         (["--set", "run.drone_radius=NaN", "--jobs", "2"], "run.drone_radius"),
         (["--set", "sweep.runs_per_config=2.7"], "config error: sweep.runs_per_config: "),
         (["--set", "heatmap.saturation_s=0"], "config error: heatmap.saturation_s: "),
+        (["--set", "sweep.duration=1.011"], "config error: sweep.duration: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exploresim.arena import OBJECT_CLASSES
 from exploresim.cli import main
 from exploresim.config import (DEFAULT_CONFIG, LEAF, apply_overrides, build_run_config,
                                build_sweep_spec, load_config)
@@ -192,6 +193,27 @@ def _bounded(lo, hi):
 
 
 _SIZE = floats(-1.0, 10.0)
+
+
+def _or_junk(strategy):
+    """``strategy``, or any JSON value: bools, strings, NaN, lists, objects."""
+    return strategy | json_values(numbers=_SIZE)
+
+
+# an arena document: a well-formed shape whose every entry may be junk, and
+# whose objects may carry an unknown key
+_POINT = _or_junk(st.lists(_SIZE, min_size=2, max_size=2))
+_OBSTACLE = _or_junk(st.fixed_dictionaries({"min": _POINT, "max": _POINT},
+                                           optional={"size": json_values()}))
+_OBJECT = _or_junk(st.fixed_dictionaries(
+    {"id": _or_junk(st.integers(0, 3)), "class": choices(OBJECT_CLASSES), "pos": _POINT},
+    optional={"radius": _or_junk(floats(-0.1, 0.5)), "colour": json_values()}))
+_ARENA_DOC = st.fixed_dictionaries(
+    {"width": _or_junk(_SIZE), "height": _or_junk(_SIZE)},
+    optional={"obstacles": _or_junk(st.lists(_OBSTACLE, max_size=3)),
+              "objects": _or_junk(st.lists(_OBJECT, max_size=3)),
+              "extra": json_values()})
+
 VALUES = {
     "run.duration": _bounded(-1.0, 2.0) | st.sampled_from([0.02, 0.5, 1.0, 2.0]),
     "run.control_dt": _bounded(-1.0, 2.0) | st.sampled_from([0.01, 0.05, 0.1, 0.25, 1.0]),
@@ -202,8 +224,7 @@ VALUES = {
     "sweep.policies": st.lists(choices(POLICY_KINDS), max_size=2) | json_values(),
     "sweep.speeds": st.lists(floats(-1.0, 2.0), max_size=2) | json_values(),
     "sweep.detectors": st.lists(choices(DETECTORS) | st.none(), max_size=2) | json_values(),
-    "arena": (st.none() | st.text("abc.", max_size=6)
-              | st.fixed_dictionaries({"width": _SIZE, "height": _SIZE})
+    "arena": (st.none() | st.text("abc.", max_size=6) | _ARENA_DOC
               | json_values(numbers=_SIZE, names=st.sampled_from(["width", "height", "x"]))),
     "run.start": st.lists(floats(-1.0, 7.0), min_size=3, max_size=3) | json_values(),
     "policy.kind": choices(POLICY_KINDS),
@@ -222,7 +243,6 @@ CROSS = {
     "tof.max_range": {"policy.trigger_dist"},
     "arena": {"run.start"},
     "sweep.speeds": {"policy.cruise_speed"},
-    "sweep.duration": {"run.duration"},
 }
 
 # the key under test is assigned last, so it overrides these
@@ -231,12 +251,9 @@ ONE_SECOND_SWEEP = ["sweep", "--set", "sweep.runs_per_config=1", "--set", "sweep
                     "--set", 'sweep.policies=["pseudo-random"]', "--set", "sweep.speeds=[0.5]"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_any_value_for_any_key_flies_or_names_its_key(data):
-    key = data.draw(st.sampled_from(list(LEAF)), label="key")
-    value = data.draw(VALUES.get(key, floats(-1.0, 5.0) | json_values()), label="value")
-    policy = data.draw(st.sampled_from(POLICY_KINDS), label="policy")
+def flies_or_names_its_key(key, value, policy):
+    """``main`` with ``key`` set to ``value`` on a 1 s mission exits 0, or
+    exits 2 having written nothing, naming ``key`` or a key in CROSS."""
     base = ONE_SECOND_SWEEP if key.startswith("sweep.") else ONE_SECOND_RUN
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
@@ -250,3 +267,20 @@ def test_any_value_for_any_key_flies_or_names_its_key(data):
     assert not wrote
     path = err.getvalue().removeprefix("config error: ").split(": ", 1)[0]
     assert path in {key} | CROSS.get(key, set()), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_value_for_any_key_flies_or_names_its_key(data):
+    key = data.draw(st.sampled_from(list(LEAF)), label="key")
+    value = data.draw(VALUES.get(key, floats(-1.0, 5.0) | json_values()), label="value")
+    policy = data.draw(st.sampled_from(POLICY_KINDS), label="policy")
+    flies_or_names_its_key(key, value, policy)
+
+
+# the property above draws the arena key about once in 40 examples, too
+# rarely to reach the entries of a document
+@settings(max_examples=150, deadline=None)
+@given(_ARENA_DOC, st.sampled_from(POLICY_KINDS))
+def test_any_arena_document_flies_or_names_arena(doc, policy):
+    flies_or_names_its_key("arena", doc, policy)

@@ -24,7 +24,7 @@ def drive(arena, kind, cfg, start, duration, seed=0):
                     duration=duration, seed=seed)
     trace = [Tick(*tick) for tick in fly(run)]
     end = trace[-1].next_state
-    assert not trace[-1].blocked, f"collision at t={end.t:.2f} ({end.x:.2f}, {end.y:.2f})"
+    assert not trace[-1].blocked, f"collision at t={trace[-1].t:.2f} ({end.x:.2f}, {end.y:.2f})"
     return trace
 
 

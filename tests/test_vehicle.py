@@ -15,7 +15,6 @@ class TestStep:
         s = step(VehicleState(1.0, 1.0, 0.0), Setpoint(0.5, 0.0), 0.02)
         assert s.x == pytest.approx(1.01, abs=1e-12)
         assert s.y == pytest.approx(1.0, abs=1e-12)
-        assert s.t == pytest.approx(0.02)
 
     def test_pure_rotation_half_turn(self):
         s = step(VehicleState(2.0, 2.0, 0.0), Setpoint(0.0, math.pi), 1.0)
