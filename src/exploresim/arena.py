@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidOriginError, ValidationError
-from .kinds import INTEGER, LIST, POINT, POSITIVE, check_fields, choice
+from .kinds import INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, check_fields, choice
 
 OBJECT_CLASSES = ("bottle", "tin_can")
 DEFAULT_OBJECT_RADIUS = 0.05
@@ -70,8 +70,8 @@ class Arena:
     """Validated, immutable room with obstacles and target objects."""
 
     def __init__(self, width, height, obstacles=(), objects=()):
-        self.width = POSITIVE(width, "width")
-        self.height = POSITIVE(height, "height")
+        self.width = ROOM_SIDE(width, "width")
+        self.height = ROOM_SIDE(height, "height")
         boxes = []
         for i, box in enumerate(obstacles):
             x0, y0, x1, y1 = (float(v) for v in box)

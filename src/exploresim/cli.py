@@ -15,13 +15,14 @@ from pathlib import Path
 
 from . import __version__
 from .arena import Arena
-from .config import (LEAF, LEAVES, apply_overrides, build_arena, build_run_config,
-                     build_sweep_spec, check_config, load_config)
+from .config import (LEAF, LEAVES, apply_overrides, build_run_config, build_sweep_spec,
+                     check_config, load_config)
 from .detection import DETECTORS
 from .errors import SimError, ValidationError
 from .harness import RunConfig, aggregate, aggregate_detection, run_single, run_sweep
-from .metrics import (HEATMAP_SATURATION_S, EnergyModel, dwell_matrix_csv, dwell_matrix_pgm,
-                      export_heatmap, parse_dwell_csv)
+from .kinds import ROOM_SIDE
+from .metrics import (HEATMAP_SATURATION_S, EnergyModel, dwell_matrix_pgm, export_heatmap,
+                      mean_grid, parse_dwell_csv)
 from .policies import POLICY_KINDS
 from . import report as rep
 
@@ -143,8 +144,7 @@ def cmd_sweep(args) -> int:
     cfg_doc = _load_cfg(args)
     saturation = check_config(cfg_doc)["heatmap.saturation_s"]
     spec = build_sweep_spec(cfg_doc)
-    arena = build_arena(cfg_doc)
-    template = build_run_config(cfg_doc, arena=arena)
+    template = build_run_config(cfg_doc)
     started = time.perf_counter()
     sweep = run_sweep(spec, template, jobs=max(1, args.jobs))
     wall = time.perf_counter() - started
@@ -157,45 +157,57 @@ def cmd_sweep(args) -> int:
         matrix = aggregate_detection(sweep.rows)
         _write(out / "detection_rates.csv",
                rep.detection_matrix_csv(matrix, spec.policies))
-    for (policy, speed, det), dwells in sweep.dwell.items():
-        n = len(dwells)
-        mean_flat = [sum(run[i] for run in dwells) / n for i in range(len(dwells[0]))]
-        mean_matrix = [mean_flat[r * sweep.grid_cols:(r + 1) * sweep.grid_cols]
-                       for r in range(sweep.grid_rows - 1, -1, -1)]
-        stem = f"heatmap_{policy}_{speed:g}" + (f"_{det}" if det else "")
-        _write(out / f"{stem}.csv", dwell_matrix_csv(mean_matrix))
-        (out / f"{stem}.pgm").write_bytes(dwell_matrix_pgm(mean_matrix, saturation))
+    grids: dict[tuple[str, float, str | None], list] = {}
+    for row, grid in zip(sweep.rows, sweep.grids):
+        grids.setdefault((row.policy, row.speed, row.detector), []).append(grid)
+    for (policy, speed, det), members in grids.items():
+        stem = out / (f"heatmap_{policy}_{speed:g}" + (f"_{det}" if det else ""))
+        export_heatmap(mean_grid(members), f"{stem}.csv", f"{stem}.pgm", saturation)
     print(f"{len(sweep.rows)} runs in {wall:.1f} s wall time  -> {out}")
     return 0
+
+
+def _read(path: Path, parse=str):
+    """``parse`` of the text of the artifact at ``path``; an error names the file."""
+    if not path.exists():
+        raise SimError(f"missing artifact: {path}")
+    try:
+        return parse(path.read_text())
+    except (SimError, ValueError) as exc:
+        raise SimError(f"{path}: {exc}") from None
+
+
+def _room(summary: str) -> tuple[float, float]:
+    """Width and height of the room a ``summary.json`` records."""
+    try:
+        room = json.loads(summary)["arena"]
+        return ROOM_SIDE(room["width"], "arena.width"), ROOM_SIDE(room["height"], "arena.height")
+    except (LookupError, TypeError) as exc:
+        raise SimError(f"no arena width and height: {exc!r}") from None
 
 
 def cmd_report(args) -> int:
     src = Path(args.input_dir)
     out = Path(args.out) if args.out else src
-    out.mkdir(parents=True, exist_ok=True)
     trajectory = src / "trajectory.csv"
     runs = src / "runs.csv"
     if trajectory.exists():
-        summary_path = src / "summary.json"
-        if not summary_path.exists():
-            raise SimError(f"missing artifact: {summary_path}")
-        summary = json.loads(summary_path.read_text())
-        width = summary["arena"]["width"]
-        height = summary["arena"]["height"]
-        series = rep.coverage_series_csv(trajectory.read_text(), width, height)
-        _write(out / "coverage_series.csv", series)
+        width, height = _read(src / "summary.json", _room)
+        series = _read(trajectory, lambda text: rep.coverage_series_csv(text, width, height))
         detections = src / "detections.csv"
-        if detections.exists():
-            _write(out / "detection_markers.csv", detections.read_text())
-            n_found = max(0, len(detections.read_text().splitlines()) - 1)
-        else:
-            n_found = 0
+        markers = _read(detections) if detections.exists() else None
+        out.mkdir(parents=True, exist_ok=True)
+        _write(out / "coverage_series.csv", series)
+        if markers is not None:
+            _write(out / "detection_markers.csv", markers)
+        n_found = len(markers.splitlines()) - 1 if markers else 0
         final_cov = float(series.rstrip("\n").rsplit(",", 1)[-1])
         print(f"coverage series: {out / 'coverage_series.csv'}  "
               f"final coverage {final_cov * 100.0:.1f}%  detections {n_found}")
         return 0
     if runs.exists():
-        rows = rep.parse_runs_csv(runs.read_text())
+        rows = _read(runs, rep.parse_runs_csv)
+        out.mkdir(parents=True, exist_ok=True)
         _write(out / "aggregate.csv", rep.aggregate_csv(aggregate(rows)))
         print(f"aggregate table: {out / 'aggregate.csv'}  ({len(rows)} runs)")
         return 0
@@ -205,9 +217,7 @@ def cmd_report(args) -> int:
 def cmd_heatmap(args) -> int:
     saturation = LEAF["heatmap.saturation_s"].kind(args.saturation, "--saturation")
     src = Path(args.input_csv)
-    if not src.exists():
-        raise SimError(f"missing artifact: {src}")
-    matrix = parse_dwell_csv(src.read_text())
+    matrix = _read(src, parse_dwell_csv)
     if not matrix:
         raise SimError(f"empty dwell matrix: {src}")
     out = Path(args.out) if args.out else src.with_suffix(".pgm")

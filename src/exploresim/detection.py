@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SimError
-from .kinds import POSITIVE, PROBABILITY, check_fields
+from .kinds import PROBABILITY, RATE, check_fields
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class DetectorModel:
     fps: float                 # inference throughput, frames per second
     p_detect: float            # per in-view frame success probability
 
-    KINDS = {"fps": POSITIVE, "p_detect": PROBABILITY}
+    KINDS = {"fps": RATE, "p_detect": PROBABILITY}
 
     def __post_init__(self):
         check_fields(self)

@@ -47,11 +47,15 @@ TRAJECTORY_HEADER = "t,x,y,heading,v_cmd,omega_cmd"
 POLICY_NAME = choice(POLICY_KINDS)
 DETECTOR_NAME = nullable(choice(DETECTORS))  # null: no detector
 DEFAULT_CONTROL_DT = 0.02
+# 20 000 s at 50 Hz; 10^6 ticks already take 13 s and 247 MB with the log kept
+MAX_TICKS = 10**6
 _EPS = 1e-9
 
 
 def tick_count(duration: float, dt: float, key: str) -> int:
     """Whole control ticks of ``dt`` in ``duration``, else a ValidationError naming ``key``."""
+    if duration / dt > MAX_TICKS + 0.5:
+        raise ValidationError(key, f"more than {MAX_TICKS} control ticks")
     n_ticks = int(round(duration / dt))
     if n_ticks < 1:
         raise ValidationError(key, "shorter than one control tick")
@@ -264,10 +268,7 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    # (policy, speed, detector) -> per-run flat dwell arrays, for mean heatmaps
-    dwell: dict[tuple[str, float, str | None], list[list[float]]]
-    grid_rows: int
-    grid_cols: int
+    grids: list[OccupancyGrid]  # each run's dwell grid, in row order
 
 
 def run_seed_for(base_seed: int, policy: str, speed: float, detector: str | None,
@@ -278,63 +279,54 @@ def run_seed_for(base_seed: int, policy: str, speed: float, detector: str | None
     return derive_seed(base_seed, label, run_idx)
 
 
-def _make_run_config(template: RunConfig, policy: str, speed: float,
-                     det: str | None, seed: int, duration: float) -> RunConfig:
-    detector = DETECTORS[det] if det is not None else None
-    return replace(
-        template,
-        policy=policy,
-        policy_cfg=replace(template.policy_cfg, cruise_speed=speed),
-        detector=detector,
-        seed=seed,
-        duration=duration,
-    )
+def _label(cfg: RunConfig) -> str:
+    """``policy/speed/detector``: the sweep configuration ``cfg`` flies."""
+    det = cfg.detector.name if cfg.detector else "none"
+    return f"{cfg.policy}/{cfg.policy_cfg.cruise_speed}/{det}"
 
 
-def _sweep_task(args):
-    cfg, policy, speed, det, run_idx = args
+def _sweep_task(task: tuple[RunConfig, int]) -> tuple[SweepRow, OccupancyGrid]:
+    cfg, run_idx = task
     try:
         res = run_single(cfg)
     except SimError as exc:
-        where = f"run failed for {policy}/{speed}/{det or 'none'} run {run_idx}"
-        if isinstance(exc, ValidationError):
-            raise ValidationError(exc.path, f"{exc.message} ({where})") from exc
-        raise SimError(f"{where}: {exc}") from exc
-    row = SweepRow(policy, speed, det, run_idx, cfg.seed, res.coverage,
+        raise SimError(f"run failed for {_label(cfg)} run {run_idx}: {exc}") from exc
+    row = SweepRow(cfg.policy, cfg.policy_cfg.cruise_speed,
+                   cfg.detector and cfg.detector.name, run_idx, cfg.seed, res.coverage,
                    res.detection_rate, res.collision.occurred,
                    res.energy["total"], res.digest)
-    return row, res.grid.dwell, res.grid.rows, res.grid.cols
+    return row, res.grid
 
 
 def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
               jobs: int = 1) -> SweepResult:
     """Execute the full sweep; per-run results are independent of the
-    execution order or degree of parallelism."""
+    execution order or degree of parallelism.  Every configuration is
+    checked before the first mission flies."""
     if template is None:
         template = RunConfig(arena=default_arena())
     # every run flies spec.duration: check it once, under its own key
     tick_count(spec.duration, template.control_dt, "sweep.duration")
     tasks = []
     for policy, speed, det in spec.configurations():
-        for run_idx in range(spec.runs_per_config):
-            seed = run_seed_for(spec.base_seed, policy, speed, det, run_idx)
-            cfg = _make_run_config(template, policy, speed, det, seed, spec.duration)
-            tasks.append((cfg, policy, speed, det, run_idx))
+        cfg = replace(template, policy=policy, duration=spec.duration,
+                      policy_cfg=replace(template.policy_cfg, cruise_speed=speed),
+                      detector=DETECTORS[det] if det is not None else None)
+        try:
+            cfg.validate()
+        except ValidationError as exc:
+            raise ValidationError(exc.path, f"{exc.message} (sweep configuration "
+                                            f"{_label(cfg)})") from exc
+        tasks += [(replace(cfg, seed=run_seed_for(spec.base_seed, policy, speed, det, i)), i)
+                  for i in range(spec.runs_per_config)]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
         outcomes = [_sweep_task(task) for task in tasks]
-
-    rows = []
-    dwell: dict[tuple[str, float, str | None], list[list[float]]] = {}
-    grid_rows = grid_cols = 0
-    for row, cells, g_rows, g_cols in outcomes:
-        rows.append(row)
-        dwell.setdefault((row.policy, row.speed, row.detector), []).append(list(cells))
-        grid_rows, grid_cols = g_rows, g_cols
-    return SweepResult(rows=rows, dwell=dwell, grid_rows=grid_rows, grid_cols=grid_cols)
+    rows, grids = zip(*outcomes)
+    return SweepResult(rows=list(rows), grids=list(grids))
 
 
 @dataclass(frozen=True)

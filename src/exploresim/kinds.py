@@ -62,6 +62,13 @@ SCAN_STEP = Kind("a finite angle >= pi/180 (1 degree)", _real,
 # ticks and 5e-324 s overflowed; 1 ms is 20 times finer than the default
 TIME_STEP = Kind("a finite time step >= 0.001 s", _real,
                  lambda x: x >= 0.001 and math.isfinite(x))
+# a room has (width / 0.5 m) x (height / 0.5 m) dwell cells: 1e300 m
+# overflowed; 100 m x 100 m is 40 000 cells
+ROOM_SIDE = Kind("a length in (0, 100] m", _real, lambda x: 0.0 < x <= 100.0)
+# the ranging bank refreshes at most once per control tick (>= 1 ms) and the
+# stock detectors run at 1.6-4.3 frames/s: tof.rate_hz=1e308 overflowed, and
+# detector.fps=1e12 put its first frame at tick 0, which never comes
+RATE = Kind("a rate in (0, 1000] per second", _real, lambda x: 0.0 < x <= 1000.0)
 SEED = Kind("an integer in [0, 2^64)", _integer, lambda n: 0 <= n < 1 << 64)
 COUNT = Kind("an integer >= 1", _integer, lambda n: n >= 1)
 INTEGER = Kind("an integer", _integer)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfBoundsError
+from .errors import OutOfBoundsError, SimError
 
 DEFAULT_CELL_SIZE = 0.5
 HEATMAP_SATURATION_S = 18.0
@@ -57,9 +57,6 @@ class OccupancyGrid:
     def total_cells(self) -> int:
         return self.rows * self.cols
 
-    def visited_cells(self) -> int:
-        return self._visited
-
     def total_dwell(self) -> float:
         return sum(self.dwell)
 
@@ -76,17 +73,36 @@ class OccupancyGrid:
                 for r in range(self.rows - 1, -1, -1)]
 
 
+def mean_grid(grids: list[OccupancyGrid]) -> OccupancyGrid:
+    """Cell-wise mean dwell of grids over one room: each cell summed in
+    list order, then divided by the number of grids."""
+    mean = OccupancyGrid(grids[0].width, grids[0].height)
+    mean.dwell = [sum(cells) / len(grids) for cells in zip(*(g.dwell for g in grids))]
+    mean._visited = sum(v > 0.0 for v in mean.dwell)
+    return mean
+
+
 def dwell_matrix_csv(matrix: list[list[float]]) -> str:
     """Render a north-first dwell matrix as fixed-format CSV text."""
     return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in matrix)
 
 
 def parse_dwell_csv(text: str) -> list[list[float]]:
-    """Inverse of :func:`dwell_matrix_csv` (north-first rows)."""
+    """Inverse of :func:`dwell_matrix_csv` (north-first rows); a
+    :class:`SimError` names the first line that is not a row of finite
+    dwell times >= 0 as long as the first row."""
     rows = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         if line.strip():
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError as exc:
+                raise SimError(f"line {n}: {exc}") from None
+            if not all(0.0 <= v < math.inf for v in row):
+                raise SimError(f"line {n}: a dwell time is negative or not finite")
+            if rows and len(row) != len(rows[0]):
+                raise SimError(f"line {n}: {len(row)} cells, the first row has {len(rows[0])}")
+            rows.append(row)
     return rows
 
 

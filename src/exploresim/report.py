@@ -17,6 +17,7 @@ AGGREGATE_CSV_HEADER = ("policy,speed,detector,runs,coverage_mean,coverage_var,"
                         "rate_mean,rate_var")
 DETECTIONS_CSV_HEADER = "object_id,class,t_first_seen"
 SERIES_CSV_HEADER = "t,coverage"
+_TRAJECTORY_FIELDS = TRAJECTORY_HEADER.count(",") + 1
 
 
 def _opt(value: float | None, fmt: str) -> str:
@@ -66,11 +67,38 @@ def detections_csv(result: RunResult, arena: Arena) -> str:
     return "\n".join(out) + "\n"
 
 
+def _parse_rows(lines: list[str], row) -> list:
+    """``row`` of each line after the header; a :class:`SimError` names the
+    first line that ``row`` rejects with a ``ValueError``."""
+    try:
+        return [row(line) for line in lines[1:]]
+    except ValueError:
+        for n, line in enumerate(lines[1:], 2):
+            try:
+                row(line)
+            except ValueError as exc:
+                raise SimError(f"line {n}: {exc}") from None
+        raise
+
+
+def _trajectory_row(line: str) -> tuple[float, ...]:
+    row = tuple(float(v) for v in line.split(","))
+    if len(row) != _TRAJECTORY_FIELDS:
+        raise ValueError(f"expected {_TRAJECTORY_FIELDS} fields, got {len(row)}")
+    return row
+
+
 def parse_trajectory(text: str) -> list[tuple[float, float, float, float, float, float]]:
     lines = text.splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
         raise SimError("trajectory log is missing its header row")
-    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    try:
+        rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+        if set(map(len, rows)) <= {_TRAJECTORY_FIELDS}:
+            return rows
+    except ValueError:
+        pass
+    return _parse_rows(lines, _trajectory_row)  # raises, naming the first bad line
 
 
 def replay_trajectory(text: str, width: float, height: float):
@@ -81,15 +109,18 @@ def replay_trajectory(text: str, width: float, height: float):
     clamping into the room (a collision's final sample can sit outside),
     exactly mirroring the run loop.  The grid is one object updated in
     place.  After the last sample it matches the run's grid cell for cell
-    because the loop marks log-quantized coordinates.
+    because the loop marks log-quantized coordinates.  A malformed row or
+    a ``t`` that does not increase raises :class:`SimError` naming its line.
     """
     rows = parse_trajectory(text)
     if not rows:
         raise SimError("trajectory log has no samples")
     grid = OccupancyGrid(width, height)
     yield rows[0][0], grid
-    for prev, cur in zip(rows, rows[1:]):
+    for n, (prev, cur) in enumerate(zip(rows, rows[1:]), 3):
         dt = cur[0] - prev[0]
+        if not dt > 0.0:
+            raise SimError(f"line {n}: t does not increase")
         grid.mark(min(max(cur[1], 0.0), width), min(max(cur[2], 0.0), height), dt)
         yield cur[0], grid
 
@@ -106,21 +137,22 @@ def parse_runs_csv(text: str) -> list[SweepRow]:
     lines = text.splitlines()
     if not lines or lines[0] != RUNS_CSV_HEADER:
         raise SimError("runs table is missing its header row")
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        (policy, speed, det, run, seed, cov, rate, coll, energy, digest) = line.split(",")
-        rows.append(SweepRow(
-            policy=policy,
-            speed=float(speed),
-            detector=None if det == "none" else det,
-            run=int(run),
-            seed=int(seed),
-            coverage=float(cov),
-            detection_rate=float(rate) if rate else None,
-            collision=bool(int(coll)),
-            energy_j=float(energy),
-            digest=int(digest, 16),
-        ))
-    return rows
+    return [row for row in _parse_rows(lines, _runs_row) if row is not None]
+
+
+def _runs_row(line: str) -> SweepRow | None:
+    if not line.strip():
+        return None
+    (policy, speed, det, run, seed, cov, rate, coll, energy, digest) = line.split(",")
+    return SweepRow(
+        policy=policy,
+        speed=float(speed),
+        detector=None if det == "none" else det,
+        run=int(run),
+        seed=int(seed),
+        coverage=float(cov),
+        detection_rate=float(rate) if rate else None,
+        collision=bool(int(coll)),
+        energy_j=float(energy),
+        digest=int(digest, 16),
+    )

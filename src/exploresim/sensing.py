@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arena import Arena
-from .kinds import FOV, NON_NEGATIVE, POSITIVE, check_fields
+from .kinds import FOV, NON_NEGATIVE, POSITIVE, RATE, check_fields
 from .vehicle import VehicleState, normalize_heading
 
 # beam mount angles relative to body heading: front, left, right, back
@@ -31,7 +31,7 @@ class TofConfig:
     rate_hz: float = 20.0
     noise_sigma: float = 0.0
 
-    KINDS = {"max_range": POSITIVE, "rate_hz": POSITIVE, "noise_sigma": NON_NEGATIVE}
+    KINDS = {"max_range": POSITIVE, "rate_hz": RATE, "noise_sigma": NON_NEGATIVE}
 
     def __post_init__(self):
         check_fields(self)

@@ -130,6 +130,12 @@ class TestRun:
         (["--set", arena_with(colour="red")], "config error: arena: objects[0].colour: "),
         (["--set", "run.control_dt=0.0001"], "config error: run.control_dt: "),
         (["--set", "run.control_dt=5e-324"], "config error: run.control_dt: "),
+        (["--duration", "1e308"], "config error: run.duration: "),
+        (["--duration", "20000.02"], "config error: run.duration: "),  # 10^6 + 1 ticks
+        (["--duration", "10", "--set", "tof.rate_hz=1e308"], "config error: tof.rate_hz: "),
+        (["--set", 'arena={"width":1e300,"height":1}'], "config error: arena: width: "),
+        (["--duration", "10", "--detector", "ssd-1.0", "--set", "detector.fps=1e12"],
+         "config error: detector.fps: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
@@ -189,6 +195,7 @@ class TestSweep:
         (["--set", "sweep.runs_per_config=2.7"], "config error: sweep.runs_per_config: "),
         (["--set", "heatmap.saturation_s=0"], "config error: heatmap.saturation_s: "),
         (["--set", "sweep.duration=1.011"], "config error: sweep.duration: "),
+        (["--set", "sweep.duration=1e308"], "config error: sweep.duration: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2
@@ -245,6 +252,33 @@ class TestReport:
         assert run_cli("report", "--in", str(out)) == 1
         assert "no samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("artifact, line_no, text, message", [
+        ("trajectory.csv", 4, None, "line 4: t does not increase"),  # a copy of line 3
+        ("trajectory.csv", 3, "0.040000", "line 3: "),
+        ("trajectory.csv", 3, "0.040000,x,1,0,0,0", "line 3: "),
+        ("summary.json", 1, "{not json", ""),
+    ])
+    def test_malformed_run_artifact_exits_1(self, tmp_path, capsys, artifact, line_no, text,
+                                            message):
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "1", "--out", str(src)) == 0
+        path = src / artifact
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = lines[line_no - 2] if text is None else text
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not out.exists()
+
+    def test_malformed_runs_row_exits_1(self, tmp_path, capsys):
+        src, out = tmp_path / "sweep", tmp_path / "report"
+        assert run_cli("sweep", "--runs-per-config", "1", "--out", str(src), *SMALL_SWEEP) == 0
+        path = src / "runs.csv"
+        path.write_text(path.read_text() + "pseudo-random,0.5\n")
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 4: ")
+        assert not out.exists()
+
 
 class TestHeatmap:
     def test_rerender_matches_original(self, tmp_path):
@@ -275,6 +309,18 @@ class TestHeatmap:
                        "--saturation", saturation) == 2
         assert capsys.readouterr().err.startswith("config error: --saturation: ")
         assert not pgm.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\nx,3\n", "line 2: "),
+        ("1,2\n3\n", "line 2: "),
+        ("1,nan\n3,4\n", "line 1: "),
+    ])
+    def test_malformed_csv_exits_1(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "dwell.csv"
+        csv.write_text(text)
+        assert run_cli("heatmap", "--in", str(csv)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {csv}: {message}")
+        assert not (tmp_path / "dwell.pgm").exists()
 
 
 def test_help_documents_config_keys(capsys):

@@ -183,11 +183,11 @@ def floats(lo, hi):
 
 
 # Keys that scale the work of a mission draw numbers from these bounded
-# ranges: any run.duration, run.control_dt or detector.fps would let one
-# example fly for minutes (detector.fps=1e9 takes over 10 s on a 1 s
-# mission), and so would any count of sweep runs.  Arena sizes are bounded
-# for the same reason (the dwell grid grows with the room), and arena
-# paths are plain names so no example reads a device file.
+# ranges: a run.duration near its 10^6-tick bound flies for 13 s, a small
+# run.control_dt multiplies the ticks of the others, and so would any count
+# of sweep runs.  Arena sizes are bounded for the same reason (the dwell
+# grid grows with the room), and arena paths are plain names so no example
+# reads a device file.
 def _bounded(lo, hi):
     return json_values(numbers=floats(lo, hi) | st.integers(int(lo) - 1, int(hi)))
 
@@ -217,7 +217,6 @@ _ARENA_DOC = st.fixed_dictionaries(
 VALUES = {
     "run.duration": _bounded(-1.0, 2.0) | st.sampled_from([0.02, 0.5, 1.0, 2.0]),
     "run.control_dt": _bounded(-1.0, 2.0) | st.sampled_from([0.01, 0.05, 0.1, 0.25, 1.0]),
-    "detector.fps": _bounded(-1.0, 100.0),
     "sweep.duration": _bounded(-1.0, 2.0) | st.sampled_from([0.5, 1.0, 2.0]),
     "sweep.runs_per_config": st.integers(-1, 2) | json_values(numbers=st.integers(-1, 2)
                                                               | st.floats()),

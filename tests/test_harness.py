@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
+from exploresim import harness
 from exploresim.arena import Arena, default_arena, load_arena
 from exploresim.detection import DETECTORS
-from exploresim.errors import SimError
+from exploresim.errors import SimError, ValidationError
 from exploresim.harness import (RunConfig, SweepSpec, aggregate,
                                 aggregate_detection, fly, run_seed_for,
                                 run_single, run_sweep)
@@ -139,7 +140,7 @@ class TestSweep:
         serial = run_sweep(small_spec())
         parallel = run_sweep(small_spec(), jobs=2)
         assert serial.rows == parallel.rows
-        assert serial.dwell == parallel.dwell
+        assert [g.dwell for g in serial.grids] == [g.dwell for g in parallel.grids]
 
     def test_seed_derivation_is_stable(self):
         a = run_seed_for(42, "spiral", 0.5, None, 3)
@@ -161,6 +162,15 @@ class TestSweep:
         rows = [r for r in sweep.rows if r.policy == "spiral"]
         manual = sum(r.coverage for r in rows) / len(rows)
         assert aggs[("spiral", 0.5)].coverage_mean == pytest.approx(manual)
+
+    def test_every_configuration_checked_before_the_first_mission(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValidationError) as err:
+            run_sweep(small_spec(speeds=(0.5, 5.0)))
+        assert err.value.path == "policy.cruise_speed"
+        assert "(sweep configuration pseudo-random/5.0/none)" in str(err.value)
+        assert calls == []
 
     def test_errors_tagged_with_configuration(self):
         boxed = Arena(6.5, 5.5, obstacles=[(3.0, 2.5, 3.5, 3.0)])
