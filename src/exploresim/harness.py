@@ -370,15 +370,13 @@ def aggregate(rows: list[SweepRow]) -> list[AggregateRow]:
 def aggregate_detection(rows: list[SweepRow]):
     """Detection-rate matrix: (detector, speed) -> {policy: mean rate}.
 
-    Requires at least one detector-equipped configuration with defined
-    rates (an arena without objects has no detection rate).
+    Requires at least one detector-equipped configuration.  A mean rate
+    is ``None`` where it is undefined: an arena without objects has none.
     """
     with_det = [r for r in rows if r.detector is not None]
     if not with_det:
         raise SimError("no detector-equipped runs in this sweep")
-    if any(r.detection_rate is None for r in with_det):
-        raise SimError("detection rate undefined: the arena has no objects")
-    matrix: dict[tuple[str, float], dict[str, float]] = {}
+    matrix: dict[tuple[str, float], dict[str, float | None]] = {}
     for agg in aggregate(with_det):
         matrix.setdefault((agg.detector, agg.speed), {})[agg.policy] = agg.rate_mean
     return matrix

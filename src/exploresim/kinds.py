@@ -59,9 +59,11 @@ FOV = Kind("an angle in (0, pi)", _real, lambda x: 0.0 < x < math.pi)
 SCAN_STEP = Kind("a finite angle >= pi/180 (1 degree)", _real,
                  lambda x: x >= math.pi / 180.0 and math.isfinite(x))
 # a mission flies duration/dt ticks: 2.2e-16 s gave a 1 s mission 4.5e15
-# ticks and 5e-324 s overflowed; 1 ms is 20 times finer than the default
-TIME_STEP = Kind("a finite time step >= 0.001 s", _real,
-                 lambda x: x >= 0.001 and math.isfinite(x))
+# ticks and 5e-324 s overflowed; 1 ms is 20 times finer than the default.
+# A detector frame is due at tick ceil(1 / fps / dt): 10^6 s put frame 1 at
+# tick 0, which never comes; 1 s (50 times the default) puts it at tick 1
+# or later for any fps <= 1000
+TIME_STEP = Kind("a time step in [0.001, 1] s", _real, lambda x: 0.001 <= x <= 1.0)
 # a room has (width / 0.5 m) x (height / 0.5 m) dwell cells: 1e300 m
 # overflowed; 100 m x 100 m is 40 000 cells
 ROOM_SIDE = Kind("a length in (0, 100] m", _real, lambda x: 0.0 < x <= 100.0)

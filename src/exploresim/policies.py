@@ -16,6 +16,11 @@ Step functions are pure: they never mutate their input state and return
 a (state, set-point) pair.  All rotation happens in place (v = 0) and
 every emitted set-point respects ``cruise_speed`` and ``turn_rate``.
 
+A policy is one ``_POLICIES`` entry, its fresh state and its step;
+``POLICY_KINDS``, ``initial_state`` and ``policy_step`` read that table.
+Every step takes ``(ps, tof, heading, dt, cfg, rng)``; only
+pseudo-random draws from ``rng``.
+
 The wall tracker is PD rather than plain P: the derivative of the side
 reading damps the lateral oscillation that a pure proportional law on a
 heading-rate actuator cannot (the closed loop is a harmonic oscillator
@@ -35,8 +40,6 @@ from dataclasses import dataclass, field, replace
 from .kinds import POSITIVE, SCAN_STEP, check_fields, choice
 from .sensing import TofFrame
 from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, normalize_heading
-
-POLICY_KINDS = ("pseudo-random", "wall-following", "spiral", "rotate-and-measure")
 
 _EPS = 1e-12
 _WALL_LOST_MARGIN = 0.5  # side error beyond this means the wall is lost, m
@@ -189,14 +192,14 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
 
 
 def wall_following_step(ps: WallFollowState, tof: TofFrame, heading: float,
-                        dt: float, cfg: PolicyConfig) -> tuple[WallFollowState, Setpoint]:
+                        dt: float, cfg: PolicyConfig, rng) -> tuple[WallFollowState, Setpoint]:
     """Hold the configured standoff from the wall on the followed side."""
     ps, sp, _ = _boundary_track_step(ps, tof, heading, dt, cfg, cfg.wall_standoff)
     return ps, sp
 
 
 def spiral_step(ps: SpiralState, tof: TofFrame, heading: float,
-                dt: float, cfg: PolicyConfig) -> tuple[SpiralState, Setpoint]:
+                dt: float, cfg: PolicyConfig, rng) -> tuple[SpiralState, Setpoint]:
     """Wall-following at a ring offset stepped per lap, in then back out.
 
     A lap is four completed corner turns.  On lap completion the offset
@@ -229,7 +232,7 @@ def spiral_step(ps: SpiralState, tof: TofFrame, heading: float,
 
 
 def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
-                        dt: float, cfg: PolicyConfig) -> tuple[RotateMeasureState, Setpoint]:
+                        dt: float, cfg: PolicyConfig, rng) -> tuple[RotateMeasureState, Setpoint]:
     """Spin in place recording the front range every scan_step, then fly
     toward the best direction for min(leg_max, recorded - standoff)."""
     if ps.mode == "travel":
@@ -266,44 +269,33 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
     return ps, Setpoint(cfg.cruise_speed, _clamp(cfg.k_heading * err, cfg.turn_rate))
 
 
-_STATE_TYPES = {
-    "pseudo-random": PseudoRandomState,
-    "wall-following": WallFollowState,
-    "spiral": SpiralState,
-    "rotate-and-measure": RotateMeasureState,
+def _spiral_state(cfg: PolicyConfig, heading: float, arena, drone_radius: float) -> SpiralState:
+    limit = min(arena.width, arena.height) / 2.0 - drone_radius
+    return SpiralState(side=cfg.follow_side, ring_offset=cfg.wall_standoff, ring_limit=limit)
+
+
+# kind -> (fresh state of (cfg, heading, arena, drone_radius), step); the
+# order is that of --help, the default sweep and runs.csv
+_POLICIES = {
+    "pseudo-random": (lambda cfg, h, arena, r: PseudoRandomState(), pseudo_random_step),
+    "wall-following": (lambda cfg, h, arena, r: WallFollowState(side=cfg.follow_side),
+                       wall_following_step),
+    "spiral": (_spiral_state, spiral_step),
+    "rotate-and-measure": (lambda cfg, h, arena, r: RotateMeasureState(scan_start=h,
+                                                                       prev_heading=h),
+                           rotate_measure_step),
 }
+POLICY_KINDS = tuple(_POLICIES)
 
 
-def initial_state(kind: str, cfg: PolicyConfig, heading: float = 0.0,
-                  arena=None, drone_radius: float = DEFAULT_DRONE_RADIUS) -> PolicyState:
+def initial_state(kind: str, cfg: PolicyConfig, heading: float, arena,
+                  drone_radius: float = DEFAULT_DRONE_RADIUS) -> PolicyState:
     """Fresh policy state for a run starting at the given heading."""
-    if kind == "pseudo-random":
-        return PseudoRandomState()
-    if kind == "wall-following":
-        return WallFollowState(side=cfg.follow_side)
-    if kind == "spiral":
-        if arena is None:
-            raise ValueError("spiral needs the arena to bound its ring offset")
-        limit = min(arena.width, arena.height) / 2.0 - drone_radius
-        return SpiralState(side=cfg.follow_side, ring_offset=cfg.wall_standoff,
-                           ring_limit=limit)
-    if kind == "rotate-and-measure":
-        return RotateMeasureState(scan_start=heading, prev_heading=heading)
-    raise ValueError(f"unknown policy {kind!r}; expected one of {', '.join(POLICY_KINDS)}")
+    return _POLICIES[kind][0](cfg, heading, arena, drone_radius)
 
 
 def policy_step(kind: str, ps: PolicyState, tof: TofFrame, heading: float,
                 dt: float, cfg: PolicyConfig, rng) -> tuple[PolicyState, Setpoint]:
-    """Uniform dispatch used by the run loop."""
-    expected = _STATE_TYPES.get(kind)
-    if expected is None:
-        raise ValueError(f"unknown policy {kind!r}; expected one of {', '.join(POLICY_KINDS)}")
-    if type(ps) is not expected:
-        raise TypeError(f"policy {kind!r} got state of type {type(ps).__name__}")
-    if kind == "pseudo-random":
-        return pseudo_random_step(ps, tof, heading, dt, cfg, rng)
-    if kind == "wall-following":
-        return wall_following_step(ps, tof, heading, dt, cfg)
-    if kind == "spiral":
-        return spiral_step(ps, tof, heading, dt, cfg)
-    return rotate_measure_step(ps, tof, heading, dt, cfg)
+    """Uniform dispatch used by the run loop; ``kind`` is a checked
+    ``POLICY_KINDS`` name and ``ps`` the state its ``initial_state`` built."""
+    return _POLICIES[kind][1](ps, tof, heading, dt, cfg, rng)

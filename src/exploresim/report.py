@@ -7,6 +7,8 @@ determinism tests rely on.
 
 from __future__ import annotations
 
+import math
+
 from .arena import Arena
 from .errors import SimError
 from .harness import AggregateRow, SweepRow, TRAJECTORY_HEADER, RunResult
@@ -81,8 +83,15 @@ def _parse_rows(lines: list[str], row) -> list:
         raise
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _trajectory_row(line: str) -> tuple[float, ...]:
-    row = tuple(float(v) for v in line.split(","))
+    row = tuple(map(_finite, line.split(",")))
     if len(row) != _TRAJECTORY_FIELDS:
         raise ValueError(f"expected {_TRAJECTORY_FIELDS} fields, got {len(row)}")
     return row
@@ -94,11 +103,13 @@ def parse_trajectory(text: str) -> list[tuple[float, float, float, float, float,
         raise SimError("trajectory log is missing its header row")
     try:
         rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-        if set(map(len, rows)) <= {_TRAJECTORY_FIELDS}:
+        # a NaN or infinity makes the sum non-finite; so would an overflow,
+        # which the slow path then accepts value by value
+        if set(map(len, rows)) <= {_TRAJECTORY_FIELDS} and math.isfinite(sum(map(sum, rows))):
             return rows
     except ValueError:
         pass
-    return _parse_rows(lines, _trajectory_row)  # raises, naming the first bad line
+    return _parse_rows(lines, _trajectory_row)  # names the first bad line
 
 
 def replay_trajectory(text: str, width: float, height: float):
@@ -110,7 +121,8 @@ def replay_trajectory(text: str, width: float, height: float):
     exactly mirroring the run loop.  The grid is one object updated in
     place.  After the last sample it matches the run's grid cell for cell
     because the loop marks log-quantized coordinates.  A malformed row or
-    a ``t`` that does not increase raises :class:`SimError` naming its line.
+    a ``t`` that does not increase raises :class:`SimError` naming its line;
+    a row is malformed unless it holds six finite numbers.
     """
     rows = parse_trajectory(text)
     if not rows:
@@ -146,13 +158,13 @@ def _runs_row(line: str) -> SweepRow | None:
     (policy, speed, det, run, seed, cov, rate, coll, energy, digest) = line.split(",")
     return SweepRow(
         policy=policy,
-        speed=float(speed),
+        speed=_finite(speed),
         detector=None if det == "none" else det,
         run=int(run),
         seed=int(seed),
-        coverage=float(cov),
-        detection_rate=float(rate) if rate else None,
+        coverage=_finite(cov),
+        detection_rate=_finite(rate) if rate else None,
         collision=bool(int(coll)),
-        energy_j=float(energy),
+        energy_j=_finite(energy),
         digest=int(digest, 16),
     )

@@ -136,6 +136,11 @@ class TestRun:
         (["--set", 'arena={"width":1e300,"height":1}'], "config error: arena: width: "),
         (["--duration", "10", "--detector", "ssd-1.0", "--set", "detector.fps=1e12"],
          "config error: detector.fps: "),
+        # a tick this long put the first detector frame at tick 0, which never comes
+        (["--set", "run.control_dt=1000000", "--set", "run.duration=2000000",
+          "--speed", "1e-9", "--set", "policy.turn_rate=1e-9", "--detector", "ssd-1.0",
+          "--set", "detector.p_detect=1", "--set", "detector.fps=1000"],
+         "config error: run.control_dt: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
@@ -175,6 +180,19 @@ class TestSweep:
         assert code == 0
         rows = parse_runs_csv((out / "runs.csv").read_text())
         assert len(rows) == 12  # 4 policies x 3 speeds
+
+    def test_detector_sweep_without_objects_leaves_rates_blank(self, tmp_path):
+        out = tmp_path / "empty"
+        assert run_cli("sweep", "--runs-per-config", "1", "--out", str(out),
+                       "--set", 'arena={"width":3,"height":3}',
+                       "--set", 'sweep.detectors=["ssd-1.0"]',
+                       "--set", 'sweep.policies=["pseudo-random"]',
+                       "--set", "sweep.speeds=[0.5]", "--set", "sweep.duration=2.0") == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv", "detection_rates.csv", "heatmap_pseudo-random_0.5_ssd-1.0.csv",
+            "heatmap_pseudo-random_0.5_ssd-1.0.pgm", "runs.csv"]
+        assert (out / "detection_rates.csv").read_text().splitlines()[1] == "ssd-1.0,0.500,"
+        assert (out / "aggregate.csv").read_text().splitlines()[1].endswith(",,")
 
     def test_jobs_flag_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -257,6 +275,8 @@ class TestReport:
         ("trajectory.csv", 3, "0.040000", "line 3: "),
         ("trajectory.csv", 3, "0.040000,x,1,0,0,0", "line 3: "),
         ("summary.json", 1, "{not json", ""),
+        ("trajectory.csv", 3, "0.040000,inf,1,0,0,0", "line 3: "),
+        ("trajectory.csv", 3, "0.040000,nan,1,0,0,0", "line 3: "),
     ])
     def test_malformed_run_artifact_exits_1(self, tmp_path, capsys, artifact, line_no, text,
                                             message):
@@ -270,11 +290,15 @@ class TestReport:
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not out.exists()
 
-    def test_malformed_runs_row_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row", [
+        "pseudo-random,0.5",
+        "pseudo-random,0.500,none,1,8,nan,,0,40.1,0123456789abcdef",
+    ], ids=["short", "nan-coverage"])
+    def test_malformed_runs_row_exits_1(self, tmp_path, capsys, row):
         src, out = tmp_path / "sweep", tmp_path / "report"
         assert run_cli("sweep", "--runs-per-config", "1", "--out", str(src), *SMALL_SWEEP) == 0
         path = src / "runs.csv"
-        path.write_text(path.read_text() + "pseudo-random,0.5\n")
+        path.write_text(path.read_text() + row + "\n")
         assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: line 4: ")
         assert not out.exists()

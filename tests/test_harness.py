@@ -200,9 +200,11 @@ class TestAggregateDetection:
     def test_requires_objects(self):
         empty = load_arena({"width": 6.5, "height": 5.5})
         template = RunConfig(arena=empty)
-        sweep = run_sweep(small_spec(detectors=("ssd-1.0",)), template)
-        with pytest.raises(SimError):
-            aggregate_detection(sweep.rows)
+        spec = small_spec(detectors=("ssd-1.0",))
+        sweep = run_sweep(spec, template)
+        matrix = aggregate_detection(sweep.rows)
+        assert matrix == {("ssd-1.0", speed): dict.fromkeys(spec.policies)
+                          for speed in spec.speeds}
 
     def test_paired_frame_rate_dominance(self):
         # p=1 overrides: a 100 fps detector can only beat 1.6 fps on the

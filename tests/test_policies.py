@@ -74,33 +74,33 @@ class TestPseudoRandom:
 class TestWallFollowing:
     def test_proportional_pull_toward_standoff(self):
         ps = WallFollowState(mode="follow", side="left", acquired=True)
-        ps, sp = wall_following_step(ps, frame(front=3.0, left=0.7), 0.0, 0.02, CFG)
+        ps, sp = wall_following_step(ps, frame(front=3.0, left=0.7), 0.0, 0.02, CFG, None)
         assert sp.omega == pytest.approx(1.5 * (0.7 - 0.5))
         assert sp.v == CFG.cruise_speed
 
     def test_on_track_is_straight(self):
         ps = WallFollowState(mode="follow", side="left", acquired=True)
-        ps, sp = wall_following_step(ps, frame(front=3.0, left=0.5), 0.0, 0.02, CFG)
+        ps, sp = wall_following_step(ps, frame(front=3.0, left=0.5), 0.0, 0.02, CFG, None)
         assert sp.omega == 0.0
 
     def test_corner_turns_toward_larger_side(self):
         ps = WallFollowState(mode="follow", side="left", acquired=True)
         ps, sp = wall_following_step(ps, frame(front=0.55, left=0.5, right=3.2),
-                                     0.0, 0.02, CFG)
+                                     0.0, 0.02, CFG, None)
         assert ps.mode == "corner"
         assert normalize_heading(ps.target_heading - 0.0) == pytest.approx(-math.pi / 2)
         assert sp.v == 0.0 and sp.omega == -CFG.turn_rate
 
     def test_right_following_sign(self):
         ps = WallFollowState(mode="follow", side="right", acquired=True)
-        ps, sp = wall_following_step(ps, frame(front=3.0, right=0.7), 0.0, 0.02, CFG)
+        ps, sp = wall_following_step(ps, frame(front=3.0, right=0.7), 0.0, 0.02, CFG, None)
         assert sp.omega == pytest.approx(-1.5 * (0.7 - 0.5))
 
     def test_acquire_cruises_then_turns_away_from_followed_side(self):
         ps = WallFollowState(side="left")
-        ps, sp = wall_following_step(ps, frame(front=3.0), 0.0, 0.02, CFG)
+        ps, sp = wall_following_step(ps, frame(front=3.0), 0.0, 0.02, CFG, None)
         assert ps.mode == "acquire" and sp.v == CFG.cruise_speed
-        ps, sp = wall_following_step(ps, frame(front=0.55), 0.0, 0.02, CFG)
+        ps, sp = wall_following_step(ps, frame(front=0.55), 0.0, 0.02, CFG, None)
         assert ps.mode == "corner"
         assert normalize_heading(ps.target_heading) == pytest.approx(-math.pi / 2)
 
@@ -190,7 +190,7 @@ class TestRotateMeasure:
         ps = RotateMeasureState(mode="scan", scan_start=0.0, prev_heading=0.0,
                                 rotated=7 * math.pi / 4, scan_index=7,
                                 scan_table=table7)
-        ps, _ = rotate_measure_step(ps, frame(front=2.8), 0.0, 0.02, CFG)
+        ps, _ = rotate_measure_step(ps, frame(front=2.8), 0.0, 0.02, CFG, None)
         assert ps.scan_table == table7 + (2.8,)
         assert ps.leg_heading == pytest.approx(normalize_heading(math.pi / 2))
         assert ps.leg_len == pytest.approx(2.0)  # min(2.0, 4.0 - 0.5)
@@ -200,7 +200,7 @@ class TestRotateMeasure:
         ps = RotateMeasureState(mode="scan", scan_start=1.0, prev_heading=1.0,
                                 rotated=7 * math.pi / 4, scan_index=7,
                                 scan_table=table7)
-        ps, _ = rotate_measure_step(ps, frame(front=2.0), 1.0, 0.02, CFG)
+        ps, _ = rotate_measure_step(ps, frame(front=2.0), 1.0, 0.02, CFG, None)
         assert ps.leg_heading == pytest.approx(1.0)
 
     def test_short_reading_shortens_leg(self):
@@ -208,18 +208,18 @@ class TestRotateMeasure:
         ps = RotateMeasureState(mode="scan", scan_start=0.0, prev_heading=0.0,
                                 rotated=7 * math.pi / 4, scan_index=7,
                                 scan_table=table7)
-        ps, _ = rotate_measure_step(ps, frame(front=1.3), 0.0, 0.02, CFG)
+        ps, _ = rotate_measure_step(ps, frame(front=1.3), 0.0, 0.02, CFG, None)
         assert ps.leg_len == pytest.approx(1.3 - 0.5)
 
     def test_travel_aborts_on_front_trigger(self):
         ps = RotateMeasureState(mode="travel", leg_heading=0.0, leg_len=2.0,
                                 leg_travelled=0.3)
-        ps, sp = rotate_measure_step(ps, frame(front=0.9), 0.0, 0.02, CFG)
+        ps, sp = rotate_measure_step(ps, frame(front=0.9), 0.0, 0.02, CFG, None)
         assert ps.mode == "scan" and sp.v == 0.0
 
     def test_travel_leg_odometry(self):
         ps = RotateMeasureState(mode="travel", leg_heading=0.0, leg_len=2.0)
-        ps, sp = rotate_measure_step(ps, frame(front=4.0), 0.0, 0.02, CFG)
+        ps, sp = rotate_measure_step(ps, frame(front=4.0), 0.0, 0.02, CFG, None)
         assert ps.leg_travelled == pytest.approx(CFG.cruise_speed * 0.02)
         assert sp.v == CFG.cruise_speed
 
@@ -233,12 +233,6 @@ class TestDispatchAndInvariants:
             assert math.isfinite(sp.v) and math.isfinite(sp.omega)
             assert abs(sp.v) <= CFG.cruise_speed + 1e-12
             assert abs(sp.omega) <= CFG.turn_rate + 1e-12
-
-    def test_dispatch_rejects_wrong_state(self, room):
-        with pytest.raises(TypeError):
-            policy_step("spiral", PseudoRandomState(), frame(), 0.0, 0.02, CFG, None)
-        with pytest.raises(ValueError):
-            policy_step("bogus", PseudoRandomState(), frame(), 0.0, 0.02, CFG, None)
 
     def test_setpoints_always_clamped(self, room):
         for kind in POLICY_KINDS:
@@ -263,10 +257,6 @@ class TestDispatchAndInvariants:
         assert [(t.sp.v, t.sp.omega) for t in a] == [(t.sp.v, t.sp.omega) for t in b]
         assert [(t.state.x, t.state.y, t.state.heading) for t in a] == \
                [(t.state.x, t.state.y, t.state.heading) for t in b]
-
-    def test_spiral_initial_state_needs_arena(self):
-        with pytest.raises(ValueError):
-            initial_state("spiral", CFG, 0.0, None)
 
 
 def test_config_validation():
