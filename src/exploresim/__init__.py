@@ -12,7 +12,7 @@ BACKEND = "pure"
 
 from .arena import Arena, TargetObject, Vec2, default_arena, load_arena
 from .detection import DETECTORS, DetectionLedger, DetectorModel
-from .harness import RunConfig, RunResult, SweepSpec, run_single, run_sweep
+from .harness import RunConfig, RunResult, SweepSpec, run_batch, run_single, run_sweep
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig
 from .sensing import CameraModel, TofConfig
@@ -23,7 +23,7 @@ __all__ = [
     "Arena", "TargetObject", "Vec2", "default_arena", "load_arena",
     "DETECTORS", "DetectionLedger", "DetectorModel",
     "BACKEND",
-    "RunConfig", "RunResult", "SweepSpec", "run_single", "run_sweep",
+    "RunConfig", "RunResult", "SweepSpec", "run_batch", "run_single", "run_sweep",
     "EnergyModel", "OccupancyGrid", "mission_energy",
     "POLICY_KINDS", "PolicyConfig",
     "CameraModel", "TofConfig",

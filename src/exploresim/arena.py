@@ -91,6 +91,22 @@ class Arena:
                 raise ValidationError(f"objects[{i}].pos", "must lie in free space")
         self.objects = objs
 
+    def _value(self) -> tuple:
+        return self.width, self.height, self.obstacles, self.objects
+
+    def __eq__(self, other) -> bool:
+        """Rooms are equal by value: size, obstacle boxes and objects."""
+        if not isinstance(other, Arena):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return (f"Arena({self.width!r}, {self.height!r}, obstacles={self.obstacles!r}, "
+                f"objects={self.objects!r})")
+
     def raycast(self, ox: float, oy: float, heading: float) -> float:
         """Exact distance to the first obstacle face or room wall.
 

@@ -163,7 +163,8 @@ def cmd_sweep(args) -> int:
     for (policy, speed, det), members in grids.items():
         stem = out / (f"heatmap_{policy}_{speed:g}" + (f"_{det}" if det else ""))
         export_heatmap(mean_grid(members), f"{stem}.csv", f"{stem}.pgm", saturation)
-    print(f"{len(sweep.rows)} runs in {wall:.1f} s wall time  -> {out}")
+    print(f"{len(sweep.rows)} runs ({sweep.flights} flights) in {wall:.1f} s wall time  "
+          f"-> {out}")
     return 0
 
 

@@ -1,22 +1,31 @@
-"""Deterministic run loop and the multi-configuration sweep.
+"""Deterministic run loop, batches of missions, and the multi-configuration sweep.
 
 One run interleaves two clocked tasks on a single timeline:
 
 * the control task, :func:`fly`, every ``control_dt`` (50 Hz default):
   refresh the ranging frame if its slower clock is due, step the policy,
-  integrate the vehicle, check collision; :func:`run_single` consumes it
-  and deposits dwell into the occupancy grid;
-* the detection task, at the detector's own frame rate: each frame has
-  an exact instant k/fps and is evaluated against the first vehicle
-  state timestamped at or after it (at 50 Hz that is within one tick of
-  the instant); the ledger records the exact instant.
+  integrate the vehicle, check collision; :func:`fly_logged` consumes it
+  into the flight: the log, digest, dwell grid and collision record;
+* the detection task, :func:`detection_task`, at the detector's own frame
+  rate: each frame has an exact instant k/fps and is evaluated against
+  the first vehicle state timestamped at or after it (at 50 Hz that is
+  within one tick of the instant); the ledger records the exact instant.
+  The flight keeps the states at those ticks, so the detection task runs
+  after it.
 
-Runs are reproducible bit for bit: a run seed expands into independent
-sub-streams for the policy, the detector, and sensor noise, so enabling
-or swapping the detector never perturbs the trajectory.  The trajectory
-log is hashed into a 64-bit digest (blake2b); cells are marked from the
-log-quantized coordinates (six decimals) so that replaying the emitted
-log reconstructs the grid exactly.
+:func:`run_single` is the two in turn.  Runs are reproducible bit for
+bit: a run seed expands into independent sub-streams for the policy, the
+detector, and sensor noise, so enabling or swapping the detector never
+perturbs the trajectory.  The trajectory log is hashed into a 64-bit
+digest (blake2b); cells are marked from the log-quantized coordinates
+(six decimals) so that replaying the emitted log reconstructs the grid
+exactly.
+
+A flight depends on the seed only through the policy stream, if the
+policy draws from it, and the noise stream, if the ranging is noisy
+(:func:`flight_key`).  :func:`run_batch`, which the sweep uses, flies
+each distinct flight of a batch once and runs every mission's detection
+task over it.
 
 A collision truncates the run: the crash tick still deposits its dwell
 (position clamped into the room), metrics cover the elapsed time, and
@@ -26,10 +35,11 @@ the record is flagged.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .arena import Arena, default_arena
 from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detection,
@@ -37,7 +47,7 @@ from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detec
 from .errors import SimError, ValidationError
 from .kinds import COUNT, POSE, POSITIVE, SEED, TIME_STEP, check_fields, choice, list_of, nullable
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
-from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_step
+from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_draws, policy_step
 from .seeding import derive_seed
 from .sensing import CameraModel, TofBank, TofConfig, objects_in_fov
 from .vehicle import (DEFAULT_DRONE_RADIUS, DEFAULT_OMEGA_MAX, DEFAULT_V_MAX,
@@ -112,6 +122,12 @@ class RunConfig:
 
 @dataclass
 class RunResult:
+    """One mission's outcome.
+
+    Missions that share a flight (see :func:`run_batch`) share its
+    ``grid`` and ``collision`` objects: read them, do not change them.
+    """
+
     coverage: float
     grid: OccupancyGrid
     ledger: DetectionLedger | None
@@ -123,13 +139,30 @@ class RunResult:
     trajectory: list[str] | None = None  # log lines incl. header, when kept
 
 
+@dataclass
+class Flight:
+    """What a mission's seed reaches only through the policy and noise
+    streams: the trajectory digest, dwell grid, collision record and
+    elapsed time, plus the vehicle state after each tick that a detector
+    frame samples."""
+
+    grid: OccupancyGrid
+    collision: CollisionRecord
+    digest: int
+    elapsed: float
+    seen: dict[int, VehicleState]  # tick index -> state after that tick
+    trajectory: list[str] | None = None
+
+
 def fly(cfg: RunConfig):
     """The control task of one mission: validate ``cfg``, then per tick
     refresh the ranging frame if due, step the policy, integrate the
     vehicle and test the airframe disc at the new state for a collision.
 
     Yields ``(t, state_seen, frame, ps, sp, next_state, blocked)`` per
-    tick; stops after the last tick or the first blocked one.
+    tick; stops after the last tick or the first blocked one.  Once run
+    to its end it raises :class:`SimError` if it drew from a stream that
+    :func:`flight_key` leaves out: that would be a program error.
     """
     cfg.validate()
     arena = cfg.arena
@@ -137,6 +170,9 @@ def fly(cfg: RunConfig):
     dt = cfg.control_dt
     policy_rng = random.Random(derive_seed(cfg.seed, "policy"))
     noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
+    unused = [rng for rng, used in ((policy_rng, policy_draws(cfg.policy)),
+                                    (noise_rng, cfg.tof.noise_sigma > 0.0)) if not used]
+    before = [rng.getstate() for rng in unused]
     state = VehicleState(x0, y0, h0)
     ps = initial_state(cfg.policy, cfg.policy_cfg, h0, arena, cfg.drone_radius)
     bank = TofBank(cfg.tof)
@@ -149,32 +185,35 @@ def fly(cfg: RunConfig):
         blocked = arena.disc_blocked(nxt.x, nxt.y, cfg.drone_radius)
         yield t_i, state, frame, ps, sp, nxt, blocked
         if blocked:
-            return
+            break
         state = nxt
+    if [rng.getstate() for rng in unused] != before:
+        raise SimError(f"program error: a {cfg.policy} flight drew from a random stream "
+                       "that its flight key leaves out")
 
 
-def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
-    """Execute one mission deterministically: :func:`fly` plus the log,
-    digest, grid, collision record and detection task.
+def _frame_ticks(fps: float, dt: float):
+    """``(tick, instant)`` of detector frames k = 1, 2, ...: frame k's exact
+    instant k/fps is sampled by the first tick at or after it."""
+    k = 1
+    while True:
+        t = k / fps
+        yield math.ceil(t / dt - _EPS), t
+        k += 1
 
-    Identical configs (seed included) produce identical results and
-    trajectory digests, regardless of process or platform.
-    """
+
+def fly_logged(cfg: RunConfig, frame_rates=(), keep_trajectory: bool = False) -> Flight:
+    """The flight of one mission: :func:`fly` plus the log, digest, grid and
+    collision record, keeping the state after every tick that a frame of a
+    detector at one of ``frame_rates`` (frames per second) samples."""
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
     dt = cfg.control_dt
-    detect_rng = random.Random(derive_seed(cfg.seed, "detect"))
     grid = OccupancyGrid(arena.width, arena.height)
     collision = CollisionRecord()
-
-    det = cfg.detector
-    ledger = DetectionLedger() if det is not None else None
-    if det is not None:
-        frame_k = 1
-        frame_t = 1.0 / det.fps
-        frame_due = math.ceil(frame_t / dt - _EPS)
-    else:
-        frame_due = -1
+    seen: dict[int, VehicleState] = {}
+    dues = heapq.merge(*(_frame_ticks(fps, dt) for fps in set(frame_rates)))
+    frame_due = next(dues, (-1,))[0]
 
     hasher = hashlib.blake2b(digest_size=8)
     lines: list[str] | None = [TRAJECTORY_HEADER + "\n"] if keep_trajectory else None
@@ -194,38 +233,123 @@ def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
         hs = f"{state.heading:.6f}"
         xq = float(xs)
         yq = float(ys)
-        if blocked:
+        if blocked:  # the last tick: fly stops after it
             collision = CollisionRecord(True, ticks * dt, state.x, state.y)
             grid.mark(min(max(xq, 0.0), arena.width), min(max(yq, 0.0), arena.height), dt)
-            break
-        grid.mark(xq, yq, dt)
-        while frame_due == ticks:
-            visible = objects_in_fov(arena, state, cfg.camera)
-            attempt_detection(det, visible, ledger, frame_t, detect_rng)
-            frame_k += 1
-            frame_t = frame_k / det.fps
-            frame_due = math.ceil(frame_t / dt - _EPS)
+        else:
+            grid.mark(xq, yq, dt)
+            while frame_due == ticks:
+                seen[ticks] = state
+                frame_due = next(dues)[0]
 
     elapsed = ticks * dt
     terminal = f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n"
     hasher.update(terminal.encode("ascii"))
     if lines is not None:
         lines.append(terminal)
+    return Flight(grid, collision, int.from_bytes(hasher.digest(), "big"), elapsed, seen,
+                  lines)
 
+
+def detection_task(cfg: RunConfig, seen: dict[int, VehicleState]) -> DetectionLedger | None:
+    """The detection task of one mission over its flight's ``seen`` states:
+    every frame whose tick the flight reached (the crash tick excluded)
+    evaluates the camera at that tick's state and draws from the
+    ``detect`` stream; the ledger records the frame's exact instant."""
+    det = cfg.detector
+    if det is None:
+        return None
+    rng = random.Random(derive_seed(cfg.seed, "detect"))
+    ledger = DetectionLedger()
+    for tick, t in _frame_ticks(det.fps, cfg.control_dt):
+        state = seen.get(tick)
+        if state is None:
+            return ledger
+        attempt_detection(det, objects_in_fov(cfg.arena, state, cfg.camera), ledger, t, rng)
+
+
+def _result(cfg: RunConfig, flight: Flight) -> RunResult:
+    ledger = detection_task(cfg, flight.seen)
     rate = None
-    if ledger is not None and len(arena.objects) > 0:
-        rate = detection_rate(ledger, len(arena.objects))
+    if ledger is not None and len(cfg.arena.objects) > 0:
+        rate = detection_rate(ledger, len(cfg.arena.objects))
     return RunResult(
-        coverage=grid.coverage(),
-        grid=grid,
+        coverage=flight.grid.coverage(),
+        grid=flight.grid,
         ledger=ledger,
         detection_rate=rate,
-        collision=collision,
-        digest=int.from_bytes(hasher.digest(), "big"),
-        energy=mission_energy(EnergyModel(), elapsed),
-        elapsed=elapsed,
-        trajectory=lines,
+        collision=flight.collision,
+        digest=flight.digest,
+        energy=mission_energy(EnergyModel(), flight.elapsed),
+        elapsed=flight.elapsed,
+        trajectory=flight.trajectory,
     )
+
+
+def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
+    """Execute one mission deterministically: its flight, then its
+    detection task over the flight's states.
+
+    Identical configs (seed included) produce identical results and
+    trajectory digests, regardless of process or platform.
+    """
+    rates = (cfg.detector.fps,) if cfg.detector is not None else ()
+    return _result(cfg, fly_logged(cfg, rates, keep_trajectory))
+
+
+_NOT_FLOWN = ("seed", "detector", "camera")
+
+
+def flight_key(cfg: RunConfig) -> tuple:
+    """What the flight of ``cfg`` depends on: every field but seed, detector
+    and camera, by ``repr`` (which, unlike ``==``, tells -0.0 from 0.0, as
+    the log does), plus the policy sub-seed if the policy draws from its
+    stream and the noise sub-seed if the ranging is noisy."""
+    flown = tuple(repr(getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _NOT_FLOWN)
+    policy_seed = derive_seed(cfg.seed, "policy") if policy_draws(cfg.policy) else None
+    noise_seed = derive_seed(cfg.seed, "noise") if cfg.tof.noise_sigma > 0.0 else None
+    return flown, policy_seed, noise_seed
+
+
+def _label(cfg: RunConfig) -> str:
+    """``policy/speed/detector``: the sweep configuration ``cfg`` flies."""
+    det = cfg.detector.name if cfg.detector else "none"
+    return f"{cfg.policy}/{cfg.policy_cfg.cruise_speed}/{det}"
+
+
+def _sweep_task(cfgs: list[RunConfig]) -> list[RunResult]:
+    """One task of a batch: the missions of one flight key, which share
+    one flight; one result per config, in order."""
+    try:
+        flight = fly_logged(cfgs[0], [cfg.detector.fps for cfg in cfgs if cfg.detector])
+        return [_result(cfg, flight) for cfg in cfgs]
+    except SimError as exc:
+        raise SimError(f"run failed for {_label(cfgs[0])} seed {cfgs[0].seed}: {exc}") from exc
+
+
+def run_batch(cfgs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
+    """The missions of ``cfgs``, equal to :func:`run_single` of each, in
+    input order.  Every config is checked before the first flight; the
+    configs of one :func:`flight_key` share one flight, flown once, and
+    each runs its own detection task over it.  At ``jobs`` > 1 each
+    distinct flight is one task of a process pool.  Nothing is kept
+    after the call returns."""
+    for cfg in cfgs:
+        cfg.validate()
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(flight_key(cfg), []).append(i)
+    tasks = [[cfgs[i] for i in members] for members in groups.values()]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            flown = list(pool.map(_sweep_task, tasks))
+    else:
+        flown = [_sweep_task(task) for task in tasks]
+    results = [None] * len(cfgs)
+    for members, task_results in zip(groups.values(), flown):
+        for i, res in zip(members, task_results):
+            results[i] = res
+    return results
 
 
 @dataclass
@@ -269,6 +393,7 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow]
     grids: list[OccupancyGrid]  # each run's dwell grid, in row order
+    flights: int                # distinct flights flown for the rows
 
 
 def run_seed_for(base_seed: int, policy: str, speed: float, detector: str | None,
@@ -279,35 +404,16 @@ def run_seed_for(base_seed: int, policy: str, speed: float, detector: str | None
     return derive_seed(base_seed, label, run_idx)
 
 
-def _label(cfg: RunConfig) -> str:
-    """``policy/speed/detector``: the sweep configuration ``cfg`` flies."""
-    det = cfg.detector.name if cfg.detector else "none"
-    return f"{cfg.policy}/{cfg.policy_cfg.cruise_speed}/{det}"
-
-
-def _sweep_task(task: tuple[RunConfig, int]) -> tuple[SweepRow, OccupancyGrid]:
-    cfg, run_idx = task
-    try:
-        res = run_single(cfg)
-    except SimError as exc:
-        raise SimError(f"run failed for {_label(cfg)} run {run_idx}: {exc}") from exc
-    row = SweepRow(cfg.policy, cfg.policy_cfg.cruise_speed,
-                   cfg.detector and cfg.detector.name, run_idx, cfg.seed, res.coverage,
-                   res.detection_rate, res.collision.occurred,
-                   res.energy["total"], res.digest)
-    return row, res.grid
-
-
 def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
               jobs: int = 1) -> SweepResult:
-    """Execute the full sweep; per-run results are independent of the
-    execution order or degree of parallelism.  Every configuration is
-    checked before the first mission flies."""
+    """Execute the full sweep as one :func:`run_batch`; per-run results are
+    independent of the execution order or degree of parallelism.  Every
+    configuration is checked before the first mission flies."""
     if template is None:
         template = RunConfig(arena=default_arena())
     # every run flies spec.duration: check it once, under its own key
     tick_count(spec.duration, template.control_dt, "sweep.duration")
-    tasks = []
+    cfgs, runs = [], []
     for policy, speed, det in spec.configurations():
         cfg = replace(template, policy=policy, duration=spec.duration,
                       policy_cfg=replace(template.policy_cfg, cruise_speed=speed),
@@ -317,16 +423,18 @@ def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
         except ValidationError as exc:
             raise ValidationError(exc.path, f"{exc.message} (sweep configuration "
                                             f"{_label(cfg)})") from exc
-        tasks += [(replace(cfg, seed=run_seed_for(spec.base_seed, policy, speed, det, i)), i)
-                  for i in range(spec.runs_per_config)]
+        for i in range(spec.runs_per_config):
+            cfgs.append(replace(cfg, seed=run_seed_for(spec.base_seed, policy, speed, det, i)))
+            runs.append(i)
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_task, tasks))
-    else:
-        outcomes = [_sweep_task(task) for task in tasks]
-    rows, grids = zip(*outcomes)
-    return SweepResult(rows=list(rows), grids=list(grids))
+    results = run_batch(cfgs, jobs)
+    rows = [SweepRow(cfg.policy, cfg.policy_cfg.cruise_speed,
+                     cfg.detector and cfg.detector.name, i, cfg.seed, res.coverage,
+                     res.detection_rate, res.collision.occurred,
+                     res.energy["total"], res.digest)
+            for cfg, i, res in zip(cfgs, runs, results)]
+    return SweepResult(rows=rows, grids=[res.grid for res in results],
+                       flights=len(set(map(flight_key, cfgs))))
 
 
 @dataclass(frozen=True)

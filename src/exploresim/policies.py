@@ -16,8 +16,9 @@ Step functions are pure: they never mutate their input state and return
 a (state, set-point) pair.  All rotation happens in place (v = 0) and
 every emitted set-point respects ``cruise_speed`` and ``turn_rate``.
 
-A policy is one ``_POLICIES`` entry, its fresh state and its step;
-``POLICY_KINDS``, ``initial_state`` and ``policy_step`` read that table.
+A policy is one ``_POLICIES`` entry: its fresh state, its step, and
+whether the step draws from its random stream; ``POLICY_KINDS``,
+``initial_state``, ``policy_step`` and ``policy_draws`` read that table.
 Every step takes ``(ps, tof, heading, dt, cfg, rng)``; only
 pseudo-random draws from ``rng``.
 
@@ -274,18 +275,25 @@ def _spiral_state(cfg: PolicyConfig, heading: float, arena, drone_radius: float)
     return SpiralState(side=cfg.follow_side, ring_offset=cfg.wall_standoff, ring_limit=limit)
 
 
-# kind -> (fresh state of (cfg, heading, arena, drone_radius), step); the
-# order is that of --help, the default sweep and runs.csv
+# kind -> (fresh state of (cfg, heading, arena, drone_radius), step, whether
+# the step draws from its rng); the order is that of --help, the default
+# sweep and runs.csv
 _POLICIES = {
-    "pseudo-random": (lambda cfg, h, arena, r: PseudoRandomState(), pseudo_random_step),
+    "pseudo-random": (lambda cfg, h, arena, r: PseudoRandomState(), pseudo_random_step, True),
     "wall-following": (lambda cfg, h, arena, r: WallFollowState(side=cfg.follow_side),
-                       wall_following_step),
-    "spiral": (_spiral_state, spiral_step),
+                       wall_following_step, False),
+    "spiral": (_spiral_state, spiral_step, False),
     "rotate-and-measure": (lambda cfg, h, arena, r: RotateMeasureState(scan_start=h,
                                                                        prev_heading=h),
-                           rotate_measure_step),
+                           rotate_measure_step, False),
 }
 POLICY_KINDS = tuple(_POLICIES)
+
+
+def policy_draws(kind: str) -> bool:
+    """Whether the ``kind`` policy draws from its random stream; a flight of
+    one that does not is the same under every seed (``harness.fly`` checks)."""
+    return _POLICIES[kind][2]
 
 
 def initial_state(kind: str, cfg: PolicyConfig, heading: float, arena,

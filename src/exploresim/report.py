@@ -117,23 +117,37 @@ def replay_trajectory(text: str, width: float, height: float):
 
     Yields ``(t, grid)`` for the start sample (empty grid) and then after
     marking each later sample with the time gap to its predecessor,
-    clamping into the room (a collision's final sample can sit outside),
-    exactly mirroring the run loop.  The grid is one object updated in
-    place.  After the last sample it matches the run's grid cell for cell
-    because the loop marks log-quantized coordinates.  A malformed row or
-    a ``t`` that does not increase raises :class:`SimError` naming its line;
-    a row is malformed unless it holds six finite numbers.
+    exactly mirroring the run loop.  Only the final sample may lie outside
+    the room (a collision's crash state); it is clamped into it.  The grid
+    is one object updated in place.  After the last sample it matches the
+    run's grid cell for cell because the loop marks log-quantized
+    coordinates.  A malformed row, a ``t`` that does not increase or an
+    earlier sample outside the room raises :class:`SimError` naming its
+    line; a row is malformed unless it holds six finite numbers.
     """
     rows = parse_trajectory(text)
     if not rows:
         raise SimError("trajectory log has no samples")
+    final = len(rows) + 1  # line number of the last sample
+
+    def outside(n: int, x: float, y: float) -> SimError:
+        return SimError(f"line {n}: ({x}, {y}) lies outside the {width} x {height} m room")
+
+    if len(rows) > 1 and not (0.0 <= rows[0][1] <= width and 0.0 <= rows[0][2] <= height):
+        raise outside(2, rows[0][1], rows[0][2])
     grid = OccupancyGrid(width, height)
     yield rows[0][0], grid
     for n, (prev, cur) in enumerate(zip(rows, rows[1:]), 3):
         dt = cur[0] - prev[0]
         if not dt > 0.0:
             raise SimError(f"line {n}: t does not increase")
-        grid.mark(min(max(cur[1], 0.0), width), min(max(cur[2], 0.0), height), dt)
+        x, y = cur[1], cur[2]
+        if not (0.0 <= x <= width and 0.0 <= y <= height):
+            if n != final:
+                raise outside(n, x, y)
+            x = min(max(x, 0.0), width)
+            y = min(max(y, 0.0), height)
+        grid.mark(x, y, dt)
         yield cur[0], grid
 
 

@@ -6,8 +6,9 @@ configuration label only, so detector comparisons are paired on
 identical trajectories.  In the default room without ToF noise only the
 pseudo-random policy draws on the seed for its flight, so only its cells
 sample distinct trajectories; a wall-following, spiral or
-rotate-and-measure cell is one trajectory, flown 50 times with a
-different detector draw each time.  Run with
+rotate-and-measure cell is one trajectory with a different detector
+draw per run.  The coverage and detection batches are one
+``run_batch``, which flies each distinct trajectory once.  Run with
 ``pytest -s tests/test_acceptance.py`` to watch the per-criterion lines.
 """
 
@@ -21,7 +22,7 @@ import pytest
 from exploresim.arena import Arena, default_arena
 from exploresim.cli import main as cli_main
 from exploresim.detection import DETECTORS, DetectionLedger, DetectorModel, attempt_detection
-from exploresim.harness import RunConfig, run_single
+from exploresim.harness import RunConfig, run_batch, run_single
 from exploresim.metrics import EnergyModel, OccupancyGrid, mission_energy
 from exploresim.policies import PolicyConfig
 from exploresim.seeding import derive_seed
@@ -63,36 +64,46 @@ def default_sweeps(tmp_path_factory):
     return results, wall
 
 
+COVERAGE_CONFIGS = [("pseudo-random", 0.1), ("pseudo-random", 0.5),
+                    ("wall-following", 0.5), ("wall-following", 1.0), ("spiral", 0.5)]
+DETECTION_CELLS = [("ssd-1.0", "pseudo-random", 0.5), ("ssd-0.75", "pseudo-random", 0.5),
+                   ("ssd-1.0", "pseudo-random", 0.1), ("ssd-1.0", "wall-following", 0.5),
+                   ("ssd-1.0", "spiral", 0.5), ("ssd-1.0", "rotate-and-measure", 0.5)]
+
+
 @pytest.fixture(scope="session")
-def coverage_cells():
+def seeded_batches():
+    """The coverage runs (20 per config) and the detection runs (50 per
+    cell), flown as one ``run_batch`` so that runs of one trajectory share
+    it; split back into the two lists."""
+    coverage = [mission_cfg(policy, speed, batch_seed(policy, speed, i))
+                for policy, speed in COVERAGE_CONFIGS for i in range(20)]
+    detection = [mission_cfg(policy, speed, batch_seed(policy, speed, i),
+                             detector=DETECTORS[det])
+                 for det, policy, speed in DETECTION_CELLS for i in range(50)]
+    batch = run_batch(coverage + detection)
+    return batch[:len(coverage)], batch[len(coverage):]
+
+
+@pytest.fixture(scope="session")
+def coverage_cells(seeded_batches):
     """Mean coverage of 20 seeded runs per (policy, speed) config."""
-    configs = [("pseudo-random", 0.1), ("pseudo-random", 0.5),
-               ("wall-following", 0.5), ("wall-following", 1.0),
-               ("spiral", 0.5)]
     cells = {}
-    for policy, speed in configs:
-        runs = [run_single(mission_cfg(policy, speed, batch_seed(policy, speed, i)))
-                for i in range(20)]
+    for n, config in enumerate(COVERAGE_CONFIGS):
+        runs = seeded_batches[0][20 * n:20 * (n + 1)]
         for res in runs:
             if not res.collision.occurred:
                 assert abs(res.grid.total_dwell() - 180.0) <= 1e-6
-        cells[(policy, speed)] = statistics.fmean(r.coverage for r in runs)
+        cells[config] = statistics.fmean(r.coverage for r in runs)
     return cells
 
 
 @pytest.fixture(scope="session")
-def detection_cells():
+def detection_cells(seeded_batches):
     """Mean detection rate of 50 seeded runs per (detector, policy, speed)."""
-    configs = [("ssd-1.0", "pseudo-random", 0.5), ("ssd-0.75", "pseudo-random", 0.5),
-               ("ssd-1.0", "pseudo-random", 0.1), ("ssd-1.0", "wall-following", 0.5),
-               ("ssd-1.0", "spiral", 0.5), ("ssd-1.0", "rotate-and-measure", 0.5)]
-    cells = {}
-    for det, policy, speed in configs:
-        rates = [run_single(mission_cfg(policy, speed, batch_seed(policy, speed, i),
-                                        detector=DETECTORS[det])).detection_rate
-                 for i in range(50)]
-        cells[(det, policy, speed)] = statistics.fmean(rates)
-    return cells
+    return {cell: statistics.fmean(r.detection_rate
+                                   for r in seeded_batches[1][50 * n:50 * (n + 1)])
+            for n, cell in enumerate(DETECTION_CELLS)}
 
 
 def test_criterion_01_grid_structure():

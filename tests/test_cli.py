@@ -290,6 +290,30 @@ class TestReport:
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not out.exists()
 
+    def test_sample_outside_the_room_exits_1(self, tmp_path, capsys):
+        # only a collision's final sample may lie outside the room
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "1", "--out", str(src)) == 0
+        path = src / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        lines[2] = ",".join([fields[0], "1000000.000000", *fields[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 3: ")
+        assert not out.exists()
+
+    def test_final_sample_is_clamped_into_the_room(self, tmp_path):
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "1", "--out", str(src)) == 0
+        path = src / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[-1].split(",")
+        lines[-1] = ",".join([fields[0], "6.510000", *fields[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 0
+        assert (out / "coverage_series.csv").exists()
+
     @pytest.mark.parametrize("row", [
         "pseudo-random,0.5",
         "pseudo-random,0.500,none,1,8,nan,,0,40.1,0123456789abcdef",

@@ -4,13 +4,13 @@ from dataclasses import replace
 import pytest
 
 from exploresim import harness
-from exploresim.arena import Arena, default_arena, load_arena
+from exploresim.arena import DEFAULT_ARENA_DOC, Arena, default_arena, load_arena
 from exploresim.detection import DETECTORS
 from exploresim.errors import SimError, ValidationError
 from exploresim.harness import (RunConfig, SweepSpec, aggregate,
-                                aggregate_detection, fly, run_seed_for,
-                                run_single, run_sweep)
-from exploresim.policies import PolicyConfig
+                                aggregate_detection, flight_key, fly, run_batch,
+                                run_seed_for, run_single, run_sweep)
+from exploresim.policies import POLICY_KINDS, PolicyConfig, policy_draws
 from exploresim.report import parse_trajectory, replay_trajectory
 from exploresim.sensing import TofConfig
 
@@ -165,12 +165,18 @@ class TestSweep:
 
     def test_every_configuration_checked_before_the_first_mission(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(harness, "run_single", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(harness, "fly", lambda *a, **k: calls.append(a))
         with pytest.raises(ValidationError) as err:
             run_sweep(small_spec(speeds=(0.5, 5.0)))
         assert err.value.path == "policy.cruise_speed"
         assert "(sweep configuration pseudo-random/5.0/none)" in str(err.value)
         assert calls == []
+
+    def test_each_distinct_flight_counted_once(self):
+        # pseudo-random draws: one flight per run; spiral: one for all three
+        sweep = run_sweep(small_spec(runs_per_config=3))
+        assert len(sweep.rows) == 6
+        assert sweep.flights == 4
 
     def test_errors_tagged_with_configuration(self):
         boxed = Arena(6.5, 5.5, obstacles=[(3.0, 2.5, 3.5, 3.0)])
@@ -221,3 +227,89 @@ class TestAggregateDetection:
                 rates.append(run_single(cfg).detection_rate)
             means.append(sum(rates) / len(rates))
         assert means[1] >= means[0]
+
+
+BOXED_ROOM = dict(DEFAULT_ARENA_DOC, obstacles=[{"min": [1.5, 1.5], "max": [2.2, 2.2]},
+                                               {"min": [4.5, 3.5], "max": [5.0, 4.2]}])
+NOISY = TofConfig(noise_sigma=0.02)
+
+
+def same_mission(got, want):
+    assert got.digest == want.digest
+    assert got.coverage == want.coverage
+    assert got.detection_rate == want.detection_rate
+    assert (got.ledger and got.ledger.first_seen) == (want.ledger and want.ledger.first_seen)
+    assert (got.ledger and got.ledger.frames_fired) == (want.ledger and want.ledger.frames_fired)
+    assert got.collision == want.collision
+    assert got.elapsed == want.elapsed
+    assert got.grid.dwell == want.grid.dwell
+
+
+class TestFlights:
+    def test_a_flight_depends_on_the_seed_only_through_the_streams_it_draws(self):
+        def digest(policy, seed, **kw):
+            return run_single(make_cfg(policy=policy, seed=seed, duration=30.0, **kw)).digest
+
+        for policy in POLICY_KINDS:
+            if not policy_draws(policy):
+                assert digest(policy, 1) == digest(policy, 2), policy
+            assert digest(policy, 1, tof=NOISY) != digest(policy, 2, tof=NOISY), policy
+        assert policy_draws("pseudo-random")
+        assert digest("pseudo-random", 1) != digest("pseudo-random", 2)
+
+    def test_a_flight_that_draws_against_its_declaration_fails(self, monkeypatch):
+        monkeypatch.setattr(harness, "policy_draws", lambda kind: False)
+        with pytest.raises(SimError, match="program error"):
+            run_single(make_cfg(duration=30.0))
+
+    def test_flight_key(self):
+        cfg = make_cfg(policy="spiral")
+        rebuilt = make_cfg(policy="spiral", arena=default_arena(), seed=9,
+                           detector=DETECTORS["ssd-1.0"])
+        assert rebuilt.arena is not cfg.arena and rebuilt.arena == cfg.arena
+        assert flight_key(rebuilt) == flight_key(cfg)
+        assert flight_key(replace(cfg, tof=NOISY)) != flight_key(replace(rebuilt, tof=NOISY))
+        assert flight_key(replace(cfg, policy="pseudo-random")) != \
+            flight_key(replace(rebuilt, policy="pseudo-random"))
+        # the log writes -0.0 as "-0.000000", so the two starts are two flights
+        assert flight_key(replace(cfg, start=(1.0, 5.0, 0.0))) != \
+            flight_key(replace(cfg, start=(1.0, 5.0, -0.0)))
+        assert flight_key(make_cfg(policy="spiral", arena=load_arena(BOXED_ROOM))) != \
+            flight_key(cfg)
+
+    @pytest.fixture(scope="class")
+    def boxed_missions(self):
+        """Configs and their :func:`run_single` results: each policy's seed
+        under three detector settings shares one noisy flight, the two frame
+        rates sample different ticks, and spiral and pseudo-random collide."""
+        arena = load_arena(BOXED_ROOM)
+        seeds = {"pseudo-random": 2, "spiral": 1}
+        cfgs = [make_cfg(arena=arena, policy=policy, seed=seeds.get(policy, 1), tof=NOISY,
+                         detector=det and DETECTORS[det])
+                for policy in POLICY_KINDS for det in (None, "ssd-1.0", "ssd-0.5")]
+        return cfgs, [run_single(cfg) for cfg in cfgs]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_equals_run_single(self, boxed_missions, jobs):
+        cfgs, singles = boxed_missions
+        batch = run_batch(cfgs, jobs=jobs)
+        assert sum(res.collision.occurred for res in batch) == 2 * 3
+        for got, want in zip(batch, singles, strict=True):
+            same_mission(got, want)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_sweep_equals_run_single(self, noise, jobs):
+        template = RunConfig(arena=load_arena(BOXED_ROOM), tof=TofConfig(noise_sigma=noise))
+        spec = SweepSpec(speeds=(0.5,), detectors=("ssd-1.0", "ssd-0.5"), runs_per_config=2,
+                         duration=30.0)
+        sweep = run_sweep(spec, template, jobs=jobs)
+        assert sweep.flights == (16 if noise else 4 + 3)
+        for row, grid in zip(sweep.rows, sweep.grids, strict=True):
+            cfg = replace(template, policy=row.policy, seed=row.seed, duration=30.0,
+                          policy_cfg=PolicyConfig(cruise_speed=row.speed),
+                          detector=DETECTORS[row.detector])
+            want = run_single(cfg)
+            assert (row.digest, row.coverage, row.detection_rate, row.collision) == \
+                (want.digest, want.coverage, want.detection_rate, want.collision.occurred)
+            assert grid.dwell == want.grid.dwell
