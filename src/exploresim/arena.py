@@ -107,14 +107,17 @@ class Arena:
         return (f"Arena({self.width!r}, {self.height!r}, obstacles={self.obstacles!r}, "
                 f"objects={self.objects!r})")
 
-    def raycast(self, ox: float, oy: float, heading: float) -> float:
+    def raycast(self, ox: float, oy: float, heading: float, *,
+                origin_checked: bool = False) -> float:
         """Exact distance to the first obstacle face or room wall.
 
         Raises :class:`InvalidOriginError` if the origin is not in free
         space; walls enclose the room, so the result is always finite.
+        A caller that casts several rays from one origin checks it once
+        with :meth:`check_origin` and passes ``origin_checked=True``.
         """
-        if not self.in_free_space(ox, oy):
-            raise InvalidOriginError(f"ray origin ({ox}, {oy}) is not in free space")
+        if not origin_checked:
+            self.check_origin(ox, oy)
         dx = math.cos(heading)
         dy = math.sin(heading)
         if dx > 0.0:
@@ -131,11 +134,16 @@ class Arena:
             ty = _INF
         if ty < t:
             t = ty
+        if not self.obstacles:
+            return t
+        # slab test; the inverse direction is taken once per ray, not per
+        # box (Williams et al., JGT 2005), and is read only where nonzero
+        inv_x = 1.0 / dx if dx != 0.0 else 0.0
+        inv_y = 1.0 / dy if dy != 0.0 else 0.0
         for x0, y0, x1, y1 in self.obstacles:
             if dx != 0.0:
-                inv = 1.0 / dx
-                ta = (x0 - ox) * inv
-                tb = (x1 - ox) * inv
+                ta = (x0 - ox) * inv_x
+                tb = (x1 - ox) * inv_x
                 if ta > tb:
                     ta, tb = tb, ta
                 tmin = ta
@@ -146,9 +154,8 @@ class Arena:
                 tmin = -_INF
                 tmax = _INF
             if dy != 0.0:
-                inv = 1.0 / dy
-                ta = (y0 - oy) * inv
-                tb = (y1 - oy) * inv
+                ta = (y0 - oy) * inv_y
+                tb = (y1 - oy) * inv_y
                 if ta > tb:
                     ta, tb = tb, ta
                 if ta > tmin:
@@ -161,6 +168,11 @@ class Arena:
             if tmin <= tmax and tmin > 0.0 and tmin < t:
                 t = tmin
         return t
+
+    def check_origin(self, ox: float, oy: float) -> None:
+        """Raise :class:`InvalidOriginError` unless (ox, oy) is in free space."""
+        if not self.in_free_space(ox, oy):
+            raise InvalidOriginError(f"ray origin ({ox}, {oy}) is not in free space")
 
     def in_free_space(self, x: float, y: float) -> bool:
         """True iff strictly inside the room and outside every obstacle."""

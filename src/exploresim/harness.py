@@ -34,12 +34,15 @@ the record is flagged.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import math
 import random
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import count
 
 from .arena import Arena, default_arena
 from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detection,
@@ -57,7 +60,8 @@ TRAJECTORY_HEADER = "t,x,y,heading,v_cmd,omega_cmd"
 POLICY_NAME = choice(POLICY_KINDS)
 DETECTOR_NAME = nullable(choice(DETECTORS))  # null: no detector
 DEFAULT_CONTROL_DT = 0.02
-# 20 000 s at 50 Hz; 10^6 ticks already take 13 s and 247 MB with the log kept
+# 20 000 s at 50 Hz; a 10^6-tick spiral `run` takes about 9 s and peaks at
+# 249 MB RSS, most of it the kept log (a 58 MB trajectory.csv)
 MAX_TICKS = 10**6
 _EPS = 1e-9
 
@@ -174,15 +178,16 @@ def fly(cfg: RunConfig):
                                     (noise_rng, cfg.tof.noise_sigma > 0.0)) if not used]
     before = [rng.getstate() for rng in unused]
     state = VehicleState(x0, y0, h0)
-    ps = initial_state(cfg.policy, cfg.policy_cfg, h0, arena, cfg.drone_radius)
-    bank = TofBank(cfg.tof)
+    kind, policy_cfg, radius = cfg.policy, cfg.policy_cfg, cfg.drone_radius
+    ps = initial_state(kind, policy_cfg, h0, arena, radius)
+    sample = TofBank(cfg.tof).sample
+    disc_blocked = arena.disc_blocked
     for i in range(cfg.n_ticks()):
         t_i = i * dt
-        frame = bank.sample(arena, state, noise_rng, t_i)
-        ps, sp = policy_step(cfg.policy, ps, frame, state.heading, dt,
-                             cfg.policy_cfg, policy_rng)
+        frame = sample(arena, state, noise_rng, t_i)
+        ps, sp = policy_step(kind, ps, frame, state.heading, dt, policy_cfg, policy_rng)
         nxt = step(state, sp, dt)
-        blocked = arena.disc_blocked(nxt.x, nxt.y, cfg.drone_radius)
+        blocked = disc_blocked(nxt.x, nxt.y, radius)
         yield t_i, state, frame, ps, sp, nxt, blocked
         if blocked:
             break
@@ -198,49 +203,88 @@ def _frame_ticks(fps: float, dt: float):
     k = 1
     while True:
         t = k / fps
-        yield math.ceil(t / dt - _EPS), t
+        tick = t / dt - _EPS
+        # no mission reaches a frame after MAX_TICKS; ceil(inf) would raise
+        yield (math.ceil(tick) if tick <= MAX_TICKS else MAX_TICKS + 1), t
         k += 1
+
+
+# ticks per chunk of log rows: the rows of a chunk are hashed as one string
+_LOG_CHUNK = 500
+_SETPOINT_KEY = struct.Struct("<2d").pack  # IEEE bytes: tells -0.0 from 0.0
+
+
+@functools.lru_cache(maxsize=20)  # 10 000 ticks in about 100 kB
+def _tick_column(dt: float, first: int) -> str:
+    """The `t` column of the log rows of the chunk of ticks from ``first``,
+    ``f"{i * dt:.6f}"`` each, space-separated: built once for every
+    flight at ``dt``, and kept as one string to keep it small."""
+    return " ".join(f"{i * dt:.6f}" for i in range(first, first + _LOG_CHUNK))
 
 
 def fly_logged(cfg: RunConfig, frame_rates=(), keep_trajectory: bool = False) -> Flight:
     """The flight of one mission: :func:`fly` plus the log, digest, grid and
     collision record, keeping the state after every tick that a frame of a
     detector at one of ``frame_rates`` (frames per second) samples."""
+    cfg.validate()  # before its values reach the grid, the frame ticks or the `t` cache
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
     dt = cfg.control_dt
     grid = OccupancyGrid(arena.width, arena.height)
+    mark = grid.mark
     collision = CollisionRecord()
     seen: dict[int, VehicleState] = {}
     dues = heapq.merge(*(_frame_ticks(fps, dt) for fps in set(frame_rates)))
     frame_due = next(dues, (-1,))[0]
 
+    # blake2b streams: hashing a chunk of rows at once equals hashing each row
     hasher = hashlib.blake2b(digest_size=8)
     lines: list[str] | None = [TRAJECTORY_HEADER + "\n"] if keep_trajectory else None
     hasher.update((TRAJECTORY_HEADER + "\n").encode("ascii"))
+    x, y, heading = x0, y0, h0
     xs = f"{x0:.6f}"
     ys = f"{y0:.6f}"
     hs = f"{h0:.6f}"
+    xq = float(xs)
+    yq = float(ys)
 
-    # time is the tick count times dt, never a running sum
-    for ticks, (t_i, _, _, _, sp, state, blocked) in enumerate(fly(cfg), 1):
-        row = f"{t_i:.6f},{xs},{ys},{hs},{sp.v:.6f},{sp.omega:.6f}\n"
-        hasher.update(row.encode("ascii"))
+    # time is the tick count times dt, never a running sum; a coordinate's
+    # text is formatted again only when it changes (a zero may change sign)
+    flight = enumerate(fly(cfg), 1)
+    for first in count(0, _LOG_CHUNK):
+        rows = []
+        setpoints = {}  # set-point bytes -> "v,omega" text, for this chunk
+        for t_text, (ticks, (_, _, _, _, sp, state, blocked)) in zip(
+                _tick_column(dt, first).split(" "), flight):
+            key = _SETPOINT_KEY(*sp)
+            sp_text = setpoints.get(key)
+            if sp_text is None:
+                sp_text = setpoints[key] = f"{sp[0]:.6f},{sp[1]:.6f}\n"
+            rows.append(f"{t_text},{xs},{ys},{hs},{sp_text}")
+            if state.x != x or not x:
+                x = state.x
+                xs = f"{x:.6f}"
+                xq = float(xs)
+            if state.y != y or not y:
+                y = state.y
+                ys = f"{y:.6f}"
+                yq = float(ys)
+            if state.heading != heading or not heading:
+                heading = state.heading
+                hs = f"{heading:.6f}"
+            if blocked:  # the last tick: fly stops after it
+                collision = CollisionRecord(True, ticks * dt, state.x, state.y)
+                mark(min(max(xq, 0.0), arena.width), min(max(yq, 0.0), arena.height), dt)
+            else:
+                mark(xq, yq, dt)
+                while frame_due == ticks:
+                    seen[ticks] = state
+                    frame_due = next(dues)[0]
+        hasher.update("".join(rows).encode("ascii"))
         if lines is not None:
-            lines.append(row)
-        xs = f"{state.x:.6f}"
-        ys = f"{state.y:.6f}"
-        hs = f"{state.heading:.6f}"
-        xq = float(xs)
-        yq = float(ys)
-        if blocked:  # the last tick: fly stops after it
-            collision = CollisionRecord(True, ticks * dt, state.x, state.y)
-            grid.mark(min(max(xq, 0.0), arena.width), min(max(yq, 0.0), arena.height), dt)
-        else:
-            grid.mark(xq, yq, dt)
-            while frame_due == ticks:
-                seen[ticks] = state
-                frame_due = next(dues)[0]
+            lines += rows
+        if len(rows) < _LOG_CHUNK:
+            break
 
     elapsed = ticks * dt
     terminal = f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n"

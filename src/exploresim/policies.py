@@ -35,8 +35,10 @@ circle in place forever.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .kinds import POSITIVE, SCAN_STEP, check_fields, choice
 from .sensing import TofFrame
@@ -70,14 +72,20 @@ class PolicyConfig:
     def __post_init__(self):
         check_fields(self)
 
+    @functools.cached_property
+    def cruise(self) -> Setpoint:
+        """Straight flight at the cruise speed, built once per config:
+        most ticks of a flight emit it."""
+        return Setpoint(self.cruise_speed, 0.0)
 
-@dataclass
+
+@dataclass(slots=True)
 class PseudoRandomState:
     mode: str = "cruise"  # cruise | turning
     target_heading: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class WallFollowState:
     mode: str = "acquire"  # acquire | corner | follow
     side: str = "left"
@@ -88,7 +96,7 @@ class WallFollowState:
     deriv: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SpiralState(WallFollowState):
     ring_offset: float = 0.5
     direction: str = "in"  # in | out
@@ -96,7 +104,7 @@ class SpiralState(WallFollowState):
     ring_limit: float = 2.7
 
 
-@dataclass
+@dataclass(slots=True)
 class RotateMeasureState:
     mode: str = "scan"  # scan | travel
     scan_start: float = 0.0
@@ -110,6 +118,18 @@ class RotateMeasureState:
 
 
 PolicyState = PseudoRandomState | WallFollowState | SpiralState | RotateMeasureState
+
+# state class -> its field values in constructor order
+_VALUES = {cls: attrgetter(*(f.name for f in fields(cls)))
+           for cls in (PseudoRandomState, WallFollowState, SpiralState, RotateMeasureState)}
+
+
+def _copy(ps: PolicyState) -> PolicyState:
+    """A new state equal to ``ps``, for a step to change: a step never
+    changes the state it was given.  Several times cheaper than
+    ``dataclasses.replace``, which checks every field by name."""
+    cls = ps.__class__
+    return cls(*_VALUES[cls](ps))
 
 
 def _clamp(value: float, limit: float) -> float:
@@ -127,15 +147,15 @@ def pseudo_random_step(ps: PseudoRandomState, tof: TofFrame, heading: float,
         err = normalize_heading(ps.target_heading - heading)
         if abs(err) >= cfg.align_tol:
             return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, err))
-        ps = replace(ps, mode="cruise")
+        ps = PseudoRandomState("cruise", ps.target_heading)
     if tof.front <= cfg.trigger_dist:
         # uniform over [pi/2, 3pi/2): turn magnitude in [90, 180] deg, either way
         delta = math.pi / 2.0 + rng.random() * math.pi
         target = normalize_heading(heading + delta)
-        ps = replace(ps, mode="turning", target_heading=target)
+        ps = PseudoRandomState("turning", target)
         err = normalize_heading(target - heading)
         return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, err))
-    return ps, Setpoint(cfg.cruise_speed, 0.0)
+    return ps, cfg.cruise
 
 
 def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
@@ -151,15 +171,21 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         if abs(err) >= cfg.align_tol:
             return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, err)), False
         was_acquired = ps.acquired
-        ps = replace(ps, mode="follow", acquired=True, prev_reading=None, deriv=0.0)
+        ps = _copy(ps)
+        ps.mode = "follow"
+        ps.acquired = True
+        ps.prev_reading = None
+        ps.deriv = 0.0
         ps, sp, _ = _boundary_track_step(ps, tof, heading, dt, cfg, standoff)
         return ps, sp, was_acquired
     if ps.mode == "acquire":
         if tof.front > standoff + cfg.corner_margin:
-            return ps, Setpoint(cfg.cruise_speed, 0.0), False
+            return ps, cfg.cruise, False
         # turn away from the followed side so the wall lands on it
         delta = -math.pi / 2.0 if side_is_left else math.pi / 2.0
-        ps = replace(ps, mode="corner", target_heading=normalize_heading(heading + delta))
+        ps = _copy(ps)
+        ps.mode = "corner"
+        ps.target_heading = normalize_heading(heading + delta)
         return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, delta)), False
     # follow mode
     if tof.front <= standoff + cfg.corner_margin:
@@ -170,8 +196,11 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
             delta = -math.pi / 2.0
         else:
             delta = -math.pi / 2.0 if side_is_left else math.pi / 2.0
-        ps = replace(ps, mode="corner", prev_reading=None, deriv=0.0,
-                     target_heading=normalize_heading(heading + delta))
+        ps = _copy(ps)
+        ps.mode = "corner"
+        ps.prev_reading = None
+        ps.deriv = 0.0
+        ps.target_heading = normalize_heading(heading + delta)
         return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, delta)), False
     side_reading = tof.left if side_is_left else tof.right
     if side_reading - standoff > _WALL_LOST_MARGIN:
@@ -179,13 +208,20 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         # authority just circles in place, so cruise straight instead and
         # let the front trigger re-square the heading at the next wall
         if ps.prev_reading is not None:
-            ps = replace(ps, prev_reading=None, deriv=0.0)
-        return ps, Setpoint(cfg.cruise_speed, 0.0), False
+            ps = _copy(ps)
+            ps.prev_reading = None
+            ps.deriv = 0.0
+        return ps, cfg.cruise, False
     if ps.prev_reading is None:
-        ps = replace(ps, prev_reading=side_reading, prev_t=tof.t)
+        ps = _copy(ps)
+        ps.prev_reading = side_reading
+        ps.prev_t = tof.t
     elif tof.t > ps.prev_t:
         deriv = (side_reading - ps.prev_reading) / (tof.t - ps.prev_t)
-        ps = replace(ps, prev_reading=side_reading, prev_t=tof.t, deriv=deriv)
+        ps = _copy(ps)
+        ps.prev_reading = side_reading
+        ps.prev_t = tof.t
+        ps.deriv = deriv
     omega = cfg.k_wall * (side_reading - standoff) + cfg.kd_wall * ps.deriv
     if not side_is_left:
         omega = -omega
@@ -211,8 +247,9 @@ def spiral_step(ps: SpiralState, tof: TofFrame, heading: float,
     ps, sp, corner_done = _boundary_track_step(ps, tof, heading, dt, cfg, ps.ring_offset)
     if corner_done:
         corners = ps.corners_done + 1
+        ps = _copy(ps)
         if corners < 4:
-            ps = replace(ps, corners_done=corners)
+            ps.corners_done = corners
         else:
             ring = ps.ring_offset
             direction = ps.direction
@@ -228,7 +265,9 @@ def spiral_step(ps: SpiralState, tof: TofFrame, heading: float,
                     direction = "in"
                 else:
                     ring = cand
-            ps = replace(ps, corners_done=0, ring_offset=ring, direction=direction)
+            ps.corners_done = 0
+            ps.ring_offset = ring
+            ps.direction = direction
     return ps, sp
 
 
@@ -240,10 +279,16 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
         if tof.front > cfg.trigger_dist and ps.leg_travelled < ps.leg_len - _EPS:
             omega = _clamp(cfg.k_heading * normalize_heading(ps.leg_heading - heading),
                            cfg.turn_rate)
-            ps = replace(ps, leg_travelled=ps.leg_travelled + cfg.cruise_speed * dt)
+            ps = _copy(ps)
+            ps.leg_travelled = ps.leg_travelled + cfg.cruise_speed * dt
             return ps, Setpoint(cfg.cruise_speed, omega)
-        ps = replace(ps, mode="scan", scan_start=heading, prev_heading=heading,
-                     rotated=0.0, scan_index=0, scan_table=())
+        ps = _copy(ps)
+        ps.mode = "scan"
+        ps.scan_start = heading
+        ps.prev_heading = heading
+        ps.rotated = 0.0
+        ps.scan_index = 0
+        ps.scan_table = ()
     records = max(1, round(2.0 * math.pi / cfg.scan_step))
     if ps.scan_index < records:
         rotated = ps.rotated + normalize_heading(heading - ps.prev_heading)
@@ -252,21 +297,24 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
         while idx < records and rotated >= idx * cfg.scan_step - _EPS:
             table = table + (tof.front,)
             idx += 1
+        ps = _copy(ps)
+        ps.prev_heading = heading
+        ps.rotated = rotated
+        ps.scan_index = idx
+        ps.scan_table = table
         if idx < records:
-            return (replace(ps, prev_heading=heading, rotated=rotated,
-                            scan_index=idx, scan_table=table),
-                    Setpoint(0.0, cfg.turn_rate))
+            return ps, Setpoint(0.0, cfg.turn_rate)
         # scan complete: freest direction wins, ties to the lowest index
         best = max(range(records), key=lambda k: table[k])
-        leg_heading = normalize_heading(ps.scan_start + cfg.scan_step * best)
-        leg_len = min(cfg.leg_max, max(0.0, table[best] - cfg.wall_standoff))
-        ps = replace(ps, prev_heading=heading, rotated=rotated, scan_index=idx,
-                     scan_table=table, leg_heading=leg_heading, leg_len=leg_len)
+        ps.leg_heading = normalize_heading(ps.scan_start + cfg.scan_step * best)
+        ps.leg_len = min(cfg.leg_max, max(0.0, table[best] - cfg.wall_standoff))
     # align with the chosen leg heading, still in place
     err = normalize_heading(ps.leg_heading - heading)
     if abs(err) >= cfg.align_tol:
         return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, err))
-    ps = replace(ps, mode="travel", leg_travelled=0.0)
+    ps = _copy(ps)
+    ps.mode = "travel"
+    ps.leg_travelled = 0.0
     return ps, Setpoint(cfg.cruise_speed, _clamp(cfg.k_heading * err, cfg.turn_rate))
 
 

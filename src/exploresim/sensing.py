@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arena import Arena
 from .kinds import FOV, NON_NEGATIVE, POSITIVE, RATE, check_fields
@@ -37,8 +38,9 @@ class TofConfig:
         check_fields(self)
 
 
-@dataclass(frozen=True)
-class TofFrame:
+class TofFrame(NamedTuple):
+    """One ranging measurement of the four beams, in meters, taken at ``t``."""
+
     front: float
     left: float
     right: float
@@ -62,34 +64,40 @@ class TofBank:
 
     def __init__(self, cfg: TofConfig):
         self.cfg = cfg
+        self._period = 1.0 / cfg.rate_hz
         self._frame: TofFrame | None = None
-        self._fires = 0
+        self._due = -math.inf  # time from which the next refresh is due
 
     def sample(self, arena: Arena, state: VehicleState, rng, t: float) -> TofFrame:
         """Return the frame valid at time t, refreshing it when due.
 
         The first frame is measured at t=0; afterwards a new measurement
         happens on the first call at or after each sensor period.  With
-        ``noise_sigma`` zero the rng is never touched.
+        ``noise_sigma`` zero the rng is never touched.  The four beams
+        share one origin, which is checked once per refresh.
         """
-        period = 1.0 / self.cfg.rate_hz
-        if self._frame is None or t >= self._fires * period - _TIME_EPS:
-            readings = []
-            sigma = self.cfg.noise_sigma
-            max_range = self.cfg.max_range
-            for mount in MOUNT_ANGLES:
-                r = arena.raycast(state.x, state.y, state.heading + mount)
-                if r > max_range:
+        if t < self._due:
+            return self._frame
+        x, y, heading = state.x, state.y, state.heading
+        arena.check_origin(x, y)
+        raycast = arena.raycast
+        readings = []
+        sigma = self.cfg.noise_sigma
+        max_range = self.cfg.max_range
+        for mount in MOUNT_ANGLES:
+            r = raycast(x, y, heading + mount, origin_checked=True)
+            if r > max_range:
+                r = max_range
+            if sigma > 0.0:
+                r += rng.gauss(0.0, sigma)
+                if r < _MIN_READING:
+                    r = _MIN_READING
+                elif r > max_range:
                     r = max_range
-                if sigma > 0.0:
-                    r += rng.gauss(0.0, sigma)
-                    if r < _MIN_READING:
-                        r = _MIN_READING
-                    elif r > max_range:
-                        r = max_range
-                readings.append(r)
-            self._frame = TofFrame(readings[0], readings[1], readings[2], readings[3], t)
-            self._fires = int(t / period + _TIME_EPS) + 1
+            readings.append(r)
+        self._frame = TofFrame(readings[0], readings[1], readings[2], readings[3], t)
+        period = self._period
+        self._due = (int(t / period + _TIME_EPS) + 1) * period - _TIME_EPS
         return self._frame
 
 

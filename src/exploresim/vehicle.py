@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_DRONE_RADIUS = 0.05  # 10 cm diameter airframe
@@ -22,15 +23,15 @@ def normalize_heading(h: float) -> float:
     return (h + math.pi) % TWO_PI - math.pi
 
 
-@dataclass(frozen=True)
-class Setpoint:
-    """Commanded forward speed (m/s) and yaw rate (rad/s)."""
+class Setpoint(NamedTuple):
+    """Commanded forward speed (m/s) and yaw rate (rad/s); an immutable
+    pair, so a policy may hand out the same set-point on every tick."""
 
     v: float
     omega: float
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleState:
     x: float
     y: float
@@ -47,10 +48,11 @@ class CollisionRecord:
 
 def step(state: VehicleState, sp: Setpoint, dt: float) -> VehicleState:
     """Advance one control tick under a set-point (midpoint-heading rule)."""
-    mid = state.heading + sp.omega * dt * 0.5
+    v, omega = sp
+    mid = state.heading + omega * dt * 0.5
     return VehicleState(
-        state.x + sp.v * dt * math.cos(mid),
-        state.y + sp.v * dt * math.sin(mid),
-        normalize_heading(state.heading + sp.omega * dt),
+        state.x + v * dt * math.cos(mid),
+        state.y + v * dt * math.sin(mid),
+        normalize_heading(state.heading + omega * dt),
     )
 

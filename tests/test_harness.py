@@ -103,6 +103,18 @@ class TestRunSingle:
         assert res.detection_rate is None
         assert res.ledger.frames_fired == 288
 
+    def test_frame_rate_too_low_for_any_frame(self):
+        # the first frame's tick, 50 / fps, overflows to infinity
+        det = replace(DETECTORS["ssd-1.0"], fps=7.451148835073434e-308)
+        res = run_single(make_cfg(detector=det, duration=1.0))
+        assert res.ledger.frames_fired == 0
+
+    @pytest.mark.parametrize("field, value", [("control_dt", "x"), ("start", (1.0, 2.0))])
+    def test_config_checked_before_the_flight_reads_it(self, field, value):
+        with pytest.raises(ValidationError) as exc:
+            run_single(make_cfg(**{field: value}))
+        assert exc.value.path == field
+
     def test_validation(self):
         with pytest.raises(SimError):
             run_single(make_cfg(duration=-1.0))
