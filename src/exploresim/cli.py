@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -124,11 +126,12 @@ def cmd_run(args) -> int:
     cfg_doc = _load_cfg(args)
     saturation = check_config(cfg_doc)["heatmap.saturation_s"]
     run_cfg = build_run_config(cfg_doc)
-    result = run_single(run_cfg, keep_trajectory=True)
+    run_cfg.validate()  # a config error writes nothing
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "trajectory.csv", "".join(result.trajectory))
+    with open(out / "trajectory.csv", "w", encoding="ascii", newline="\n") as log:
+        result = run_single(run_cfg, log)
     _write(out / "detections.csv", rep.detections_csv(result, run_cfg.arena))
     export_heatmap(result.grid, out / "heatmap.csv", out / "heatmap.pgm", saturation)
     _write(out / "summary.json", _summary_json(run_cfg, result, run_cfg.arena))
@@ -168,20 +171,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read(path: Path, parse=str):
-    """``parse`` of the text of the artifact at ``path``; an error names the file."""
+def _read(path: Path, parse):
+    """``parse`` of the artifact at ``path``, open for reading; an error names the file."""
     if not path.exists():
         raise SimError(f"missing artifact: {path}")
     try:
-        return parse(path.read_text())
+        with open(path) as f:
+            return parse(f)
     except (SimError, ValueError) as exc:
         raise SimError(f"{path}: {exc}") from None
 
 
-def _room(summary: str) -> tuple[float, float]:
+def _room(summary) -> tuple[float, float]:
     """Width and height of the room a ``summary.json`` records."""
     try:
-        room = json.loads(summary)["arena"]
+        room = json.load(summary)["arena"]
         return ROOM_SIDE(room["width"], "arena.width"), ROOM_SIDE(room["height"], "arena.height")
     except (LookupError, TypeError) as exc:
         raise SimError(f"no arena width and height: {exc!r}") from None
@@ -194,17 +198,18 @@ def cmd_report(args) -> int:
     runs = src / "runs.csv"
     if trajectory.exists():
         width, height = _read(src / "summary.json", _room)
-        series = _read(trajectory, lambda text: rep.coverage_series_csv(text, width, height))
         detections = src / "detections.csv"
-        markers = _read(detections) if detections.exists() else None
-        out.mkdir(parents=True, exist_ok=True)
-        _write(out / "coverage_series.csv", series)
-        if markers is not None:
-            _write(out / "detection_markers.csv", markers)
-        n_found = len(markers.splitlines()) - 1 if markers else 0
-        final_cov = float(series.rstrip("\n").rsplit(",", 1)[-1])
+        with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as series:
+            final = _read(trajectory, lambda f: rep.coverage_series_csv(f, width, height, series))
+            found = _read(detections, rep.parse_detections_csv) if detections.exists() else []
+            out.mkdir(parents=True, exist_ok=True)
+            series.seek(0)
+            with open(out / "coverage_series.csv", "w", encoding="ascii", newline="\n") as f:
+                shutil.copyfileobj(series, f)
+        if detections.exists():
+            shutil.copyfile(detections, out / "detection_markers.csv")
         print(f"coverage series: {out / 'coverage_series.csv'}  "
-              f"final coverage {final_cov * 100.0:.1f}%  detections {n_found}")
+              f"final coverage {float(final) * 100.0:.1f}%  detections {len(found)}")
         return 0
     if runs.exists():
         rows = _read(runs, rep.parse_runs_csv)
@@ -218,7 +223,7 @@ def cmd_report(args) -> int:
 def cmd_heatmap(args) -> int:
     saturation = LEAF["heatmap.saturation_s"].kind(args.saturation, "--saturation")
     src = Path(args.input_csv)
-    matrix = _read(src, parse_dwell_csv)
+    matrix = _read(src, lambda f: parse_dwell_csv(f.read()))
     if not matrix:
         raise SimError(f"empty dwell matrix: {src}")
     out = Path(args.out) if args.out else src.with_suffix(".pgm")

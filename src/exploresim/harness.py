@@ -16,10 +16,10 @@ One run interleaves two clocked tasks on a single timeline:
 :func:`run_single` is the two in turn.  Runs are reproducible bit for
 bit: a run seed expands into independent sub-streams for the policy, the
 detector, and sensor noise, so enabling or swapping the detector never
-perturbs the trajectory.  The trajectory log is hashed into a 64-bit
-digest (blake2b); cells are marked from the log-quantized coordinates
-(six decimals) so that replaying the emitted log reconstructs the grid
-exactly.
+perturbs the trajectory.  The trajectory log is written and hashed into
+a 64-bit digest (blake2b) a chunk of rows at a time, as it is flown;
+cells are marked from the log-quantized coordinates (six decimals) so
+that replaying the emitted log reconstructs the grid exactly.
 
 A flight depends on the seed only through the policy stream, if the
 policy draws from it, and the noise stream, if the ranging is noisy
@@ -60,8 +60,8 @@ TRAJECTORY_HEADER = "t,x,y,heading,v_cmd,omega_cmd"
 POLICY_NAME = choice(POLICY_KINDS)
 DETECTOR_NAME = nullable(choice(DETECTORS))  # null: no detector
 DEFAULT_CONTROL_DT = 0.02
-# 20 000 s at 50 Hz; a 10^6-tick spiral `run` takes about 9 s and peaks at
-# 249 MB RSS, most of it the kept log (a 58 MB trajectory.csv)
+# 20 000 s at 50 Hz; a 10^6-tick spiral `run` takes 9-12 s and writes a
+# 58 MB trajectory.csv as it flies, in the memory of a 9000-tick one
 MAX_TICKS = 10**6
 _EPS = 1e-9
 
@@ -140,7 +140,6 @@ class RunResult:
     digest: int
     energy: dict[str, float]
     elapsed: float
-    trajectory: list[str] | None = None  # log lines incl. header, when kept
 
 
 @dataclass
@@ -155,7 +154,6 @@ class Flight:
     digest: int
     elapsed: float
     seen: dict[int, VehicleState]  # tick index -> state after that tick
-    trajectory: list[str] | None = None
 
 
 def fly(cfg: RunConfig):
@@ -222,10 +220,11 @@ def _tick_column(dt: float, first: int) -> str:
     return " ".join(f"{i * dt:.6f}" for i in range(first, first + _LOG_CHUNK))
 
 
-def fly_logged(cfg: RunConfig, frame_rates=(), keep_trajectory: bool = False) -> Flight:
+def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     """The flight of one mission: :func:`fly` plus the log, digest, grid and
     collision record, keeping the state after every tick that a frame of a
-    detector at one of ``frame_rates`` (frames per second) samples."""
+    detector at one of ``frame_rates`` (frames per second) samples.  The
+    log goes to ``log``, an open text file or ``None``, a chunk at a time."""
     cfg.validate()  # before its values reach the grid, the frame ticks or the `t` cache
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
@@ -239,8 +238,13 @@ def fly_logged(cfg: RunConfig, frame_rates=(), keep_trajectory: bool = False) ->
 
     # blake2b streams: hashing a chunk of rows at once equals hashing each row
     hasher = hashlib.blake2b(digest_size=8)
-    lines: list[str] | None = [TRAJECTORY_HEADER + "\n"] if keep_trajectory else None
-    hasher.update((TRAJECTORY_HEADER + "\n").encode("ascii"))
+
+    def emit(text: str) -> None:
+        hasher.update(text.encode("ascii"))
+        if log is not None:
+            log.write(text)
+
+    emit(TRAJECTORY_HEADER + "\n")
     x, y, heading = x0, y0, h0
     xs = f"{x0:.6f}"
     ys = f"{y0:.6f}"
@@ -280,19 +284,13 @@ def fly_logged(cfg: RunConfig, frame_rates=(), keep_trajectory: bool = False) ->
                 while frame_due == ticks:
                     seen[ticks] = state
                     frame_due = next(dues)[0]
-        hasher.update("".join(rows).encode("ascii"))
-        if lines is not None:
-            lines += rows
+        emit("".join(rows))
         if len(rows) < _LOG_CHUNK:
             break
 
     elapsed = ticks * dt
-    terminal = f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n"
-    hasher.update(terminal.encode("ascii"))
-    if lines is not None:
-        lines.append(terminal)
-    return Flight(grid, collision, int.from_bytes(hasher.digest(), "big"), elapsed, seen,
-                  lines)
+    emit(f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n")
+    return Flight(grid, collision, int.from_bytes(hasher.digest(), "big"), elapsed, seen)
 
 
 def detection_task(cfg: RunConfig, seen: dict[int, VehicleState]) -> DetectionLedger | None:
@@ -326,19 +324,19 @@ def _result(cfg: RunConfig, flight: Flight) -> RunResult:
         digest=flight.digest,
         energy=mission_energy(EnergyModel(), flight.elapsed),
         elapsed=flight.elapsed,
-        trajectory=flight.trajectory,
     )
 
 
-def run_single(cfg: RunConfig, keep_trajectory: bool = False) -> RunResult:
-    """Execute one mission deterministically: its flight, then its
-    detection task over the flight's states.
+def run_single(cfg: RunConfig, log=None) -> RunResult:
+    """Execute one mission deterministically: its flight, with its log
+    to ``log`` (see :func:`fly_logged`), then its detection task over the
+    flight's states.
 
     Identical configs (seed included) produce identical results and
     trajectory digests, regardless of process or platform.
     """
     rates = (cfg.detector.fps,) if cfg.detector is not None else ()
-    return _result(cfg, fly_logged(cfg, rates, keep_trajectory))
+    return _result(cfg, fly_logged(cfg, rates, log))
 
 
 _NOT_FLOWN = ("seed", "detector", "camera")

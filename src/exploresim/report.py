@@ -2,7 +2,8 @@
 
 All numeric output uses fixed decimal formatting so artifacts are byte
 stable across platforms and reruns, which the golden-file and
-determinism tests rely on.
+determinism tests rely on.  Artifacts are parsed a line at a time, as
+they are read; an error names the first bad line in file order.
 """
 
 from __future__ import annotations
@@ -69,18 +70,18 @@ def detections_csv(result: RunResult, arena: Arena) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_rows(lines: list[str], row) -> list:
-    """``row`` of each line after the header; a :class:`SimError` names the
-    first line that ``row`` rejects with a ``ValueError``."""
-    try:
-        return [row(line) for line in lines[1:]]
-    except ValueError:
-        for n, line in enumerate(lines[1:], 2):
-            try:
-                row(line)
-            except ValueError as exc:
-                raise SimError(f"line {n}: {exc}") from None
-        raise
+def _parse_lines(lines, header: str, row):
+    """``row`` of each line after the header line ``header``, as it is read; a
+    :class:`SimError` names the first line that ``row`` rejects with a ``ValueError``."""
+    lines = iter(lines)
+    if next(lines, "").rstrip("\n") != header:
+        raise SimError(f"line 1: expected the header {header!r}")
+    for n, line in enumerate(lines, 2):
+        try:
+            value = row(line.rstrip("\n"))
+        except ValueError as exc:
+            raise SimError(f"line {n}: {exc}") from None
+        yield value
 
 
 def _finite(text: str) -> float:
@@ -90,30 +91,21 @@ def _finite(text: str) -> float:
     return value
 
 
-def _trajectory_row(line: str) -> tuple[float, ...]:
-    row = tuple(map(_finite, line.split(",")))
-    if len(row) != _TRAJECTORY_FIELDS:
-        raise ValueError(f"expected {_TRAJECTORY_FIELDS} fields, got {len(row)}")
+def _sample(line: str) -> tuple[float, ...]:
+    row = tuple(map(float, line.split(",")))
+    if len(row) != _TRAJECTORY_FIELDS or not all(map(math.isfinite, row)):
+        raise ValueError(f"expected {_TRAJECTORY_FIELDS} finite numbers, got {line!r}")
     return row
 
 
-def parse_trajectory(text: str) -> list[tuple[float, float, float, float, float, float]]:
-    lines = text.splitlines()
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise SimError("trajectory log is missing its header row")
-    try:
-        rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-        # a NaN or infinity makes the sum non-finite; so would an overflow,
-        # which the slow path then accepts value by value
-        if set(map(len, rows)) <= {_TRAJECTORY_FIELDS} and math.isfinite(sum(map(sum, rows))):
-            return rows
-    except ValueError:
-        pass
-    return _parse_rows(lines, _trajectory_row)  # names the first bad line
+def parse_trajectory(lines):
+    """The samples ``(t, x, y, heading, v_cmd, omega_cmd)`` of the trajectory
+    log ``lines``, as they are read; each line holds six finite numbers."""
+    return _parse_lines(lines, TRAJECTORY_HEADER, _sample)
 
 
-def replay_trajectory(text: str, width: float, height: float):
-    """Replay a trajectory log into a fresh occupancy grid.
+def replay_trajectory(lines, width: float, height: float):
+    """Replay the lines of a trajectory log into a fresh occupancy grid as they are read.
 
     Yields ``(t, grid)`` for the start sample (empty grid) and then after
     marking each later sample with the time gap to its predecessor,
@@ -121,49 +113,41 @@ def replay_trajectory(text: str, width: float, height: float):
     the room (a collision's crash state); it is clamped into it.  The grid
     is one object updated in place.  After the last sample it matches the
     run's grid cell for cell because the loop marks log-quantized
-    coordinates.  A malformed row, a ``t`` that does not increase or an
-    earlier sample outside the room raises :class:`SimError` naming its
-    line; a row is malformed unless it holds six finite numbers.
+    coordinates.  The first bad line in file order raises
+    :class:`SimError` naming it: a malformed row, a ``t`` that does not
+    increase, or a sample outside the room that another line follows.
     """
-    rows = parse_trajectory(text)
-    if not rows:
-        raise SimError("trajectory log has no samples")
-    final = len(rows) + 1  # line number of the last sample
-
-    def outside(n: int, x: float, y: float) -> SimError:
-        return SimError(f"line {n}: ({x}, {y}) lies outside the {width} x {height} m room")
-
-    if len(rows) > 1 and not (0.0 <= rows[0][1] <= width and 0.0 <= rows[0][2] <= height):
-        raise outside(2, rows[0][1], rows[0][2])
+    lines = iter(lines)  # shared with the parser: the line after a sample is unread
     grid = OccupancyGrid(width, height)
-    yield rows[0][0], grid
-    for n, (prev, cur) in enumerate(zip(rows, rows[1:]), 3):
-        dt = cur[0] - prev[0]
-        if not dt > 0.0:
+    prev_t = None
+    for n, (t, x, y, *_) in enumerate(parse_trajectory(lines), 2):
+        if prev_t is not None and not t - prev_t > 0.0:
             raise SimError(f"line {n}: t does not increase")
-        x, y = cur[1], cur[2]
         if not (0.0 <= x <= width and 0.0 <= y <= height):
-            if n != final:
-                raise outside(n, x, y)
-            x = min(max(x, 0.0), width)
-            y = min(max(y, 0.0), height)
-        grid.mark(x, y, dt)
-        yield cur[0], grid
+            if next(lines, None) is not None:
+                raise SimError(f"line {n}: ({x}, {y}) lies outside the {width} x {height} m room")
+            x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
+        if prev_t is not None:
+            grid.mark(x, y, t - prev_t)
+        prev_t = t
+        yield t, grid
+    if prev_t is None:
+        raise SimError("trajectory log has no samples")
 
 
-def coverage_series_csv(text: str, width: float, height: float) -> str:
-    """Coverage over time recomputed from a trajectory log."""
-    out = [SERIES_CSV_HEADER]
-    for t, grid in replay_trajectory(text, width, height):
-        out.append(f"{t:.6f},{grid.coverage():.6f}")
-    return "\n".join(out) + "\n"
+def coverage_series_csv(lines, width: float, height: float, out) -> str:
+    """Write the coverage over time replayed from the trajectory log ``lines``
+    to the open text file ``out``; return the final coverage as written."""
+    out.write(SERIES_CSV_HEADER + "\n")
+    for t, grid in replay_trajectory(lines, width, height):
+        coverage = f"{grid.coverage():.6f}"
+        out.write(f"{t:.6f},{coverage}\n")
+    return coverage
 
 
-def parse_runs_csv(text: str) -> list[SweepRow]:
-    lines = text.splitlines()
-    if not lines or lines[0] != RUNS_CSV_HEADER:
-        raise SimError("runs table is missing its header row")
-    return [row for row in _parse_rows(lines, _runs_row) if row is not None]
+def parse_runs_csv(lines) -> list[SweepRow]:
+    """The rows of a runs table, an iterable of its lines."""
+    return [row for row in _parse_lines(lines, RUNS_CSV_HEADER, _runs_row) if row is not None]
 
 
 def _runs_row(line: str) -> SweepRow | None:
@@ -182,3 +166,15 @@ def _runs_row(line: str) -> SweepRow | None:
         energy_j=_finite(energy),
         digest=int(digest, 16),
     )
+
+
+def parse_detections_csv(lines) -> list[tuple[int, str, float]]:
+    """``(object_id, class, t_first_seen)`` of each row of a detections log."""
+    return list(_parse_lines(lines, DETECTIONS_CSV_HEADER, _detections_row))
+
+
+def _detections_row(line: str) -> tuple[int, str, float]:
+    oid, cls, t = line.split(",")
+    if not cls:
+        raise ValueError("no object class")
+    return int(oid), cls, _finite(t)

@@ -159,7 +159,7 @@ class TestSweep:
         code = run_cli("sweep", "--runs-per-config", "2", "--out", str(out),
                        *SMALL_SWEEP)
         assert code == 0
-        rows = parse_runs_csv((out / "runs.csv").read_text())
+        rows = parse_runs_csv((out / "runs.csv").read_text().splitlines())
         assert len(rows) == 4
         assert (out / "aggregate.csv").exists()
         assert (out / "heatmap_pseudo-random_0.5.csv").exists()
@@ -178,7 +178,7 @@ class TestSweep:
         code = run_cli("sweep", "--runs-per-config", "1", "--out", str(out),
                        "--set", "sweep.duration=5.0")
         assert code == 0
-        rows = parse_runs_csv((out / "runs.csv").read_text())
+        rows = parse_runs_csv((out / "runs.csv").read_text().splitlines())
         assert len(rows) == 12  # 4 policies x 3 speeds
 
     def test_detector_sweep_without_objects_leaves_rates_blank(self, tmp_path):
@@ -325,6 +325,56 @@ class TestReport:
         path.write_text(path.read_text() + row + "\n")
         assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: line 4: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("object_id,class,t_first_seen\nnot,a,row,at,all\n", 2),
+        ("object_id,class,t_first_seen\n1,bottle,nan\n", 2),
+        ("object_id,class,t_first_seen\n1,bottle,1.000000\nx,cup,2.000000\n", 3),
+        ("object_id,class,t_first_seen\n1,,1.000000\n", 2),
+        ("object_id,class,t_first_seen\n1,bottle\n", 2),
+        ("1,bottle,1.000000\n", 1),  # no header row
+        ("", 1),
+    ])
+    def test_malformed_detections_exit_1(self, tmp_path, capsys, text, line_no):
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "1", "--out", str(src)) == 0
+        path = src / "detections.csv"
+        path.write_text(text)
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {line_no}: ")
+        assert not out.exists()
+
+    def test_undecodable_byte_mid_stream_exits_1(self, tmp_path, capsys):
+        # past the first read of the file: the replay has begun when it fails
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "10", "--out", str(src)) == 0
+        path = src / "trajectory.csv"
+        data = path.read_bytes()
+        assert len(data) > 3 * 8192
+        path.write_bytes(data[:-20] + b"\xff" + data[-19:])
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits, message", [
+        # t stops increasing on line 4, line 6 does not parse
+        ({4: 3, 6: "0.100000,x,1,0,0,0"}, "line 4: t does not increase"),
+        # line 3 lies outside the room and is not the last; line 4 does not parse
+        ({3: "0.020000,1000000.000000,1,0,0,0", 4: "0.040000"}, "line 3: "),
+        # line 5 lies outside the room and is not the last; line 7 repeats line 6
+        ({5: "0.060000,3.250000,-1.000000,0,0,0", 7: 6}, "line 5: "),
+    ])
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path, capsys, edits, message):
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "1", "--out", str(src)) == 0
+        path = src / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        for line_no, text in edits.items():
+            lines[line_no - 1] = lines[text - 1] if isinstance(text, int) else text
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not out.exists()
 
 

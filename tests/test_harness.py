@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import replace
 
@@ -22,6 +23,13 @@ def make_cfg(**kw):
     return RunConfig(**base)
 
 
+def logged(cfg):
+    """``run_single(cfg)`` and the lines of the trajectory log it wrote."""
+    log = io.StringIO()
+    res = run_single(cfg, log)
+    return res, log.getvalue().splitlines(keepends=True)
+
+
 class TestRunSingle:
     def test_deterministic_digest(self):
         a = run_single(make_cfg())
@@ -37,8 +45,8 @@ class TestRunSingle:
         assert res.elapsed == pytest.approx(180.0, abs=1e-6)
 
     def test_trajectory_log_shape(self):
-        res = run_single(make_cfg(duration=10.0), keep_trajectory=True)
-        rows = parse_trajectory("".join(res.trajectory))
+        _, lines = logged(make_cfg(duration=10.0))
+        rows = list(parse_trajectory(lines))
         assert len(rows) == 501  # 500 control ticks + terminal state row
         assert rows[0][0] == 0.0
         assert rows[-1][0] == pytest.approx(10.0)
@@ -46,10 +54,9 @@ class TestRunSingle:
 
     def test_coverage_recomputable_from_log(self):
         for policy, speed in (("pseudo-random", 0.5), ("spiral", 1.0)):
-            res = run_single(make_cfg(policy=policy,
-                                      policy_cfg=PolicyConfig(cruise_speed=speed)),
-                             keep_trajectory=True)
-            _, replay = list(replay_trajectory("".join(res.trajectory), 6.5, 5.5))[-1]
+            res, lines = logged(make_cfg(policy=policy,
+                                         policy_cfg=PolicyConfig(cruise_speed=speed)))
+            _, replay = list(replay_trajectory(lines, 6.5, 5.5))[-1]
             assert replay.coverage() == res.coverage
             assert replay.dwell == pytest.approx(res.grid.dwell, abs=1e-9)
 
@@ -59,7 +66,7 @@ class TestRunSingle:
         # exactly as in the mission, or the traced ticks leave its trajectory
         cfg = make_cfg(policy=policy, seed=3, duration=30.0,
                        tof=TofConfig(noise_sigma=0.02))
-        rows = parse_trajectory("".join(run_single(cfg, keep_trajectory=True).trajectory))
+        rows = list(parse_trajectory(logged(cfg)[1]))
         ticks = list(fly(cfg))
         assert len(ticks) == len(rows) - 1
         for row, (t, seen, _, _, sp, _, _) in zip(rows, ticks):

@@ -4,10 +4,12 @@
 memoises the text of repeated set-points, formats a coordinate again only
 when it changes, and hashes a chunk of rows at a time.  The reference
 here formats every field of every tick from ``harness.fly``'s yields with
-a plain ``f"{v:.6f}"`` and hashes the joined rows once.
+a plain ``f"{v:.6f}"`` and hashes the joined rows once.  The log is
+written a chunk at a time as the flight goes, and replayed as it is read.
 """
 
 import hashlib
+import io
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from exploresim import harness, policies
 from exploresim.arena import Arena, default_arena
 from exploresim.harness import TRAJECTORY_HEADER, RunConfig, fly, fly_logged
 from exploresim.policies import POLICY_KINDS
+from exploresim.report import replay_trajectory
 from exploresim.vehicle import Setpoint
 
 CHUNK = harness._LOG_CHUNK
@@ -61,9 +64,10 @@ def test_colliding_start_collides_in_the_boxed_room():
 def test_fast_log_equals_plain_log(policy, dt, n_ticks, boxed, start, seed):
     cfg = RunConfig(arena=BOXED if boxed else default_arena(), policy=policy,
                     control_dt=dt, duration=n_ticks * dt, start=start, seed=seed)
-    flight = fly_logged(cfg, keep_trajectory=True)
+    log = io.StringIO()
+    flight = fly_logged(cfg, log=log)
     expected = plain_log(cfg)
-    assert flight.trajectory == expected
+    assert log.getvalue().splitlines(keepends=True) == expected
     assert flight.digest == digest(expected)
     assert flight.elapsed == (len(expected) - 2) * dt
 
@@ -82,11 +86,49 @@ def test_signed_zero_set_points_keep_their_sign(monkeypatch):
     # the start heading -0.0 turns into 0.0 on the first tick
     cfg = RunConfig(arena=default_arena(), policy="wall-following", duration=n_ticks * 0.02,
                     start=(3.25, 2.75, -0.0))
-    flight = fly_logged(cfg, keep_trajectory=True)
-    ticks = flight.trajectory[1:-1]
+    log = io.StringIO()
+    flight = fly_logged(cfg, log=log)
+    ticks = log.getvalue().splitlines(keepends=True)[1:-1]
     assert len(ticks) == n_ticks
     for i, row in enumerate(ticks):
         tail = "-0.000000,-0.000000\n" if i % 2 == 0 else "0.000000,0.000000\n"
         assert row.endswith("," + tail), (i, row)
     calls.clear()
     assert flight.digest == digest(plain_log(cfg))
+
+
+class RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_log_is_written_a_chunk_at_a_time():
+    cfg = RunConfig(arena=default_arena(), policy="spiral", duration=(3 * CHUNK + 7) * 0.02)
+    sink = RecordingSink()
+    fly_logged(cfg, log=sink)
+    assert len(sink.writes) >= 4
+    assert max(text.count("\n") for text in sink.writes) <= CHUNK
+    assert "".join(sink.writes) == "".join(plain_log(cfg))
+
+
+def test_replay_yields_before_the_log_is_read():
+    cfg = RunConfig(arena=default_arena(), policy="spiral", duration=10.0)
+    log = io.StringIO()
+    fly_logged(cfg, log=log)
+    lines = log.getvalue().splitlines(keepends=True)
+    read = []
+
+    def source():
+        for line in lines:
+            read.append(line)
+            yield line
+
+    replay = replay_trajectory(source(), 6.5, 5.5)
+    t, grid = next(replay)
+    assert (t, grid.coverage()) == (0.0, 0.0)
+    assert read == lines[:2]  # the header and the start sample
+    assert sum(1 for _ in replay) == len(lines) - 2
+    assert read == lines
