@@ -8,8 +8,8 @@ looks for.  An :class:`Arena` is immutable after construction and safe
 to share across concurrently executing runs.
 
 The geometric primitives of every control tick are methods of
-:class:`Arena`: ray casting (slab method), point-in-free-space and disc
-collision.
+:class:`Arena`: ray casting (slab method) and disc collision; the
+point-in-free-space test checks positions where they enter.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidOriginError, ValidationError
+from .errors import ValidationError
 from .kinds import INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, check_fields, choice
 
 OBJECT_CLASSES = ("bottle", "tin_can")
@@ -107,17 +107,12 @@ class Arena:
         return (f"Arena({self.width!r}, {self.height!r}, obstacles={self.obstacles!r}, "
                 f"objects={self.objects!r})")
 
-    def raycast(self, ox: float, oy: float, heading: float, *,
-                origin_checked: bool = False) -> float:
+    def raycast(self, ox: float, oy: float, heading: float) -> float:
         """Exact distance to the first obstacle face or room wall.
 
-        Raises :class:`InvalidOriginError` if the origin is not in free
-        space; walls enclose the room, so the result is always finite.
-        A caller that casts several rays from one origin checks it once
-        with :meth:`check_origin` and passes ``origin_checked=True``.
+        The origin must be in free space (:meth:`in_free_space`), which is
+        not checked here; walls then enclose it, so the result is finite.
         """
-        if not origin_checked:
-            self.check_origin(ox, oy)
         dx = math.cos(heading)
         dy = math.sin(heading)
         if dx > 0.0:
@@ -168,11 +163,6 @@ class Arena:
             if tmin <= tmax and tmin > 0.0 and tmin < t:
                 t = tmin
         return t
-
-    def check_origin(self, ox: float, oy: float) -> None:
-        """Raise :class:`InvalidOriginError` unless (ox, oy) is in free space."""
-        if not self.in_free_space(ox, oy):
-            raise InvalidOriginError(f"ray origin ({ox}, {oy}) is not in free space")
 
     def in_free_space(self, x: float, y: float) -> bool:
         """True iff strictly inside the room and outside every obstacle."""

@@ -16,15 +16,3 @@ class ValidationError(SimError, ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
-
-    def __reduce__(self):
-        # rebuilt from both fields when a sweep worker sends it back
-        return type(self), (self.path, self.message)
-
-
-class InvalidOriginError(SimError):
-    """Ray origin lies outside the room or inside an obstacle."""
-
-
-class OutOfBoundsError(SimError):
-    """A position landed outside the room where one was required inside."""

@@ -48,7 +48,8 @@ from .arena import Arena, default_arena
 from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detection,
                         detection_rate)
 from .errors import SimError, ValidationError
-from .kinds import COUNT, POSE, POSITIVE, SEED, TIME_STEP, check_fields, choice, list_of, nullable
+from .kinds import (COUNT, POSE, POSITIVE, RADIUS, SEED, TIME_STEP, check_fields, choice,
+                    list_of, nullable)
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_draws, policy_step
 from .seeding import derive_seed
@@ -95,7 +96,7 @@ class RunConfig:
     omega_max: float = DEFAULT_OMEGA_MAX
 
     KINDS = {"policy": POLICY_NAME, "duration": POSITIVE, "seed": SEED,
-             "start": nullable(POSE), "control_dt": TIME_STEP, "drone_radius": POSITIVE,
+             "start": nullable(POSE), "control_dt": TIME_STEP, "drone_radius": RADIUS,
              "v_max": POSITIVE, "omega_max": POSITIVE}
 
     def validate(self) -> None:
@@ -110,7 +111,8 @@ class RunConfig:
         if self.policy_cfg.trigger_dist > self.tof.max_range + _EPS:
             raise ValidationError("policy.trigger_dist", "exceeds tof.max_range")
         x0, y0, _ = self.start_pose()
-        if not self.arena.in_free_space(x0, y0) or self.arena.disc_blocked(x0, y0, self.drone_radius):
+        # a start the airframe clears is in free space (see kinds.RADIUS)
+        if self.arena.disc_blocked(x0, y0, self.drone_radius):
             raise ValidationError("run.start", f"({x0}, {y0}) is not in free space")
 
     def n_ticks(self) -> int:
@@ -160,6 +162,8 @@ def fly(cfg: RunConfig):
     """The control task of one mission: validate ``cfg``, then per tick
     refresh the ranging frame if due, step the policy, integrate the
     vehicle and test the airframe disc at the new state for a collision.
+    Each state it senses from, the start or one the disc cleared, is in
+    free space (see :data:`kinds.RADIUS`).
 
     Yields ``(t, state_seen, frame, ps, sp, next_state, blocked)`` per
     tick; stops after the last tick or the first blocked one.  Once run

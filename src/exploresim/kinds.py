@@ -64,6 +64,14 @@ SCAN_STEP = Kind("a finite angle >= pi/180 (1 degree)", _real,
 # tick 0, which never comes; 1 s (50 times the default) puts it at tick 1
 # or later for any fps <= 1000
 TIME_STEP = Kind("a time step in [0.001, 1] s", _real, lambda x: 0.001 <= x <= 1.0)
+# the airframe disc clears a state only if x - r >= 0, x + r <= width (and so
+# for y) and its squared distance to every box is >= r^2: 1e-170 m squared to
+# 0 and let the centre into a box.  From 1 mm up, x - r >= 0 gives x > 0,
+# x + r <= width gives x < width (r exceeds the float spacing at any room
+# side), and distance^2 >= r^2 > 0 keeps the centre out of every closed box:
+# every state the flight senses from, the checked start or a cleared one,
+# lies in free space, and its six-decimal coordinates inside the room
+RADIUS = Kind("a finite length >= 0.001 m", _real, lambda x: 0.001 <= x < math.inf)
 # a room has (width / 0.5 m) x (height / 0.5 m) dwell cells: 1e300 m
 # overflowed; 100 m x 100 m is 40 000 cells
 ROOM_SIDE = Kind("a length in (0, 100] m", _real, lambda x: 0.0 < x <= 100.0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfBoundsError, SimError
+from .errors import SimError
 
 DEFAULT_CELL_SIZE = 0.5
 HEATMAP_SATURATION_S = 18.0
@@ -42,11 +42,12 @@ class OccupancyGrid:
         return c, r
 
     def mark(self, x: float, y: float, dt: float) -> None:
-        """Deposit dt seconds of dwell into the cell containing (x, y)."""
-        if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
-            raise OutOfBoundsError(f"position ({x}, {y}) outside the room")
-        if dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        """Deposit dt seconds of dwell into the cell containing (x, y).
+
+        Not checked here: (x, y) must lie in the closed room and dt be
+        > 0.  A flight marks six-decimal free-space states and a clamped
+        crash state; a replay checks the room and that ``t`` increases.
+        """
         c, r = self.cell_index(x, y)
         i = r * self.cols + c
         if self.dwell[i] == 0.0:

@@ -12,7 +12,7 @@ import math
 
 from .arena import Arena
 from .errors import SimError
-from .harness import AggregateRow, SweepRow, TRAJECTORY_HEADER, RunResult
+from .harness import _LOG_CHUNK, AggregateRow, SweepRow, TRAJECTORY_HEADER, RunResult
 from .metrics import OccupancyGrid
 
 RUNS_CSV_HEADER = "policy,speed,detector,run,seed,coverage,detection_rate,collision,energy_j,digest"
@@ -137,11 +137,16 @@ def replay_trajectory(lines, width: float, height: float):
 
 def coverage_series_csv(lines, width: float, height: float, out) -> str:
     """Write the coverage over time replayed from the trajectory log ``lines``
-    to the open text file ``out``; return the final coverage as written."""
-    out.write(SERIES_CSV_HEADER + "\n")
+    to the open text file ``out``, at most ``_LOG_CHUNK`` lines per write;
+    return the final coverage as written."""
+    rows = [SERIES_CSV_HEADER + "\n"]
     for t, grid in replay_trajectory(lines, width, height):
         coverage = f"{grid.coverage():.6f}"
-        out.write(f"{t:.6f},{coverage}\n")
+        rows.append(f"{t:.6f},{coverage}\n")
+        if len(rows) == _LOG_CHUNK:
+            out.write("".join(rows))
+            rows = []
+    out.write("".join(rows))
     return coverage
 
 

@@ -73,19 +73,18 @@ class TofBank:
 
         The first frame is measured at t=0; afterwards a new measurement
         happens on the first call at or after each sensor period.  With
-        ``noise_sigma`` zero the rng is never touched.  The four beams
-        share one origin, which is checked once per refresh.
+        ``noise_sigma`` zero the rng is never touched.  ``state`` must be in
+        free space, as every state a flight senses from is.
         """
         if t < self._due:
             return self._frame
         x, y, heading = state.x, state.y, state.heading
-        arena.check_origin(x, y)
         raycast = arena.raycast
         readings = []
         sigma = self.cfg.noise_sigma
         max_range = self.cfg.max_range
         for mount in MOUNT_ANGLES:
-            r = raycast(x, y, heading + mount, origin_checked=True)
+            r = raycast(x, y, heading + mount)
             if r > max_range:
                 r = max_range
             if sigma > 0.0:

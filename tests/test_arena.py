@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from exploresim.arena import (DEFAULT_ARENA_DOC, Arena, TargetObject, Vec2,
                               default_arena, load_arena)
-from exploresim.errors import InvalidOriginError, ValidationError
+from exploresim.errors import ValidationError
 
 from oracles import dense_ray_distance
 
@@ -25,14 +25,6 @@ class TestRaycast:
         assert d == pytest.approx(1.0, abs=1e-12)
         oracle = dense_ray_distance(6.5, 5.5, boxed_arena.obstacles, 1.0, 2.5, 0.0)
         assert abs(d - oracle) < 2e-3
-
-    def test_origin_outside_room(self, room):
-        with pytest.raises(InvalidOriginError):
-            room.raycast(-0.1, 2.0, 0.0)
-
-    def test_origin_inside_obstacle(self, boxed_arena):
-        with pytest.raises(InvalidOriginError):
-            boxed_arena.raycast(2.5, 2.5, 0.0)
 
     def test_never_exceeds_farthest_corner(self, room):
         rng = random.Random(7)

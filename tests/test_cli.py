@@ -141,6 +141,12 @@ class TestRun:
           "--speed", "1e-9", "--set", "policy.turn_rate=1e-9", "--detector", "ssd-1.0",
           "--set", "detector.p_detect=1", "--set", "detector.fps=1000"],
          "config error: run.control_dt: "),
+        # 1e-170 m squares to 0, which let the airframe's centre into the box
+        (["--set", 'arena={"width":6.5,"height":5.5,'
+                   '"obstacles":[{"min":[1.5,1.5],"max":[2.2,2.2]}]}',
+          "--set", "run.start=[1.3,1.8,0.0]", "--set", "run.drone_radius=1e-170",
+          "--set", "policy.trigger_dist=0.011", "--duration", "5"],
+         "config error: run.drone_radius: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2

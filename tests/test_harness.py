@@ -3,9 +3,12 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from exploresim import harness
+from exploresim import harness, policies
 from exploresim.arena import DEFAULT_ARENA_DOC, Arena, default_arena, load_arena
+from exploresim.cli import main
 from exploresim.detection import DETECTORS
 from exploresim.errors import SimError, ValidationError
 from exploresim.harness import (RunConfig, SweepSpec, aggregate,
@@ -281,6 +284,28 @@ class TestFlights:
         with pytest.raises(SimError, match="program error"):
             run_single(make_cfg(duration=30.0))
 
+    def test_a_batch_task_labels_a_program_error(self, monkeypatch, tmp_path, capsys):
+        # wall-following is declared not to draw: its flight key leaves the seed out
+        state, step, draws = policies._POLICIES["wall-following"]
+
+        def drawing_step(ps, tof, heading, dt, cfg, rng):
+            rng.random()
+            return step(ps, tof, heading, dt, cfg, rng)
+
+        monkeypatch.setitem(policies._POLICIES, "wall-following", (state, drawing_step, draws))
+        spec = SweepSpec(policies=("wall-following",), speeds=(0.5,), runs_per_config=2,
+                         duration=1.0)
+        with pytest.raises(SimError) as err:
+            run_sweep(spec)
+        assert str(err.value).startswith("run failed for wall-following/0.5/none seed ")
+        assert "drew from a random stream that its flight key leaves out" in str(err.value)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--runs-per-config", "2",
+                     "--set", 'sweep.policies=["wall-following"]', "--set", "sweep.speeds=[0.5]",
+                     "--set", "sweep.duration=1"]) == 1
+        assert capsys.readouterr().err.startswith("error: run failed for wall-following/0.5/")
+        assert not out.exists()
+
     def test_flight_key(self):
         cfg = make_cfg(policy="spiral")
         rebuilt = make_cfg(policy="spiral", arena=default_arena(), seed=9,
@@ -332,3 +357,39 @@ class TestFlights:
             assert (row.digest, row.coverage, row.detection_rate, row.collision) == \
                 (want.digest, want.coverage, want.detection_rate, want.collision.occurred)
             assert grid.dwell == want.grid.dwell
+
+
+@st.composite
+def boxed_rooms(draw):
+    """A room of 1-8 m sides with 0-3 boxes, some of them touching a wall."""
+    width, height = draw(st.floats(1.0, 8.0)), draw(st.floats(1.0, 8.0))
+    boxes = []
+    for _ in range(draw(st.integers(0, 3))):
+        box = []
+        for side in (width, height):
+            lo = draw(st.floats(0.0, 0.9)) * side
+            box.append((lo, min(lo + draw(st.floats(0.05, 1.0)) * (side - lo), side)))
+        (x0, x1), (y0, y1) = box
+        boxes.append((x0, y0, x1, y1))
+    return Arena(width, height, obstacles=boxes)
+
+
+@given(arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),
+       at=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)),
+       radius=st.floats(0.001, 0.3), noise=st.sampled_from([0.0, 0.02]),
+       speed=st.sampled_from([0.1, 0.5, 1.0]), n_ticks=st.integers(1, 500),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_every_state_a_flight_senses_from_is_in_free_space(arena, policy, at, radius, noise,
+                                                           speed, n_ticks, seed):
+    # ray casts and grid marks rely on this instead of checking each position
+    x, y = at[0] * arena.width, at[1] * arena.height
+    assume(not arena.disc_blocked(x, y, radius))
+    cfg = RunConfig(arena=arena, policy=policy, policy_cfg=PolicyConfig(cruise_speed=speed),
+                    tof=TofConfig(noise_sigma=noise), duration=n_ticks * 0.02,
+                    start=(x, y, at[2]), drone_radius=radius, seed=seed)
+    for _, seen, _, _, _, nxt, blocked in fly(cfg):
+        for state in (seen,) if blocked else (seen, nxt):
+            assert arena.in_free_space(state.x, state.y), state
+            xq, yq = float(f"{state.x:.6f}"), float(f"{state.y:.6f}")
+            assert 0.0 <= xq <= arena.width and 0.0 <= yq <= arena.height, state

@@ -18,7 +18,7 @@ from exploresim import harness, policies
 from exploresim.arena import Arena, default_arena
 from exploresim.harness import TRAJECTORY_HEADER, RunConfig, fly, fly_logged
 from exploresim.policies import POLICY_KINDS
-from exploresim.report import replay_trajectory
+from exploresim.report import SERIES_CSV_HEADER, coverage_series_csv, replay_trajectory
 from exploresim.vehicle import Setpoint
 
 CHUNK = harness._LOG_CHUNK
@@ -112,6 +112,20 @@ def test_log_is_written_a_chunk_at_a_time():
     assert len(sink.writes) >= 4
     assert max(text.count("\n") for text in sink.writes) <= CHUNK
     assert "".join(sink.writes) == "".join(plain_log(cfg))
+
+
+def test_series_is_written_a_chunk_at_a_time():
+    cfg = RunConfig(arena=default_arena(), policy="spiral", duration=(3 * CHUNK + 7) * 0.02)
+    log = io.StringIO()
+    fly_logged(cfg, log=log)
+    lines = log.getvalue().splitlines(keepends=True)
+    sink = RecordingSink()
+    final = coverage_series_csv(lines, 6.5, 5.5, sink)
+    assert len(sink.writes) >= 4
+    assert max(text.count("\n") for text in sink.writes) <= CHUNK
+    rows = [f"{t:.6f},{grid.coverage():.6f}\n" for t, grid in replay_trajectory(lines, 6.5, 5.5)]
+    assert "".join(sink.writes) == SERIES_CSV_HEADER + "\n" + "".join(rows)
+    assert final == rows[-1].rstrip("\n").split(",")[1]
 
 
 def test_replay_yields_before_the_log_is_read():

@@ -1,6 +1,5 @@
 import pytest
 
-from exploresim.errors import OutOfBoundsError
 from exploresim.metrics import (EnergyModel, OccupancyGrid, dwell_matrix_csv,
                                 dwell_matrix_pgm, export_heatmap,
                                 mission_energy, parse_dwell_csv)
@@ -33,10 +32,6 @@ class TestGrid:
         for _ in range(9000):
             grid.mark(3.2, 2.7, 0.02)
         assert grid.total_dwell() == pytest.approx(180.0, abs=1e-6)
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(OutOfBoundsError):
-            default_grid().mark(-0.01, 1.0, 0.02)
 
     def test_coverage(self):
         grid = default_grid()
