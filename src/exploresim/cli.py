@@ -149,7 +149,7 @@ def cmd_sweep(args) -> int:
     spec = build_sweep_spec(cfg_doc)
     template = build_run_config(cfg_doc)
     started = time.perf_counter()
-    sweep = run_sweep(spec, template, jobs=max(1, args.jobs))
+    sweep = run_sweep(spec, template, jobs=args.jobs)
     wall = time.perf_counter() - started
 
     out = Path(args.out)

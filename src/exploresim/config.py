@@ -61,8 +61,6 @@ LEAVES = (
     Leaf("run.start", "[x, y, heading_rad] start pose; null starts at the room center"),
     Leaf("run.control_dt", "control tick in seconds (50 Hz default)"),
     Leaf("run.drone_radius", "airframe disc radius in meters"),
-    Leaf("run.v_max", "forward speed command limit, m/s"),
-    Leaf("run.omega_max", "yaw rate command limit, rad/s"),
     Leaf("policy.kind", f"exploration policy: {', '.join(POLICY_KINDS)}", "policy",
          target=RunConfig),
     Leaf("policy.cruise_speed", "mean flight speed, m/s"),
@@ -129,11 +127,13 @@ def load_config(path=None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return cfg
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(str(path), f"not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(str(path), f"cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError(str(path), f"not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ValidationError(str(path), "top level must be an object")
     version = user.pop("schema_version", SCHEMA_VERSION)
@@ -180,6 +180,8 @@ def build_arena(cfg: dict) -> Arena:
         raise ValidationError("arena", str(exc)) from None
     except OSError as exc:
         raise ValidationError("arena", f"cannot read {source!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError("arena", f"{source!r} is not UTF-8: {exc}") from None
 
 
 def _fields(values: dict, target: type) -> dict:

@@ -72,6 +72,10 @@ TIME_STEP = Kind("a time step in [0.001, 1] s", _real, lambda x: 0.001 <= x <= 1
 # every state the flight senses from, the checked start or a cleared one,
 # lies in free space, and its six-decimal coordinates inside the room
 RADIUS = Kind("a finite length >= 0.001 m", _real, lambda x: 0.001 <= x < math.inf)
+# the airframe's command limits: vehicle.step integrates a set-point as
+# given, so a policy's cruise speed and turn rate are bounded here
+SPEED = Kind("a speed in (0, 1] m/s", _real, lambda x: 0.0 < x <= 1.0)
+TURN_RATE = Kind("a turn rate in (0, 2] rad/s", _real, lambda x: 0.0 < x <= 2.0)
 # a room has (width / 0.5 m) x (height / 0.5 m) dwell cells: 1e300 m
 # overflowed; 100 m x 100 m is 40 000 cells
 ROOM_SIDE = Kind("a length in (0, 100] m", _real, lambda x: 0.0 < x <= 100.0)

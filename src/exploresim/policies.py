@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
-from .kinds import POSITIVE, SCAN_STEP, check_fields, choice
+from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, check_fields, choice
 from .sensing import TofFrame
 from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, normalize_heading
 
@@ -65,9 +65,10 @@ class PolicyConfig:
     align_tol: float = 0.05      # in-place turns finish within this, rad
 
     KINDS = {**dict.fromkeys(
-        ("cruise_speed", "trigger_dist", "wall_standoff", "spiral_step", "leg_max",
-         "turn_rate", "k_wall", "kd_wall", "k_heading", "corner_margin", "align_tol"),
-        POSITIVE), "scan_step": SCAN_STEP, "follow_side": choice(("left", "right"))}
+        ("trigger_dist", "wall_standoff", "spiral_step", "leg_max", "k_wall", "kd_wall",
+         "k_heading", "corner_margin", "align_tol"), POSITIVE),
+        "cruise_speed": SPEED, "turn_rate": TURN_RATE, "scan_step": SCAN_STEP,
+        "follow_side": choice(("left", "right"))}
 
     def __post_init__(self):
         check_fields(self)

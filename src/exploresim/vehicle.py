@@ -14,8 +14,6 @@ from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_DRONE_RADIUS = 0.05  # 10 cm diameter airframe
-DEFAULT_V_MAX = 1.0
-DEFAULT_OMEGA_MAX = 2.0
 
 
 def normalize_heading(h: float) -> float:

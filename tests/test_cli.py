@@ -45,11 +45,21 @@ class TestRun:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
-    def test_corrupt_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("as_arena", [False, True], ids=["config", "arena"])
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_text("{not json"),
+        lambda path: path.write_bytes(b'{"run": {"seed": 1}}\xff'),
+        lambda path: None,
+        lambda path: path.mkdir(),
+    ], ids=["bad-json", "undecodable", "missing", "directory"])
+    def test_corrupt_config_exits_2(self, tmp_path, capsys, make, as_arena):
         bad = tmp_path / "cfg.json"
-        bad.write_text("{not json")
-        code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o"))
-        assert code == 2
+        make(bad)
+        argv = ["--set", f"arena={json.dumps(str(bad))}"] if as_arena else ["--config", str(bad)]
+        assert run_cli("run", *argv, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {'arena' if as_arena else bad}: "), err
+        assert not (tmp_path / "o").exists()
 
     def test_duration_override(self, tmp_path):
         out = tmp_path / "short"
@@ -147,6 +157,8 @@ class TestRun:
           "--set", "run.start=[1.3,1.8,0.0]", "--set", "run.drone_radius=1e-170",
           "--set", "policy.trigger_dist=0.011", "--duration", "5"],
          "config error: run.drone_radius: "),
+        # the command limits are the bounds of the keys they limit
+        (["--set", "run.v_max=2"], "config error: run.v_max: unknown config key"),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
@@ -213,13 +225,14 @@ class TestSweep:
         (["--set", 'sweep.policies=["bogus"]'], "sweep.policies"),
         (["--set", "sweep.runs_per_config=0"], "sweep.runs_per_config"),
         (["--set", "sweep.duration=NaN"], "sweep.duration"),
-        (["--set", "sweep.speeds=[5]"], "policy.cruise_speed"),
+        (["--set", "sweep.speeds=[5]"], "sweep.speeds"),
         (["--set", "run.drone_radius=NaN"], "run.drone_radius"),
         (["--set", "run.drone_radius=NaN", "--jobs", "2"], "run.drone_radius"),
         (["--set", "sweep.runs_per_config=2.7"], "config error: sweep.runs_per_config: "),
         (["--set", "heatmap.saturation_s=0"], "config error: heatmap.saturation_s: "),
         (["--set", "sweep.duration=1.011"], "config error: sweep.duration: "),
         (["--set", "sweep.duration=1e308"], "config error: sweep.duration: "),
+        (["--set", "sweep.speeds=[1.5]"], "config error: sweep.speeds: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2

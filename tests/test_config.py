@@ -237,11 +237,8 @@ VALUES = {
 CROSS = {
     "run.control_dt": {"run.duration"},
     "run.drone_radius": {"run.start"},
-    "run.v_max": {"policy.cruise_speed"},
-    "run.omega_max": {"policy.turn_rate"},
     "tof.max_range": {"policy.trigger_dist"},
     "arena": {"run.start"},
-    "sweep.speeds": {"policy.cruise_speed"},
 }
 
 # the key under test is assigned last, so it overrides these

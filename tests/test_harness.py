@@ -1,5 +1,6 @@
 import io
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -188,11 +189,35 @@ class TestSweep:
     def test_every_configuration_checked_before_the_first_mission(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "fly", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValidationError) as err:
-            run_sweep(small_spec(speeds=(0.5, 5.0)))
-        assert err.value.path == "policy.cruise_speed"
-        assert "(sweep configuration pseudo-random/5.0/none)" in str(err.value)
+        boxed = Arena(6.5, 5.5, obstacles=[(3.0, 2.5, 3.5, 3.0)])
+        with pytest.raises(ValidationError):
+            run_sweep(small_spec(), RunConfig(arena=boxed, start=(3.25, 2.75, 0.0)))
         assert calls == []
+
+    @pytest.mark.parametrize("cpus, asked", [(1000, [4]), (2, [2]), (1, []), (None, [])],
+                             ids=["1000-cpus", "2-cpus", "1-cpu", "unknown-cpus"])
+    def test_workers_capped_at_flights_and_cpus(self, monkeypatch, cpus, asked):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sweep = run_sweep(small_spec(runs_per_config=3), jobs=1000)
+        assert sweep.flights == 4
+        assert pools == asked
+        assert sweep.rows == run_sweep(small_spec(runs_per_config=3)).rows
 
     def test_each_distinct_flight_counted_once(self):
         # pseudo-random draws: one flight per run; spiral: one for all three
@@ -203,9 +228,10 @@ class TestSweep:
     def test_errors_tagged_with_configuration(self):
         boxed = Arena(6.5, 5.5, obstacles=[(3.0, 2.5, 3.5, 3.0)])
         template = RunConfig(arena=boxed, start=(3.25, 2.75, 0.0))
-        with pytest.raises(SimError) as err:
+        with pytest.raises(ValidationError) as err:
             run_sweep(small_spec(), template)
-        assert "pseudo-random/0.5" in str(err.value)
+        assert err.value.path == "run.start"
+        assert str(err.value) == "run.start: (3.25, 2.75) is not in free space"
 
 
 class TestAggregateDetection:
