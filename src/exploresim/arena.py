@@ -227,7 +227,7 @@ def load_arena(document) -> Arena:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError("<document>", f"not valid JSON: {exc}") from None
     doc = _entry(document, "", ("width", "height"), ("obstacles", "objects"))
     obstacles = []

@@ -107,7 +107,7 @@ def _assign(cfg: dict, key: str, value) -> None:
     an object whose entries are assigned in turn."""
     if key in LEAF:
         section, _, name = key.rpartition(".")
-        (cfg.setdefault(section, {}) if section else cfg)[name] = copy.deepcopy(value)
+        (cfg.setdefault(section, {}) if section else cfg)[name] = value
     elif key in _SECTIONS:
         if not isinstance(value, dict):
             raise ValidationError(key, "expected an object")
@@ -132,7 +132,7 @@ def load_config(path=None) -> dict:
             user = json.load(fh)
     except OSError as exc:
         raise ValidationError(str(path), f"cannot read: {exc.strerror}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ValidationError(str(path), f"not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ValidationError(str(path), "top level must be an object")
@@ -145,8 +145,9 @@ def load_config(path=None) -> dict:
 
 
 def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
-    """Apply ``key.path=value`` overrides; values parse as JSON or string."""
-    cfg = copy.deepcopy(cfg)
+    """Apply ``key.path=value`` overrides; values parse as JSON or string.
+    Overrides replace values and never change one: ``cfg``'s sections are copied."""
+    cfg = {key: dict(value) if key in _SECTIONS else value for key, value in cfg.items()}
     for item in assignments:
         if "=" not in item:
             raise ValidationError(item, "override must look like key.path=value")
@@ -155,6 +156,8 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:  # not a string that failed to decode
+            raise ValidationError(key.strip(), f"not valid JSON: {exc}") from None
         _assign(cfg, key.strip(), value)
     return cfg
 

@@ -79,8 +79,10 @@ def tick_count(duration: float, dt: float, key: str) -> int:
     return n_ticks
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One mission's parameters, checked when made: any RunConfig can fly."""
+
     arena: Arena
     policy: str = "pseudo-random"
     policy_cfg: PolicyConfig = field(default_factory=PolicyConfig)
@@ -96,9 +98,7 @@ class RunConfig:
     KINDS = {"policy": POLICY_NAME, "duration": POSITIVE, "seed": SEED,
              "start": nullable(POSE), "control_dt": TIME_STEP, "drone_radius": RADIUS}
 
-    def validate(self) -> None:
-        """Raise :class:`ValidationError` on any value this run cannot fly
-        with; its path is the field name, or a config key across fields."""
+    def __post_init__(self):
         check_fields(self)
         self.n_ticks()
         if self.policy_cfg.trigger_dist > self.tof.max_range + _EPS:
@@ -109,7 +109,7 @@ class RunConfig:
             raise ValidationError("run.start", f"({x0}, {y0}) is not in free space")
 
     def n_ticks(self) -> int:
-        """Control ticks in the mission; raises unless a whole number."""
+        """Control ticks in the mission."""
         return tick_count(self.duration, self.control_dt, "run.duration")
 
     def start_pose(self) -> tuple[float, float, float]:
@@ -152,25 +152,24 @@ class Flight:
 
 
 def fly(cfg: RunConfig):
-    """The control task of one mission: validate ``cfg``, then per tick
-    refresh the ranging frame if due, step the policy, integrate the
-    vehicle and test the airframe disc at the new state for a collision.
+    """The control task of one mission (``cfg`` was checked when made):
+    per tick refresh the ranging frame if due, step the policy, integrate
+    the vehicle and test the airframe disc at the new state for a collision.
     Each state it senses from, the start or one the disc cleared, is in
     free space (see :data:`kinds.RADIUS`).
 
     Yields ``(t, state_seen, frame, ps, sp, next_state, blocked)`` per
     tick; stops after the last tick or the first blocked one.  Once run
     to its end it raises :class:`SimError` if it drew from a stream that
-    :func:`flight_key` leaves out: that would be a program error.
+    :func:`_streams` declares undrawn: that would be a program error.
     """
-    cfg.validate()
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
     dt = cfg.control_dt
-    policy_rng = random.Random(derive_seed(cfg.seed, "policy"))
-    noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
-    unused = [rng for rng, used in ((policy_rng, policy_draws(cfg.policy)),
-                                    (noise_rng, cfg.tof.noise_sigma > 0.0)) if not used]
+    streams = _streams(cfg)
+    rngs = {name: random.Random(derive_seed(cfg.seed, name)) for name, _ in streams}
+    policy_rng, noise_rng = rngs["policy"], rngs["noise"]
+    unused = [rngs[name] for name, drawn in streams if not drawn]
     before = [rng.getstate() for rng in unused]
     state = VehicleState(x0, y0, h0)
     kind, policy_cfg, radius = cfg.policy, cfg.policy_cfg, cfg.drone_radius
@@ -222,7 +221,6 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     collision record, keeping the state after every tick that a frame of a
     detector at one of ``frame_rates`` (frames per second) samples.  The
     log goes to ``log``, an open text file or ``None``, a chunk at a time."""
-    cfg.validate()  # before its values reach the grid, the frame ticks or the `t` cache
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
     dt = cfg.control_dt
@@ -339,21 +337,18 @@ def run_single(cfg: RunConfig, log=None) -> RunResult:
 _NOT_FLOWN = ("seed", "detector", "camera")
 
 
+def _streams(cfg: RunConfig) -> tuple[tuple[str, bool], ...]:
+    """``(sub-seed label, drawn)`` of each random stream of a flight of ``cfg``."""
+    return (("policy", policy_draws(cfg.policy)), ("noise", cfg.tof.noise_sigma > 0.0))
+
+
 def flight_key(cfg: RunConfig) -> tuple:
     """What the flight of ``cfg`` depends on: every field but seed, detector
     and camera, by ``repr`` (which, unlike ``==``, tells -0.0 from 0.0, as
-    the log does), plus the policy sub-seed if the policy draws from its
-    stream and the noise sub-seed if the ranging is noisy."""
+    the log does), plus the sub-seed of each stream it draws from."""
     flown = tuple(repr(getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _NOT_FLOWN)
-    policy_seed = derive_seed(cfg.seed, "policy") if policy_draws(cfg.policy) else None
-    noise_seed = derive_seed(cfg.seed, "noise") if cfg.tof.noise_sigma > 0.0 else None
-    return flown, policy_seed, noise_seed
-
-
-def _label(cfg: RunConfig) -> str:
-    """``policy/speed/detector``: the sweep configuration ``cfg`` flies."""
-    det = cfg.detector.name if cfg.detector else "none"
-    return f"{cfg.policy}/{cfg.policy_cfg.cruise_speed}/{det}"
+    return (flown, *(derive_seed(cfg.seed, name) if drawn else None
+                     for name, drawn in _streams(cfg)))
 
 
 def _sweep_task(cfgs: list[RunConfig]) -> list[RunResult]:
@@ -363,18 +358,18 @@ def _sweep_task(cfgs: list[RunConfig]) -> list[RunResult]:
         flight = fly_logged(cfgs[0], [cfg.detector.fps for cfg in cfgs if cfg.detector])
         return [_result(cfg, flight) for cfg in cfgs]
     except SimError as exc:
-        raise SimError(f"run failed for {_label(cfgs[0])} seed {cfgs[0].seed}: {exc}") from exc
+        cfg = cfgs[0]
+        det = cfg.detector.name if cfg.detector else "none"
+        raise SimError(f"run failed for {cfg.policy}/{cfg.policy_cfg.cruise_speed}/{det} "
+                       f"seed {cfg.seed}: {exc}") from exc
 
 
 def run_batch(cfgs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
     """The missions of ``cfgs``, equal to :func:`run_single` of each, in
-    input order.  Every config is checked before the first flight; the
-    configs of one :func:`flight_key` share one flight, flown once, and
-    each runs its own detection task over it.  At ``jobs`` > 1 each
-    distinct flight is one task of a process pool.  Nothing is kept
-    after the call returns."""
-    for cfg in cfgs:
-        cfg.validate()
+    input order; each was checked when made.  The configs of one
+    :func:`flight_key` share one flight, flown once, and each runs its own
+    detection task over it.  At ``jobs`` > 1 each distinct flight is one
+    task of a process pool.  Nothing is kept after the call returns."""
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(flight_key(cfg), []).append(i)
@@ -449,8 +444,8 @@ def run_seed_for(base_seed: int, policy: str, speed: float, detector: str | None
 def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
               jobs: int = 1) -> SweepResult:
     """Execute the full sweep as one :func:`run_batch`; per-run results are
-    independent of the execution order or degree of parallelism.  Every
-    configuration is checked before the first mission flies."""
+    independent of the execution order or degree of parallelism.  Each
+    configuration is checked as ``replace`` builds it, before any flight."""
     if template is None:
         template = RunConfig(arena=default_arena())
     # every run flies spec.duration: check it once, under its own key

@@ -8,6 +8,7 @@ each bound is written once.
 from __future__ import annotations
 
 import math
+import reprlib
 
 from .errors import ValidationError
 
@@ -28,7 +29,8 @@ class Kind:
                 return out
         except (TypeError, ValueError, OverflowError):
             pass
-        raise ValidationError(path, f"must be {self.text}, got {value!r}{note}")
+        # reprlib bounds the echo: repr() of a deeply nested value overflows the stack
+        raise ValidationError(path, f"must be {self.text}, got {reprlib.repr(value)}{note}")
 
 
 def _real(value) -> float:

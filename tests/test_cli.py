@@ -12,6 +12,9 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+DEEP = "[" * 600 + "]" * 600
+
+
 def arena_with(**keys):
     """``--set`` item for a room with one object; ``keys`` replace or add
     entries of that object."""
@@ -51,7 +54,8 @@ class TestRun:
         lambda path: path.write_bytes(b'{"run": {"seed": 1}}\xff'),
         lambda path: None,
         lambda path: path.mkdir(),
-    ], ids=["bad-json", "undecodable", "missing", "directory"])
+        lambda path: path.write_text("[" * 100_000),
+    ], ids=["bad-json", "undecodable", "missing", "directory", "deep"])
     def test_corrupt_config_exits_2(self, tmp_path, capsys, make, as_arena):
         bad = tmp_path / "cfg.json"
         make(bad)
@@ -159,11 +163,18 @@ class TestRun:
          "config error: run.drone_radius: "),
         # the command limits are the bounds of the keys they limit
         (["--set", "run.v_max=2"], "config error: run.v_max: unknown config key"),
+        # decodes, but is too deep to copy or echo in full
+        (["--set", f"run.seed={DEEP}"], "config error: run.seed: "),
+        (["--config", {"run": {"seed": json.loads(DEEP)}}], "config error: run.seed: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
+        if isinstance(argv[-1], dict):  # a --config document: written to a file
+            (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
+            argv = [*argv[:-1], str(tmp_path / "cfg.json")]
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err
+        assert "[" * 8 not in err  # a bad value is echoed to a bounded depth
         assert not (tmp_path / "o").exists()
 
 SMALL_SWEEP = ["--set", 'sweep.policies=["pseudo-random","spiral"]',
@@ -233,6 +244,8 @@ class TestSweep:
         (["--set", "sweep.duration=1.011"], "config error: sweep.duration: "),
         (["--set", "sweep.duration=1e308"], "config error: sweep.duration: "),
         (["--set", "sweep.speeds=[1.5]"], "config error: sweep.speeds: "),
+        # the template's own duration is checked too, though a sweep flies sweep.duration
+        (["--set", "run.duration=0.03"], "config error: run.duration: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2

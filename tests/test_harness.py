@@ -1,7 +1,7 @@
 import io
 import math
 import os
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +32,21 @@ def logged(cfg):
     log = io.StringIO()
     res = run_single(cfg, log)
     return res, log.getvalue().splitlines(keepends=True)
+
+
+class TestRunConfig:
+    def test_checked_when_replaced(self):
+        with pytest.raises(ValidationError) as err:
+            replace(make_cfg(), duration=-1.0)
+        assert err.value.path == "duration"
+        with pytest.raises(ValidationError) as err:
+            replace(make_cfg(), start=(-1.0, 2.0, 0.0))
+        assert err.value.path == "run.start"
+
+    def test_frozen(self):
+        cfg = make_cfg()
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 1
 
 
 class TestRunSingle:
@@ -227,9 +242,8 @@ class TestSweep:
 
     def test_errors_tagged_with_configuration(self):
         boxed = Arena(6.5, 5.5, obstacles=[(3.0, 2.5, 3.5, 3.0)])
-        template = RunConfig(arena=boxed, start=(3.25, 2.75, 0.0))
         with pytest.raises(ValidationError) as err:
-            run_sweep(small_spec(), template)
+            run_sweep(small_spec(), RunConfig(arena=boxed, start=(3.25, 2.75, 0.0)))
         assert err.value.path == "run.start"
         assert str(err.value) == "run.start: (3.25, 2.75) is not in free space"
 
