@@ -8,7 +8,9 @@ runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import reprlib
 import shutil
 import sys
 import tempfile
@@ -181,13 +183,18 @@ def _read(path: Path, parse):
         raise SimError(f"{path}: {exc}") from None
 
 
-def _room(summary) -> tuple[float, float]:
-    """Width and height of the room a ``summary.json`` records."""
+def _record(summary) -> tuple[float, float, object, object]:
+    """Room width and height, coverage and digest that a ``summary.json`` records."""
     try:
-        room = json.load(summary)["arena"]
-        return ROOM_SIDE(room["width"], "arena.width"), ROOM_SIDE(room["height"], "arena.height")
+        doc = json.load(summary)
+    except RecursionError as exc:
+        raise SimError(f"not valid JSON: {exc}") from None
+    try:
+        room = doc["arena"]
+        return (ROOM_SIDE(room["width"], "arena.width"), ROOM_SIDE(room["height"], "arena.height"),
+                doc["coverage"], doc["digest"])
     except (LookupError, TypeError) as exc:
-        raise SimError(f"no arena width and height: {exc!r}") from None
+        raise SimError(f"no arena width and height, coverage and digest: {exc!r}") from None
 
 
 def cmd_report(args) -> int:
@@ -196,10 +203,19 @@ def cmd_report(args) -> int:
     trajectory = src / "trajectory.csv"
     runs = src / "runs.csv"
     if trajectory.exists():
-        width, height = _read(src / "summary.json", _room)
+        summary = src / "summary.json"
+        width, height, coverage, digest = _read(summary, _record)
         detections = src / "detections.csv"
+        hasher = hashlib.blake2b(digest_size=8)
         with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as series:
-            final = _read(trajectory, lambda f: rep.coverage_series_csv(f, width, height, series))
+            final = _read(trajectory, lambda f: rep.coverage_series_csv(
+                rep.hashed(f, hasher), width, height, series))
+            # the run's own record: a log edited or swapped since is not reported
+            for field, replayed, recorded in (("digest", hasher.hexdigest(), digest),
+                                              ("coverage", float(final), coverage)):
+                if replayed != recorded:
+                    raise SimError(f"{trajectory}: {field} {replayed} does not match "
+                                   f"{summary}'s {reprlib.repr(recorded)}")
             found = _read(detections, rep.parse_detections_csv) if detections.exists() else []
             out.mkdir(parents=True, exist_ok=True)
             series.seek(0)

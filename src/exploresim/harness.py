@@ -174,11 +174,13 @@ def fly(cfg: RunConfig):
     state = VehicleState(x0, y0, h0)
     kind, policy_cfg, radius = cfg.policy, cfg.policy_cfg, cfg.drone_radius
     ps = initial_state(kind, policy_cfg, h0, arena, radius)
-    sample = TofBank(cfg.tof).sample
+    bank = TofBank(cfg.tof)
+    sample = bank.sample
     disc_blocked = arena.disc_blocked
     for i in range(cfg.n_ticks()):
         t_i = i * dt
-        frame = sample(arena, state, noise_rng, t_i)
+        if t_i >= bank.due:  # else the held frame is still valid
+            frame = sample(arena, state, noise_rng, t_i)
         ps, sp = policy_step(kind, ps, frame, state.heading, dt, policy_cfg, policy_rng)
         nxt = step(state, sp, dt)
         blocked = disc_blocked(nxt.x, nxt.y, radius)
@@ -248,17 +250,21 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     yq = float(ys)
 
     # time is the tick count times dt, never a running sum; a coordinate's
-    # text is formatted again only when it changes (a zero may change sign)
-    flight = enumerate(fly(cfg), 1)
+    # text is formatted again only when it changes (a zero may change sign),
+    # and a set-point's only when it is not the object of the last tick
+    flight = fly(cfg)
+    last_sp = None
     for first in count(0, _LOG_CHUNK):
         rows = []
         setpoints = {}  # set-point bytes -> "v,omega" text, for this chunk
-        for t_text, (ticks, (_, _, _, _, sp, state, blocked)) in zip(
-                _tick_column(dt, first).split(" "), flight):
-            key = _SETPOINT_KEY(*sp)
-            sp_text = setpoints.get(key)
-            if sp_text is None:
-                sp_text = setpoints[key] = f"{sp[0]:.6f},{sp[1]:.6f}\n"
+        for t_text, ticks, (_, _, _, _, sp, state, blocked) in zip(
+                _tick_column(dt, first).split(" "), count(first + 1), flight):
+            if sp is not last_sp:
+                last_sp = sp
+                key = _SETPOINT_KEY(*sp)
+                sp_text = setpoints.get(key)
+                if sp_text is None:
+                    sp_text = setpoints[key] = f"{sp[0]:.6f},{sp[1]:.6f}\n"
             rows.append(f"{t_text},{xs},{ys},{hs},{sp_text}")
             if state.x != x or not x:
                 x = state.x

@@ -31,28 +31,26 @@ class OccupancyGrid:
         self.dwell = [0.0] * (self.rows * self.cols)
         self._visited = 0
 
-    def cell_index(self, x: float, y: float) -> tuple[int, int]:
-        """(col, row) of the cell containing (x, y), clamped at the far edge."""
-        c = int(x / DEFAULT_CELL_SIZE)
-        r = int(y / DEFAULT_CELL_SIZE)
-        if c >= self.cols:
-            c = self.cols - 1
-        if r >= self.rows:
-            r = self.rows - 1
-        return c, r
-
     def mark(self, x: float, y: float, dt: float) -> None:
-        """Deposit dt seconds of dwell into the cell containing (x, y).
+        """Deposit dt seconds of dwell into the cell containing (x, y); a
+        point on the far edge of the room lands in the edge cell.
 
         Not checked here: (x, y) must lie in the closed room and dt be
         > 0.  A flight marks six-decimal free-space states and a clamped
         crash state; a replay checks the room and that ``t`` increases.
         """
-        c, r = self.cell_index(x, y)
-        i = r * self.cols + c
-        if self.dwell[i] == 0.0:
+        cols = self.cols
+        c = int(x / DEFAULT_CELL_SIZE)
+        if c >= cols:
+            c = cols - 1
+        r = int(y / DEFAULT_CELL_SIZE)
+        if r >= self.rows:
+            r = self.rows - 1
+        i = r * cols + c
+        dwell = self.dwell
+        if dwell[i] == 0.0:
             self._visited += 1
-        self.dwell[i] += dt
+        dwell[i] += dt
 
     @property
     def total_cells(self) -> int:

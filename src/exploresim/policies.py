@@ -79,6 +79,16 @@ class PolicyConfig:
         most ticks of a flight emit it."""
         return Setpoint(self.cruise_speed, 0.0)
 
+    @functools.cached_property
+    def scan_records(self) -> int:
+        """Front ranges recorded per rotate-and-measure scan."""
+        return max(1, round(2.0 * math.pi / self.scan_step))
+
+    @functools.cached_property
+    def scan_turn(self) -> Setpoint:
+        """The in-place turn of a rotate-and-measure scan."""
+        return Setpoint(0.0, self.turn_rate)
+
 
 @dataclass(slots=True)
 class PseudoRandomState:
@@ -95,6 +105,10 @@ class WallFollowState:
     prev_reading: float | None = None  # side reading at the last fresh frame
     prev_t: float = 0.0
     deriv: float = 0.0
+    # the frame a follow set-point was tracked on, and that set-point: until
+    # the next refresh the step returns it; None outside follow mode
+    held_frame: TofFrame | None = None
+    held_sp: Setpoint | None = None
 
 
 @dataclass(slots=True)
@@ -165,7 +179,14 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
 
     Returns (state, setpoint, corner_completed) where corner_completed
     reports a finished post-acquisition corner turn (spiral lap counting).
+
+    In follow mode the set-point is a function of the frame, ``standoff``
+    and the state alone, so a state that tracked the wall on this very
+    frame (a zero-order hold repeats it between refreshes) holds its
+    set-point; a caller that changes ``standoff`` clears it.
     """
+    if ps.held_frame is tof:
+        return ps, ps.held_sp, False
     side_is_left = ps.side == "left"
     if ps.mode == "corner":
         err = normalize_heading(ps.target_heading - heading)
@@ -177,6 +198,7 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         ps.acquired = True
         ps.prev_reading = None
         ps.deriv = 0.0
+        ps.held_frame = ps.held_sp = None
         ps, sp, _ = _boundary_track_step(ps, tof, heading, dt, cfg, standoff)
         return ps, sp, was_acquired
     if ps.mode == "acquire":
@@ -201,6 +223,7 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         ps.mode = "corner"
         ps.prev_reading = None
         ps.deriv = 0.0
+        ps.held_frame = ps.held_sp = None
         ps.target_heading = normalize_heading(heading + delta)
         return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, delta)), False
     side_reading = tof.left if side_is_left else tof.right
@@ -212,7 +235,9 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
             ps = _copy(ps)
             ps.prev_reading = None
             ps.deriv = 0.0
+            ps.held_frame = ps.held_sp = None
         return ps, cfg.cruise, False
+    made = True  # whether ps is a state this step made, which it may hold on
     if ps.prev_reading is None:
         ps = _copy(ps)
         ps.prev_reading = side_reading
@@ -223,10 +248,16 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         ps.prev_reading = side_reading
         ps.prev_t = tof.t
         ps.deriv = deriv
+    else:
+        made = False
     omega = cfg.k_wall * (side_reading - standoff) + cfg.kd_wall * ps.deriv
     if not side_is_left:
         omega = -omega
-    return ps, Setpoint(cfg.cruise_speed, _clamp(omega, cfg.turn_rate)), False
+    sp = Setpoint(cfg.cruise_speed, _clamp(omega, cfg.turn_rate))
+    if made:
+        ps.held_frame = tof
+        ps.held_sp = sp
+    return ps, sp, False
 
 
 def wall_following_step(ps: WallFollowState, tof: TofFrame, heading: float,
@@ -269,6 +300,7 @@ def spiral_step(ps: SpiralState, tof: TofFrame, heading: float,
             ps.corners_done = 0
             ps.ring_offset = ring
             ps.direction = direction
+            ps.held_frame = ps.held_sp = None  # tracked at the old offset
     return ps, sp
 
 
@@ -290,7 +322,7 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
         ps.rotated = 0.0
         ps.scan_index = 0
         ps.scan_table = ()
-    records = max(1, round(2.0 * math.pi / cfg.scan_step))
+    records = cfg.scan_records
     if ps.scan_index < records:
         rotated = ps.rotated + normalize_heading(heading - ps.prev_heading)
         idx = ps.scan_index
@@ -304,7 +336,7 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
         ps.scan_index = idx
         ps.scan_table = table
         if idx < records:
-            return ps, Setpoint(0.0, cfg.turn_rate)
+            return ps, cfg.scan_turn
         # scan complete: freest direction wins, ties to the lowest index
         best = max(range(records), key=lambda k: table[k])
         ps.leg_heading = normalize_heading(ps.scan_start + cfg.scan_step * best)

@@ -135,13 +135,27 @@ def replay_trajectory(lines, width: float, height: float):
         raise SimError("trajectory log has no samples")
 
 
+def hashed(lines, hasher):
+    """The lines of ``lines`` as they are read, each hashed into ``hasher``
+    first: a trajectory log's digest (see ``harness.fly_logged``) comes
+    out of the pass that replays it."""
+    update = hasher.update
+    for line in lines:
+        update(line.encode())
+        yield line
+
+
 def coverage_series_csv(lines, width: float, height: float, out) -> str:
     """Write the coverage over time replayed from the trajectory log ``lines``
     to the open text file ``out``, at most ``_LOG_CHUNK`` lines per write;
     return the final coverage as written."""
     rows = [SERIES_CSV_HEADER + "\n"]
+    last = None
     for t, grid in replay_trajectory(lines, width, height):
-        coverage = f"{grid.coverage():.6f}"
+        value = grid.coverage()
+        if value != last:  # most samples visit no new cell
+            last = value
+            coverage = f"{value:.6f}"
         rows.append(f"{t:.6f},{coverage}\n")
         if len(rows) == _LOG_CHUNK:
             out.write("".join(rows))

@@ -3,7 +3,8 @@
 Four single-beam ranging sensors (front, left, right, back) return
 line-of-sight distances saturated at ``max_range``.  They refresh on
 their own clock, slower than the control loop, with a zero-order hold in
-between: the run owns one :class:`TofBank` holding the last frame.
+between: the run owns one :class:`TofBank` holding the last frame, and
+samples it only on the ticks where its ``due`` time has come.
 
 The camera model is a forward cone used to decide which target objects
 an inference frame can possibly see; it synthesizes no images.
@@ -60,23 +61,29 @@ class CameraModel:
 
 
 class TofBank:
-    """Owns the zero-order-hold register for one run's ranging sensors."""
+    """Owns the zero-order-hold register for one run's ranging sensors.
+
+    ``due`` is the time from which the next refresh is due: before it,
+    :meth:`sample` returns the held frame, so a caller that keeps the last
+    frame itself may call :meth:`sample` only once ``t >= due``.
+    """
 
     def __init__(self, cfg: TofConfig):
         self.cfg = cfg
         self._period = 1.0 / cfg.rate_hz
         self._frame: TofFrame | None = None
-        self._due = -math.inf  # time from which the next refresh is due
+        self.due = -math.inf
 
     def sample(self, arena: Arena, state: VehicleState, rng, t: float) -> TofFrame:
         """Return the frame valid at time t, refreshing it when due.
 
         The first frame is measured at t=0; afterwards a new measurement
-        happens on the first call at or after each sensor period.  With
-        ``noise_sigma`` zero the rng is never touched.  ``state`` must be in
-        free space, as every state a flight senses from is.
+        happens on the first call at or after each sensor period, and
+        moves ``due`` to the next one.  With ``noise_sigma`` zero the rng
+        is never touched.  ``state`` must be in free space, as every state
+        a flight senses from is.
         """
-        if t < self._due:
+        if t < self.due:
             return self._frame
         x, y, heading = state.x, state.y, state.heading
         raycast = arena.raycast
@@ -96,7 +103,7 @@ class TofBank:
             readings.append(r)
         self._frame = TofFrame(readings[0], readings[1], readings[2], readings[3], t)
         period = self._period
-        self._due = (int(t / period + _TIME_EPS) + 1) * period - _TIME_EPS
+        self.due = (int(t / period + _TIME_EPS) + 1) * period - _TIME_EPS
         return self._frame
 
 

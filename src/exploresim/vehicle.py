@@ -45,8 +45,12 @@ class CollisionRecord:
 
 
 def step(state: VehicleState, sp: Setpoint, dt: float) -> VehicleState:
-    """Advance one control tick under a set-point (midpoint-heading rule)."""
+    """Advance one control tick under a set-point (midpoint-heading rule).
+    A turn in place (``v == 0``) keeps the position without any trig: a
+    flight's positions are never zero, so adding ``0.0 * cos`` changes none."""
     v, omega = sp
+    if not v:
+        return VehicleState(state.x, state.y, normalize_heading(state.heading + omega * dt))
     mid = state.heading + omega * dt * 0.5
     return VehicleState(
         state.x + v * dt * math.cos(mid),

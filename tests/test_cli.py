@@ -336,15 +336,51 @@ class TestReport:
         assert not out.exists()
 
     def test_final_sample_is_clamped_into_the_room(self, tmp_path):
+        # one 1 m tick from x = 6.0 ends the flight, and its log, at x = 7.0
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "2", "--set", "run.control_dt=1.0",
+                       "--set", "run.start=[6.0,2.75,0.0]", "--set", "policy.cruise_speed=1.0",
+                       "--set", "policy.trigger_dist=0.05", "--out", str(src)) == 0
+        last = (src / "trajectory.csv").read_text().splitlines()[-1]
+        assert last.split(",")[:2] == ["1.000000", "7.000000"]
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 0
+        series = (out / "coverage_series.csv").read_text().splitlines()
+        assert series[-1] == f"1.000000,{1 / 143:.6f}"  # the edge cell the crash is clamped to
+
+    def test_deeply_nested_summary_exits_1(self, tmp_path, capsys):
         src, out = tmp_path / "mission", tmp_path / "report"
         assert run_cli("run", "--duration", "1", "--out", str(src)) == 0
-        path = src / "trajectory.csv"
-        lines = path.read_text().splitlines()
-        fields = lines[-1].split(",")
-        lines[-1] = ",".join([fields[0], "6.510000", *fields[2:]])
-        path.write_text("\n".join(lines) + "\n")
-        assert run_cli("report", "--in", str(src), "--out", str(out)) == 0
-        assert (out / "coverage_series.csv").exists()
+        (src / "summary.json").write_text("[" * 100_000)
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {src / 'summary.json'}: not valid JSON: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda lines: lines.__setitem__(10, lines[10].replace(",3.", ",2.", 1)), "digest"),
+        (lambda lines: lines.__setitem__(10, lines[10].rsplit(",", 2)[0] + ",0.400000,0.000000"),
+         "digest"),
+        (lambda lines: lines.pop(10), "digest"),
+        (None, "digest"),  # summary.json of another run
+        (lambda lines: None, "coverage"),  # summary.json's coverage edited
+    ], ids=["coordinate", "setpoint", "dropped-row", "swapped-summary", "coverage"])
+    def test_run_that_differs_from_its_summary_exits_1(self, tmp_path, capsys, edit, field):
+        src, other, out = tmp_path / "mission", tmp_path / "other", tmp_path / "report"
+        assert run_cli("run", "--duration", "1", "--out", str(src)) == 0
+        path, summary = src / "trajectory.csv", src / "summary.json"
+        if edit is None:
+            assert run_cli("run", "--duration", "1", "--speed", "1.0", "--out", str(other)) == 0
+            summary.write_bytes((other / "summary.json").read_bytes())
+        elif field == "coverage":
+            summary.write_text(summary.read_text().replace('"coverage": 0.', '"coverage": 0.9'))
+        else:
+            lines = path.read_text().splitlines()
+            edit(lines)
+            path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {field} ")
+        assert f"does not match {summary}'s " in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("row", [
         "pseudo-random,0.5",

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -17,7 +18,8 @@ from exploresim.harness import (RunConfig, SweepSpec, aggregate,
                                 run_seed_for, run_single, run_sweep)
 from exploresim.policies import POLICY_KINDS, PolicyConfig, policy_draws
 from exploresim.report import parse_trajectory, replay_trajectory
-from exploresim.sensing import TofConfig
+from exploresim.seeding import derive_seed
+from exploresim.sensing import TofBank, TofConfig
 
 
 def make_cfg(**kw):
@@ -32,6 +34,27 @@ def logged(cfg):
     log = io.StringIO()
     res = run_single(cfg, log)
     return res, log.getvalue().splitlines(keepends=True)
+
+
+def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
+    # a 20 Hz bank under a 50 Hz loop refreshes on 3600 of 9000 ticks; each
+    # tick's frame is the one a bank sampled on every tick would hold
+    for tof in (TofConfig(), TofConfig(noise_sigma=0.02)):
+        cfg = make_cfg(tof=tof)
+        calls = []
+        sample = TofBank.sample
+
+        def counted(bank, arena, state, rng, t):
+            calls.append(t)
+            return sample(bank, arena, state, rng, t)
+
+        monkeypatch.setattr(TofBank, "sample", counted)
+        ticks = list(fly(cfg))
+        monkeypatch.undo()
+        assert len(ticks) == 9000 and len(calls) == 3600
+        bank, rng = TofBank(tof), random.Random(derive_seed(cfg.seed, "noise"))
+        assert [frame for _, _, frame, *_ in ticks] == \
+            [bank.sample(cfg.arena, state, rng, t) for t, state, *_ in ticks]
 
 
 class TestRunConfig:

@@ -3,6 +3,7 @@ from collections import namedtuple
 
 import pytest
 
+from exploresim import harness
 from exploresim.arena import Arena, default_arena
 from exploresim.harness import RunConfig, fly
 from exploresim.policies import (POLICY_KINDS, PolicyConfig, PseudoRandomState,
@@ -171,6 +172,20 @@ class TestSpiral:
     def test_state_is_wall_following_subclass(self):
         assert issubclass(SpiralState, WallFollowState)
 
+    def test_lap_edge_without_refresh_tracks_the_new_ring(self):
+        # the fourth corner of a lap ends on a frame that the next tick holds
+        tof = frame(front=4.0, left=0.8, t=1.0)
+        ps = SpiralState(mode="corner", side="left", acquired=True, target_heading=0.0,
+                         ring_offset=0.5, corners_done=3)
+        ps, sp = spiral_step(ps, tof, 0.0, 0.02, CFG, None)
+        assert (ps.ring_offset, ps.corners_done) == (1.0, 0)
+        assert sp.omega == pytest.approx(CFG.k_wall * (0.8 - 0.5))  # tracked at the old ring
+        _, sp = spiral_step(ps, tof, 0.0, 0.02, CFG, None)
+        scratch = SpiralState(mode="follow", side="left", acquired=True, ring_offset=1.0)
+        _, want = spiral_step(scratch, tof, 0.0, 0.02, CFG, None)
+        assert sp == want
+        assert sp.omega == pytest.approx(CFG.k_wall * (0.8 - 1.0))
+
 
 class TestRotateMeasure:
     def test_scan_records_exactly_eight(self, room):
@@ -242,11 +257,35 @@ class TestDispatchAndInvariants:
                 assert abs(tick.sp.v) <= CFG.cruise_speed + 1e-12
                 assert abs(tick.sp.omega) <= CFG.turn_rate + 1e-12
 
-    def test_step_functions_do_not_mutate_input(self):
+    def test_step_functions_do_not_mutate_input(self, room, monkeypatch):
         ps = PseudoRandomState()
         before = repr(ps)
         pseudo_random_step(ps, frame(front=0.5), 0.0, 0.02, CFG, StubRng(0.2))
         assert repr(ps) == before
+        # a follow state that already read this frame's time, but holds nothing
+        ps = WallFollowState(mode="follow", acquired=True, prev_reading=0.6, prev_t=1.0)
+        before = repr(ps)
+        wall_following_step(ps, frame(left=0.6, t=1.0), 0.0, 0.02, CFG, None)
+        assert repr(ps) == before
+        # every step of a 60 s flight of each kind, the held follow set-points too
+        kinds, held = [], set()
+
+        def checked(kind, ps, *args):
+            before = repr(ps)
+            out = policy_step(kind, ps, *args)
+            assert repr(ps) == before, f"{kind} step changed its input"
+            kinds.append(kind)
+            if out[0] is ps and getattr(ps, "held_frame", None) is not None:
+                held.add(kind)
+            return out
+
+        monkeypatch.setattr(harness, "policy_step", checked)
+        for kind in POLICY_KINDS:
+            start = (1.0, 5.0, 0.0) if kind in ("wall-following", "spiral") \
+                else (3.25, 2.75, 0.0)
+            drive(room, kind, CFG, start, 60.0)
+        assert kinds == [kind for kind in POLICY_KINDS for _ in range(3000)]
+        assert held == {"wall-following", "spiral"}
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_identical_seed_identical_sequences(self, room, kind):
