@@ -24,7 +24,7 @@ from .config import (LEAF, LEAVES, apply_overrides, build_run_config, build_swee
 from .detection import DETECTORS
 from .errors import SimError, ValidationError
 from .harness import RunConfig, aggregate, aggregate_detection, run_single, run_sweep
-from .kinds import ROOM_SIDE
+from .kinds import COUNT, ROOM_SIDE
 from .metrics import (HEATMAP_SATURATION_S, EnergyModel, dwell_matrix_pgm, export_heatmap,
                       mean_grid, parse_dwell_csv)
 from .policies import POLICY_KINDS
@@ -145,12 +145,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    jobs = COUNT(args.jobs, "--jobs")
     cfg_doc = _load_cfg(args)
     saturation = check_config(cfg_doc)["heatmap.saturation_s"]
     spec = build_sweep_spec(cfg_doc)
     template = build_run_config(cfg_doc)
     started = time.perf_counter()
-    sweep = run_sweep(spec, template, jobs=args.jobs)
+    sweep = run_sweep(spec, template, jobs=jobs)
     wall = time.perf_counter() - started
 
     out = Path(args.out)

@@ -40,7 +40,6 @@ import heapq
 import math
 import os
 import random
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import count
@@ -207,7 +206,6 @@ def _frame_ticks(fps: float, dt: float):
 
 # ticks per chunk of log rows: the rows of a chunk are hashed as one string
 _LOG_CHUNK = 500
-_SETPOINT_KEY = struct.Struct("<2d").pack  # IEEE bytes: tells -0.0 from 0.0
 
 
 @functools.lru_cache(maxsize=20)  # 10 000 ticks in about 100 kB
@@ -256,15 +254,11 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     last_sp = None
     for first in count(0, _LOG_CHUNK):
         rows = []
-        setpoints = {}  # set-point bytes -> "v,omega" text, for this chunk
         for t_text, ticks, (_, _, _, _, sp, state, blocked) in zip(
                 _tick_column(dt, first).split(" "), count(first + 1), flight):
             if sp is not last_sp:
                 last_sp = sp
-                key = _SETPOINT_KEY(*sp)
-                sp_text = setpoints.get(key)
-                if sp_text is None:
-                    sp_text = setpoints[key] = f"{sp[0]:.6f},{sp[1]:.6f}\n"
+                sp_text = f"{sp[0]:.6f},{sp[1]:.6f}\n"
             rows.append(f"{t_text},{xs},{ys},{hs},{sp_text}")
             if state.x != x or not x:
                 x = state.x

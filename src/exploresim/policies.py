@@ -15,6 +15,8 @@ a forward-speed / yaw-rate set-point:
 Step functions are pure: they never mutate their input state and return
 a (state, set-point) pair.  All rotation happens in place (v = 0) and
 every emitted set-point respects ``cruise_speed`` and ``turn_rate``.
+Every tick of an in-place turn hands out one of the two set-points that
+its ``PolicyConfig`` holds (``turns``).
 
 A policy is one ``_POLICIES`` entry: its fresh state, its step, and
 whether the step draws from its random stream; ``POLICY_KINDS``,
@@ -85,9 +87,10 @@ class PolicyConfig:
         return max(1, round(2.0 * math.pi / self.scan_step))
 
     @functools.cached_property
-    def scan_turn(self) -> Setpoint:
-        """The in-place turn of a rotate-and-measure scan."""
-        return Setpoint(0.0, self.turn_rate)
+    def turns(self) -> tuple[Setpoint, Setpoint]:
+        """The in-place turns, counter-clockwise then clockwise, built once
+        per config; ``turns[x < 0.0]`` turns toward the sign of a nonzero x."""
+        return Setpoint(0.0, self.turn_rate), Setpoint(0.0, -self.turn_rate)
 
 
 @dataclass(slots=True)
@@ -161,7 +164,7 @@ def pseudo_random_step(ps: PseudoRandomState, tof: TofFrame, heading: float,
     if ps.mode == "turning":
         err = normalize_heading(ps.target_heading - heading)
         if abs(err) >= cfg.align_tol:
-            return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, err))
+            return ps, cfg.turns[err < 0.0]
         ps = PseudoRandomState("cruise", ps.target_heading)
     if tof.front <= cfg.trigger_dist:
         # uniform over [pi/2, 3pi/2): turn magnitude in [90, 180] deg, either way
@@ -169,7 +172,7 @@ def pseudo_random_step(ps: PseudoRandomState, tof: TofFrame, heading: float,
         target = normalize_heading(heading + delta)
         ps = PseudoRandomState("turning", target)
         err = normalize_heading(target - heading)
-        return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, err))
+        return ps, cfg.turns[err < 0.0]
     return ps, cfg.cruise
 
 
@@ -191,14 +194,13 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
     if ps.mode == "corner":
         err = normalize_heading(ps.target_heading - heading)
         if abs(err) >= cfg.align_tol:
-            return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, err)), False
+            return ps, cfg.turns[err < 0.0], False
         was_acquired = ps.acquired
+        # the tracking fields are clear: acquire never sets them, and the
+        # way in from follow clears them
         ps = _copy(ps)
         ps.mode = "follow"
         ps.acquired = True
-        ps.prev_reading = None
-        ps.deriv = 0.0
-        ps.held_frame = ps.held_sp = None
         ps, sp, _ = _boundary_track_step(ps, tof, heading, dt, cfg, standoff)
         return ps, sp, was_acquired
     if ps.mode == "acquire":
@@ -209,7 +211,7 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         ps = _copy(ps)
         ps.mode = "corner"
         ps.target_heading = normalize_heading(heading + delta)
-        return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, delta)), False
+        return ps, cfg.turns[delta < 0.0], False
     # follow mode
     if tof.front <= standoff + cfg.corner_margin:
         # corner: 90 deg in place toward the more open side
@@ -225,7 +227,7 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         ps.deriv = 0.0
         ps.held_frame = ps.held_sp = None
         ps.target_heading = normalize_heading(heading + delta)
-        return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, delta)), False
+        return ps, cfg.turns[delta < 0.0], False
     side_reading = tof.left if side_is_left else tof.right
     if side_reading - standoff > _WALL_LOST_MARGIN:
         # wall lost (inner rings mostly): chasing a far reading at full turn
@@ -336,7 +338,7 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
         ps.scan_index = idx
         ps.scan_table = table
         if idx < records:
-            return ps, cfg.scan_turn
+            return ps, cfg.turns[0]
         # scan complete: freest direction wins, ties to the lowest index
         best = max(range(records), key=lambda k: table[k])
         ps.leg_heading = normalize_heading(ps.scan_start + cfg.scan_step * best)
@@ -344,7 +346,7 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
     # align with the chosen leg heading, still in place
     err = normalize_heading(ps.leg_heading - heading)
     if abs(err) >= cfg.align_tol:
-        return ps, Setpoint(0.0, math.copysign(cfg.turn_rate, err))
+        return ps, cfg.turns[err < 0.0]
     ps = _copy(ps)
     ps.mode = "travel"
     ps.leg_travelled = 0.0

@@ -246,6 +246,8 @@ class TestSweep:
         (["--set", "sweep.speeds=[1.5]"], "config error: sweep.speeds: "),
         # the template's own duration is checked too, though a sweep flies sweep.duration
         (["--set", "run.duration=0.03"], "config error: run.duration: "),
+        (["--jobs", "0"], "config error: --jobs: must be an integer >= 1, got 0"),
+        (["--jobs", "-4"], "config error: --jobs: must be an integer >= 1, got -4"),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2

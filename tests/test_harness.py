@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exploresim import harness, policies
-from exploresim.arena import DEFAULT_ARENA_DOC, Arena, default_arena, load_arena
+from exploresim.arena import (DEFAULT_ARENA_DOC, Arena, TargetObject, Vec2, default_arena,
+                              load_arena)
 from exploresim.cli import main
-from exploresim.detection import DETECTORS
+from exploresim.detection import DETECTORS, DetectorModel
 from exploresim.errors import SimError, ValidationError
 from exploresim.harness import (RunConfig, SweepSpec, aggregate,
                                 aggregate_detection, flight_key, fly, run_batch,
@@ -19,7 +20,8 @@ from exploresim.harness import (RunConfig, SweepSpec, aggregate,
 from exploresim.policies import POLICY_KINDS, PolicyConfig, policy_draws
 from exploresim.report import parse_trajectory, replay_trajectory
 from exploresim.seeding import derive_seed
-from exploresim.sensing import TofBank, TofConfig
+from exploresim.sensing import CameraModel, TofBank, TofConfig
+from exploresim.vehicle import DEFAULT_DRONE_RADIUS
 
 
 def make_cfg(**kw):
@@ -456,3 +458,46 @@ def test_every_state_a_flight_senses_from_is_in_free_space(arena, policy, at, ra
             assert arena.in_free_space(state.x, state.y), state
             xq, yq = float(f"{state.x:.6f}"), float(f"{state.y:.6f}")
             assert 0.0 <= xq <= arena.width and 0.0 <= yq <= arena.height, state
+
+
+fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+detectors = st.one_of(st.none(), st.sampled_from(list(DETECTORS.values())),
+                      st.builds(DetectorModel, st.just("custom"), st.floats(0.5, 50.0),
+                                st.floats(0.0, 1.0)))
+cameras = st.builds(CameraModel, st.floats(0.1, 3.0), st.floats(0.1, 5.0))
+
+
+@st.composite
+def batches(draw):
+    """2-5 base missions in one random room, each under 1-3 seeds, detectors
+    and cameras: the missions of a base that do not draw on their seed share
+    one flight, and all of them share the base's ``PolicyConfig``."""
+    room = draw(boxed_rooms())
+    spots = [(u * room.width, v * room.height) for u, v in draw(st.lists(fractions, max_size=3))]
+    arena = Arena(room.width, room.height, room.obstacles,
+                  [TargetObject(i, "bottle", Vec2(x, y)) for i, (x, y) in enumerate(spots)
+                   if room.in_free_space(x, y)])
+    # a start in free space: a filter is an assume that retries the draw
+    starts = fractions.map(lambda f: (f[0] * arena.width, f[1] * arena.height)).filter(
+        lambda at: not arena.disc_blocked(*at, DEFAULT_DRONE_RADIUS))
+    cfgs = []
+    for _ in range(draw(st.integers(2, 5))):
+        (x, y), heading = draw(starts), draw(st.floats(-math.pi, math.pi))
+        dt = draw(st.sampled_from([0.01, 0.02, 0.05]))
+        base = RunConfig(arena=arena, policy=draw(st.sampled_from(POLICY_KINDS)),
+                         policy_cfg=PolicyConfig(cruise_speed=draw(st.floats(0.05, 1.0)),
+                                                 turn_rate=draw(st.floats(0.05, 2.0))),
+                         tof=TofConfig(noise_sigma=draw(st.sampled_from([0.0, 0.02]))),
+                         control_dt=dt, duration=draw(st.integers(1, round(10.0 / dt))) * dt,
+                         start=(x, y, heading))
+        cfgs += [replace(base, seed=draw(st.integers(0, 3)), detector=draw(detectors),
+                         camera=draw(cameras))
+                 for _ in range(draw(st.integers(1, 3)))]
+    return cfgs
+
+
+@given(cfgs=batches())
+@settings(max_examples=25, deadline=None)
+def test_a_random_batch_equals_its_single_runs(cfgs):
+    for got, cfg in zip(run_batch(cfgs), cfgs, strict=True):
+        same_mission(got, run_single(cfg))

@@ -1,8 +1,8 @@
 """The flight's trajectory log equals the plain log of its control ticks.
 
 ``harness.fly_logged`` takes the `t` column from cached per-chunk tables,
-memoises the text of repeated set-points, formats a coordinate again only
-when it changes, and hashes a chunk of rows at a time.  The reference
+formats a set-point again only when it is a new object and a coordinate
+only when it changes, and hashes a chunk of rows at a time.  The reference
 here formats every field of every tick from ``harness.fly``'s yields with
 a plain ``f"{v:.6f}"`` and hashes the joined rows once.  The log is
 written a chunk at a time as the flight goes, and replayed as it is read.

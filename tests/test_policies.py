@@ -267,16 +267,26 @@ class TestDispatchAndInvariants:
         before = repr(ps)
         wall_following_step(ps, frame(left=0.6, t=1.0), 0.0, 0.02, CFG, None)
         assert repr(ps) == before
-        # every step of a 60 s flight of each kind, the held follow set-points too
-        kinds, held = [], set()
+        # every step of a 60 s flight of each kind, the held follow set-points too;
+        # each in-place turn is one of the config's two held turns, and each
+        # corner step starts with the wall-tracking fields clear
+        kinds, held, turned, cornered = [], set(), set(), set()
 
-        def checked(kind, ps, *args):
+        def checked(kind, ps, tof, heading, dt, cfg, rng):
             before = repr(ps)
-            out = policy_step(kind, ps, *args)
+            if ps.mode == "corner":
+                assert (ps.prev_reading, ps.deriv, ps.held_frame, ps.held_sp) == \
+                    (None, 0.0, None, None), f"{kind} corner step with tracking state"
+                cornered.add(kind)
+            out = policy_step(kind, ps, tof, heading, dt, cfg, rng)
             assert repr(ps) == before, f"{kind} step changed its input"
             kinds.append(kind)
             if out[0] is ps and getattr(ps, "held_frame", None) is not None:
                 held.add(kind)
+            sp = out[1]
+            if sp.v == 0.0:
+                assert sp is cfg.turns[0] or sp is cfg.turns[1], f"{kind} built a turn"
+                turned.add(kind)
             return out
 
         monkeypatch.setattr(harness, "policy_step", checked)
@@ -285,7 +295,8 @@ class TestDispatchAndInvariants:
                 else (3.25, 2.75, 0.0)
             drive(room, kind, CFG, start, 60.0)
         assert kinds == [kind for kind in POLICY_KINDS for _ in range(3000)]
-        assert held == {"wall-following", "spiral"}
+        assert held == cornered == {"wall-following", "spiral"}
+        assert turned == set(POLICY_KINDS)
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_identical_seed_identical_sequences(self, room, kind):
