@@ -1,4 +1,4 @@
-"""Pinned end-to-end results: 29 seeded missions recomputed exactly.
+"""Pinned end-to-end results: 33 seeded missions recomputed exactly.
 
 Every other determinism test compares two runs of the current code with
 each other, so a refactor that moves every trajectory the same way
@@ -7,8 +7,9 @@ passes them.  This module compares against values stored in
 rate, collision flag and elapsed time of each case, all compared with
 ``==``.  The cases span every policy at every default speed with and
 without a detector, a room with obstacle boxes (the only cases that
-reach the obstacle loop of the ray cast; two of them collide) and one
-run with ranging noise.
+reach the obstacle loop of the ray cast; two of them collide), the two
+wall trackers following the right-hand wall, and three runs with ranging
+noise.
 
 A change that moves any value is a change of behaviour: re-pin only on
 purpose, with ``PYTHONPATH=src python tests/test_golden.py --write``,
@@ -48,6 +49,11 @@ def cases() -> dict[str, dict]:
         out[f"boxed/{policy}/0.5/ssd-1.0"] = {
             "arena": BOXED_ARENA, "policy.kind": policy, "detector.model": "ssd-1.0"}
     out["noise-0.02/pseudo-random/0.5/none"] = {"tof.noise_sigma": 0.02}
+    for policy in ("wall-following", "spiral"):
+        out[f"follow-right/{policy}/0.5/none"] = {
+            "policy.kind": policy, "policy.follow_side": "right"}
+        out[f"noise-0.02/{policy}/0.5/none"] = {
+            "policy.kind": policy, "tof.noise_sigma": 0.02}
     return out
 
 
