@@ -144,7 +144,9 @@ class Arena:
                 tmin = ta
                 tmax = tb
             else:
-                if ox <= x0 or ox >= x1:
+                # parallel to the slab: closed bounds, as the faces are solid
+                # (in_free_space), so a beam along a face stops at the box
+                if ox < x0 or ox > x1:
                     continue
                 tmin = -_INF
                 tmax = _INF
@@ -158,7 +160,7 @@ class Arena:
                 if tb < tmax:
                     tmax = tb
             else:
-                if oy <= y0 or oy >= y1:
+                if oy < y0 or oy > y1:
                     continue
             if tmin <= tmax and tmin > 0.0 and tmin < t:
                 t = tmin

@@ -445,9 +445,14 @@ def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
               jobs: int = 1) -> SweepResult:
     """Execute the full sweep as one :func:`run_batch`; per-run results are
     independent of the execution order or degree of parallelism.  Each
-    configuration is checked as ``replace`` builds it, before any flight."""
+    configuration is checked as ``replace`` builds it, before any flight.
+    A template with a detector is refused: each run's detector is one of
+    ``spec.detectors``."""
     if template is None:
         template = RunConfig(arena=default_arena())
+    if template.detector is not None:
+        raise ValidationError("detector.model", "a sweep runs the stock models of "
+                              "sweep.detectors; set no detector.* key")
     # every run flies spec.duration: check it once, under its own key
     tick_count(spec.duration, template.control_dt, "sweep.duration")
     cfgs, runs = [], []

@@ -102,15 +102,12 @@ class PseudoRandomState:
 @dataclass(slots=True)
 class WallFollowState:
     mode: str = "acquire"  # acquire | corner | follow
-    side: str = "left"
     acquired: bool = False
     target_heading: float = 0.0
-    prev_reading: float | None = None  # side reading at the last fresh frame
-    prev_t: float = 0.0
+    prev_frame: TofFrame | None = None  # frame of the last side reading
     deriv: float = 0.0
-    # the frame a follow set-point was tracked on, and that set-point: until
-    # the next refresh the step returns it; None outside follow mode
-    held_frame: TofFrame | None = None
+    # the set-point tracked on prev_frame: until the next refresh the step
+    # returns it; None outside follow mode
     held_sp: Setpoint | None = None
 
 
@@ -128,7 +125,6 @@ class RotateMeasureState:
     scan_start: float = 0.0
     prev_heading: float = 0.0
     rotated: float = 0.0
-    scan_index: int = 0
     scan_table: tuple = field(default_factory=tuple)
     leg_heading: float = 0.0
     leg_len: float = 0.0
@@ -188,9 +184,9 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
     frame (a zero-order hold repeats it between refreshes) holds its
     set-point; a caller that changes ``standoff`` clears it.
     """
-    if ps.held_frame is tof:
+    if ps.prev_frame is tof and ps.held_sp is not None:
         return ps, ps.held_sp, False
-    side_is_left = ps.side == "left"
+    side_is_left = cfg.follow_side == "left"
     if ps.mode == "corner":
         err = normalize_heading(ps.target_heading - heading)
         if abs(err) >= cfg.align_tol:
@@ -223,9 +219,8 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
             delta = -math.pi / 2.0 if side_is_left else math.pi / 2.0
         ps = _copy(ps)
         ps.mode = "corner"
-        ps.prev_reading = None
+        ps.prev_frame = ps.held_sp = None
         ps.deriv = 0.0
-        ps.held_frame = ps.held_sp = None
         ps.target_heading = normalize_heading(heading + delta)
         return ps, cfg.turns[delta < 0.0], False
     side_reading = tof.left if side_is_left else tof.right
@@ -233,23 +228,19 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         # wall lost (inner rings mostly): chasing a far reading at full turn
         # authority just circles in place, so cruise straight instead and
         # let the front trigger re-square the heading at the next wall
-        if ps.prev_reading is not None:
+        if ps.prev_frame is not None:
             ps = _copy(ps)
-            ps.prev_reading = None
+            ps.prev_frame = ps.held_sp = None
             ps.deriv = 0.0
-            ps.held_frame = ps.held_sp = None
         return ps, cfg.cruise, False
+    prev = ps.prev_frame
     made = True  # whether ps is a state this step made, which it may hold on
-    if ps.prev_reading is None:
+    if prev is None:
         ps = _copy(ps)
-        ps.prev_reading = side_reading
-        ps.prev_t = tof.t
-    elif tof.t > ps.prev_t:
-        deriv = (side_reading - ps.prev_reading) / (tof.t - ps.prev_t)
+    elif tof.t > prev.t:
+        last = prev.left if side_is_left else prev.right
         ps = _copy(ps)
-        ps.prev_reading = side_reading
-        ps.prev_t = tof.t
-        ps.deriv = deriv
+        ps.deriv = (side_reading - last) / (tof.t - prev.t)
     else:
         made = False
     omega = cfg.k_wall * (side_reading - standoff) + cfg.kd_wall * ps.deriv
@@ -257,7 +248,7 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         omega = -omega
     sp = Setpoint(cfg.cruise_speed, _clamp(omega, cfg.turn_rate))
     if made:
-        ps.held_frame = tof
+        ps.prev_frame = tof
         ps.held_sp = sp
     return ps, sp, False
 
@@ -302,7 +293,7 @@ def spiral_step(ps: SpiralState, tof: TofFrame, heading: float,
             ps.corners_done = 0
             ps.ring_offset = ring
             ps.direction = direction
-            ps.held_frame = ps.held_sp = None  # tracked at the old offset
+            ps.held_sp = None  # tracked at the old offset
     return ps, sp
 
 
@@ -322,20 +313,18 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
         ps.scan_start = heading
         ps.prev_heading = heading
         ps.rotated = 0.0
-        ps.scan_index = 0
         ps.scan_table = ()
     records = cfg.scan_records
-    if ps.scan_index < records:
+    table = ps.scan_table
+    idx = len(table)
+    if idx < records:
         rotated = ps.rotated + normalize_heading(heading - ps.prev_heading)
-        idx = ps.scan_index
-        table = ps.scan_table
         while idx < records and rotated >= idx * cfg.scan_step - _EPS:
             table = table + (tof.front,)
             idx += 1
         ps = _copy(ps)
         ps.prev_heading = heading
         ps.rotated = rotated
-        ps.scan_index = idx
         ps.scan_table = table
         if idx < records:
             return ps, cfg.turns[0]
@@ -355,7 +344,7 @@ def rotate_measure_step(ps: RotateMeasureState, tof: TofFrame, heading: float,
 
 def _spiral_state(cfg: PolicyConfig, heading: float, arena, drone_radius: float) -> SpiralState:
     limit = min(arena.width, arena.height) / 2.0 - drone_radius
-    return SpiralState(side=cfg.follow_side, ring_offset=cfg.wall_standoff, ring_limit=limit)
+    return SpiralState(ring_offset=cfg.wall_standoff, ring_limit=limit)
 
 
 # kind -> (fresh state of (cfg, heading, arena, drone_radius), step, whether
@@ -363,8 +352,7 @@ def _spiral_state(cfg: PolicyConfig, heading: float, arena, drone_radius: float)
 # sweep and runs.csv
 _POLICIES = {
     "pseudo-random": (lambda cfg, h, arena, r: PseudoRandomState(), pseudo_random_step, True),
-    "wall-following": (lambda cfg, h, arena, r: WallFollowState(side=cfg.follow_side),
-                       wall_following_step, False),
+    "wall-following": (lambda cfg, h, arena, r: WallFollowState(), wall_following_step, False),
     "spiral": (_spiral_state, spiral_step, False),
     "rotate-and-measure": (lambda cfg, h, arena, r: RotateMeasureState(scan_start=h,
                                                                        prev_heading=h),

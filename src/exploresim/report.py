@@ -119,19 +119,19 @@ def replay_trajectory(lines, width: float, height: float):
     """
     lines = iter(lines)  # shared with the parser: the line after a sample is unread
     grid = OccupancyGrid(width, height)
-    prev_t = None
+    last_t = None
     for n, (t, x, y, *_) in enumerate(parse_trajectory(lines), 2):
-        if prev_t is not None and not t - prev_t > 0.0:
+        if last_t is not None and not t - last_t > 0.0:
             raise SimError(f"line {n}: t does not increase")
         if not (0.0 <= x <= width and 0.0 <= y <= height):
             if next(lines, None) is not None:
                 raise SimError(f"line {n}: ({x}, {y}) lies outside the {width} x {height} m room")
             x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
-        if prev_t is not None:
-            grid.mark(x, y, t - prev_t)
-        prev_t = t
+        if last_t is not None:
+            grid.mark(x, y, t - last_t)
+        last_t = t
         yield t, grid
-    if prev_t is None:
+    if last_t is None:
         raise SimError("trajectory log has no samples")
 
 

@@ -26,6 +26,16 @@ class TestRaycast:
         oracle = dense_ray_distance(6.5, 5.5, boxed_arena.obstacles, 1.0, 2.5, 0.0)
         assert abs(d - oracle) < 2e-3
 
+    @pytest.mark.parametrize("box", [(0.75, 0.0, 1.0, 0.5), (0.75, 0.5, 1.0, 1.0)],
+                             ids=["top-face", "bottom-face"])
+    def test_beam_along_a_face_hits_the_box(self, box):
+        # face points are not free space: a beam along a face stops at the
+        # box, as one that dips into it by the least angle does
+        arena = Arena(1.0, 1.0, obstacles=[box])
+        dip = -1e-300 if box[3] == 0.5 else 1e-300
+        assert arena.raycast(0.5, 0.5, 0.0) == arena.raycast(0.5, 0.5, dip) == 0.25
+        assert dense_ray_distance(1.0, 1.0, [box], 0.5, 0.5, 0.0) == pytest.approx(0.25, abs=1e-3)
+
     def test_never_exceeds_farthest_corner(self, room):
         rng = random.Random(7)
         for _ in range(500):

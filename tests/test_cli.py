@@ -248,6 +248,10 @@ class TestSweep:
         (["--set", "run.duration=0.03"], "config error: run.duration: "),
         (["--jobs", "0"], "config error: --jobs: must be an integer >= 1, got 0"),
         (["--jobs", "-4"], "config error: --jobs: must be an integer >= 1, got -4"),
+        # a sweep runs sweep.detectors; the template's detector is not dropped silently
+        (["--set", "detector.model=ssd-1.0"], "config error: detector.model: "),
+        (["--set", "detector.p_detect=0.0", "--set", "detector.fps=50",
+          "--set", 'sweep.detectors=["ssd-1.0"]'], "config error: detector.model: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2

@@ -20,8 +20,9 @@ from exploresim.harness import (RunConfig, SweepSpec, aggregate,
 from exploresim.policies import POLICY_KINDS, PolicyConfig, policy_draws
 from exploresim.report import parse_trajectory, replay_trajectory
 from exploresim.seeding import derive_seed
-from exploresim.sensing import CameraModel, TofBank, TofConfig
+from exploresim.sensing import MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
+from oracles import dense_ray_distance
 
 
 def make_cfg(**kw):
@@ -232,6 +233,19 @@ class TestSweep:
         boxed = Arena(6.5, 5.5, obstacles=[(3.0, 2.5, 3.5, 3.0)])
         with pytest.raises(ValidationError):
             run_sweep(small_spec(), RunConfig(arena=boxed, start=(3.25, 2.75, 0.0)))
+        assert calls == []
+
+    @pytest.mark.parametrize("detector", [DETECTORS["ssd-1.0"],
+                                          DetectorModel("custom", 50.0, 0.0)],
+                             ids=["stock", "custom"])
+    def test_template_detector_refused_before_the_first_mission(self, monkeypatch, detector):
+        # the runs' detectors come from spec.detectors; the template's would be dropped
+        calls = []
+        monkeypatch.setattr(harness, "fly", lambda *a, **k: calls.append(a))
+        template = RunConfig(arena=default_arena(), detector=detector)
+        with pytest.raises(ValidationError) as err:
+            run_sweep(small_spec(detectors=("ssd-1.0",)), template)
+        assert err.value.path == "detector.model"
         assert calls == []
 
     @pytest.mark.parametrize("cpus, asked", [(1000, [4]), (2, [2]), (1, []), (None, [])],
@@ -501,3 +515,46 @@ def batches(draw):
 def test_a_random_batch_equals_its_single_runs(cfgs):
     for got, cfg in zip(run_batch(cfgs), cfgs, strict=True):
         same_mission(got, run_single(cfg))
+
+
+def grazes(arena, x, y, heading):
+    """Whether a beam all but parallel to a box face starts on its plane.
+    The 1 mm oracle rounds such a beam back onto the face and hits the
+    box, while the exact cast follows its direction (``sin(math.pi)`` is
+    1.2e-16) off the face and may miss it.  An exactly parallel beam is
+    not left out: both hit the box."""
+    along_x = 0.0 < abs(math.sin(heading)) < 1e-9
+    along_y = 0.0 < abs(math.cos(heading)) < 1e-9
+    return any((along_x and y in (y0, y1)) or (along_y and x in (x0, x1))
+               for x0, y0, x1, y1 in arena.obstacles)
+
+
+@given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),
+       side=st.sampled_from(["left", "right"]), noise=st.sampled_from([0.0, 0.02]),
+       n_ticks=st.integers(1, 500), seed=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, side, noise,
+                                                         n_ticks, seed):
+    u, v = data.draw(fractions.filter(lambda f: not arena.disc_blocked(
+        f[0] * arena.width, f[1] * arena.height, DEFAULT_DRONE_RADIUS)), label="start")
+    cfg = RunConfig(arena=arena, policy=policy, policy_cfg=PolicyConfig(follow_side=side),
+                    tof=TofConfig(noise_sigma=noise), duration=n_ticks * 0.02,
+                    start=(u * arena.width, v * arena.height,
+                           data.draw(st.floats(-math.pi, math.pi), label="heading")),
+                    seed=seed)
+    res = run_single(cfg)
+    assert abs(res.grid.total_dwell() - res.elapsed) <= 1e-9
+    for t, seen, frame, _, _, last, _ in fly(cfg):
+        if frame.t == t:  # refreshed on this tick, from this state
+            sensed = seen, frame
+    assert res.collision.occurred == arena.disc_blocked(last.x, last.y, cfg.drone_radius)
+    if not res.collision.occurred:
+        assert res.elapsed == cfg.duration
+    if noise == 0.0:
+        (state, frame), max_range = sensed, cfg.tof.max_range
+        for mount, reading in zip(MOUNT_ANGLES, frame[:4]):
+            if grazes(arena, state.x, state.y, state.heading + mount):
+                continue
+            want = min(dense_ray_distance(arena.width, arena.height, arena.obstacles,
+                                          state.x, state.y, state.heading + mount), max_range)
+            assert abs(reading - want) <= 0.001 + 1e-9, (mount, reading, want)

@@ -1,5 +1,6 @@
 import math
 from collections import namedtuple
+from dataclasses import replace
 
 import pytest
 
@@ -74,18 +75,18 @@ class TestPseudoRandom:
 
 class TestWallFollowing:
     def test_proportional_pull_toward_standoff(self):
-        ps = WallFollowState(mode="follow", side="left", acquired=True)
+        ps = WallFollowState(mode="follow", acquired=True)
         ps, sp = wall_following_step(ps, frame(front=3.0, left=0.7), 0.0, 0.02, CFG, None)
         assert sp.omega == pytest.approx(1.5 * (0.7 - 0.5))
         assert sp.v == CFG.cruise_speed
 
     def test_on_track_is_straight(self):
-        ps = WallFollowState(mode="follow", side="left", acquired=True)
+        ps = WallFollowState(mode="follow", acquired=True)
         ps, sp = wall_following_step(ps, frame(front=3.0, left=0.5), 0.0, 0.02, CFG, None)
         assert sp.omega == 0.0
 
     def test_corner_turns_toward_larger_side(self):
-        ps = WallFollowState(mode="follow", side="left", acquired=True)
+        ps = WallFollowState(mode="follow", acquired=True)
         ps, sp = wall_following_step(ps, frame(front=0.55, left=0.5, right=3.2),
                                      0.0, 0.02, CFG, None)
         assert ps.mode == "corner"
@@ -93,12 +94,13 @@ class TestWallFollowing:
         assert sp.v == 0.0 and sp.omega == -CFG.turn_rate
 
     def test_right_following_sign(self):
-        ps = WallFollowState(mode="follow", side="right", acquired=True)
-        ps, sp = wall_following_step(ps, frame(front=3.0, right=0.7), 0.0, 0.02, CFG, None)
+        ps = WallFollowState(mode="follow", acquired=True)
+        ps, sp = wall_following_step(ps, frame(front=3.0, right=0.7), 0.0, 0.02,
+                                     replace(CFG, follow_side="right"), None)
         assert sp.omega == pytest.approx(-1.5 * (0.7 - 0.5))
 
     def test_acquire_cruises_then_turns_away_from_followed_side(self):
-        ps = WallFollowState(side="left")
+        ps = WallFollowState()
         ps, sp = wall_following_step(ps, frame(front=3.0), 0.0, 0.02, CFG, None)
         assert ps.mode == "acquire" and sp.v == CFG.cruise_speed
         ps, sp = wall_following_step(ps, frame(front=0.55), 0.0, 0.02, CFG, None)
@@ -175,13 +177,13 @@ class TestSpiral:
     def test_lap_edge_without_refresh_tracks_the_new_ring(self):
         # the fourth corner of a lap ends on a frame that the next tick holds
         tof = frame(front=4.0, left=0.8, t=1.0)
-        ps = SpiralState(mode="corner", side="left", acquired=True, target_heading=0.0,
+        ps = SpiralState(mode="corner", acquired=True, target_heading=0.0,
                          ring_offset=0.5, corners_done=3)
         ps, sp = spiral_step(ps, tof, 0.0, 0.02, CFG, None)
         assert (ps.ring_offset, ps.corners_done) == (1.0, 0)
         assert sp.omega == pytest.approx(CFG.k_wall * (0.8 - 0.5))  # tracked at the old ring
         _, sp = spiral_step(ps, tof, 0.0, 0.02, CFG, None)
-        scratch = SpiralState(mode="follow", side="left", acquired=True, ring_offset=1.0)
+        scratch = SpiralState(mode="follow", acquired=True, ring_offset=1.0)
         _, want = spiral_step(scratch, tof, 0.0, 0.02, CFG, None)
         assert sp == want
         assert sp.omega == pytest.approx(CFG.k_wall * (0.8 - 1.0))
@@ -203,8 +205,7 @@ class TestRotateMeasure:
     def test_argmax_selects_freest_heading(self):
         table7 = (0.6, 1.2, 4.0, 2.0, 1.1, 0.9, 3.3)
         ps = RotateMeasureState(mode="scan", scan_start=0.0, prev_heading=0.0,
-                                rotated=7 * math.pi / 4, scan_index=7,
-                                scan_table=table7)
+                                rotated=7 * math.pi / 4, scan_table=table7)
         ps, _ = rotate_measure_step(ps, frame(front=2.8), 0.0, 0.02, CFG, None)
         assert ps.scan_table == table7 + (2.8,)
         assert ps.leg_heading == pytest.approx(normalize_heading(math.pi / 2))
@@ -213,16 +214,14 @@ class TestRotateMeasure:
     def test_tie_breaks_to_lowest_index(self):
         table7 = (2.0,) * 7
         ps = RotateMeasureState(mode="scan", scan_start=1.0, prev_heading=1.0,
-                                rotated=7 * math.pi / 4, scan_index=7,
-                                scan_table=table7)
+                                rotated=7 * math.pi / 4, scan_table=table7)
         ps, _ = rotate_measure_step(ps, frame(front=2.0), 1.0, 0.02, CFG, None)
         assert ps.leg_heading == pytest.approx(1.0)
 
     def test_short_reading_shortens_leg(self):
         table7 = (0.6,) * 7
         ps = RotateMeasureState(mode="scan", scan_start=0.0, prev_heading=0.0,
-                                rotated=7 * math.pi / 4, scan_index=7,
-                                scan_table=table7)
+                                rotated=7 * math.pi / 4, scan_table=table7)
         ps, _ = rotate_measure_step(ps, frame(front=1.3), 0.0, 0.02, CFG, None)
         assert ps.leg_len == pytest.approx(1.3 - 0.5)
 
@@ -263,7 +262,7 @@ class TestDispatchAndInvariants:
         pseudo_random_step(ps, frame(front=0.5), 0.0, 0.02, CFG, StubRng(0.2))
         assert repr(ps) == before
         # a follow state that already read this frame's time, but holds nothing
-        ps = WallFollowState(mode="follow", acquired=True, prev_reading=0.6, prev_t=1.0)
+        ps = WallFollowState(mode="follow", acquired=True, prev_frame=frame(left=0.6, t=1.0))
         before = repr(ps)
         wall_following_step(ps, frame(left=0.6, t=1.0), 0.0, 0.02, CFG, None)
         assert repr(ps) == before
@@ -275,13 +274,13 @@ class TestDispatchAndInvariants:
         def checked(kind, ps, tof, heading, dt, cfg, rng):
             before = repr(ps)
             if ps.mode == "corner":
-                assert (ps.prev_reading, ps.deriv, ps.held_frame, ps.held_sp) == \
-                    (None, 0.0, None, None), f"{kind} corner step with tracking state"
+                assert (ps.prev_frame, ps.deriv, ps.held_sp) == (None, 0.0, None), \
+                    f"{kind} corner step with tracking state"
                 cornered.add(kind)
             out = policy_step(kind, ps, tof, heading, dt, cfg, rng)
             assert repr(ps) == before, f"{kind} step changed its input"
             kinds.append(kind)
-            if out[0] is ps and getattr(ps, "held_frame", None) is not None:
+            if out[0] is ps and getattr(ps, "held_sp", None) is not None:
                 held.add(kind)
             sp = out[1]
             if sp.v == 0.0:
