@@ -173,12 +173,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read(path: Path, parse):
-    """``parse`` of the artifact at ``path``, open for reading; an error names the file."""
+def _read(path: Path, parse, **mode):
+    """``parse`` of the artifact at ``path``, open for reading in text ``mode``;
+    an error names the file."""
     if not path.exists():
         raise SimError(f"missing artifact: {path}")
     try:
-        with open(path) as f:
+        with open(path, **mode) as f:
             return parse(f)
     except (SimError, ValueError) as exc:
         raise SimError(f"{path}: {exc}") from None
@@ -209,8 +210,9 @@ def cmd_report(args) -> int:
         detections = src / "detections.csv"
         hasher = hashlib.blake2b(digest_size=8)
         with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as series:
+            # as written, untranslated: the digest is of the log's bytes
             final = _read(trajectory, lambda f: rep.coverage_series_csv(
-                rep.hashed(f, hasher), width, height, series))
+                f, width, height, series, hasher), encoding="ascii", newline="\n")
             # the run's own record: a log edited or swapped since is not reported
             for field, replayed, recorded in (("digest", hasher.hexdigest(), digest),
                                               ("coverage", float(final), coverage)):

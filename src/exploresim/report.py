@@ -8,7 +8,8 @@ they are read; an error names the first bad line in file order.
 
 from __future__ import annotations
 
-import math
+from itertools import chain
+from math import isfinite
 
 from .arena import Arena
 from .errors import SimError
@@ -21,6 +22,7 @@ AGGREGATE_CSV_HEADER = ("policy,speed,detector,runs,coverage_mean,coverage_var,"
 DETECTIONS_CSV_HEADER = "object_id,class,t_first_seen"
 SERIES_CSV_HEADER = "t,coverage"
 _TRAJECTORY_FIELDS = TRAJECTORY_HEADER.count(",") + 1
+_BLOCK_CHARS = 1 << 15  # a trajectory log is read and hashed in blocks of lines this long
 
 
 def _opt(value: float | None, fmt: str) -> str:
@@ -86,14 +88,15 @@ def _parse_lines(lines, header: str, row):
 
 def _finite(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     return value
 
 
 def _sample(line: str) -> tuple[float, ...]:
     row = tuple(map(float, line.split(",")))
-    if len(row) != _TRAJECTORY_FIELDS or not all(map(math.isfinite, row)):
+    # a finite sum means finite fields; finite fields may still overflow it
+    if len(row) != _TRAJECTORY_FIELDS or not (isfinite(sum(row)) or all(map(isfinite, row))):
         raise ValueError(f"expected {_TRAJECTORY_FIELDS} finite numbers, got {line!r}")
     return row
 
@@ -104,23 +107,39 @@ def parse_trajectory(lines):
     return _parse_lines(lines, TRAJECTORY_HEADER, _sample)
 
 
-def replay_trajectory(lines, width: float, height: float):
-    """Replay the lines of a trajectory log into a fresh occupancy grid as they are read.
+def coverage_series_csv(log, width: float, height: float, out, hasher) -> str:
+    """Replay the trajectory log ``log``, an open text file, into a fresh
+    occupancy grid as it is read; write the coverage over time to the open
+    text file ``out``, at most ``_LOG_CHUNK`` rows per write, and return the
+    final coverage as written.
 
-    Yields ``(t, grid)`` for the start sample (empty grid) and then after
-    marking each later sample with the time gap to its predecessor,
-    exactly mirroring the run loop.  Only the final sample may lie outside
-    the room (a collision's crash state); it is clamped into it.  The grid
-    is one object updated in place.  After the last sample it matches the
-    run's grid cell for cell because the loop marks log-quantized
-    coordinates.  The first bad line in file order raises
+    The log is read and hashed into ``hasher`` a block of lines at a time:
+    blake2b streams, so the digest equals the flight's (``harness.fly_logged``).
+    Each sample after the start is marked with the time gap to its
+    predecessor at its log-quantized coordinates, as the run loop marks
+    them, so the final grid matches the run's cell for cell.  Only the
+    final sample may lie outside the room (a collision's crash state); it
+    is clamped into it.  The first bad line in file order raises
     :class:`SimError` naming it: a malformed row, a ``t`` that does not
     increase, or a sample outside the room that another line follows.
     """
-    lines = iter(lines)  # shared with the parser: the line after a sample is unread
+    def blocks():
+        for block in iter(lambda: log.readlines(_BLOCK_CHARS), []):
+            hasher.update("".join(block).encode("ascii"))
+            yield block
+
+    lines = chain.from_iterable(blocks())
+    if next(lines, "").rstrip("\n") != TRAJECTORY_HEADER:
+        raise SimError(f"line 1: expected the header {TRAJECTORY_HEADER!r}")
     grid = OccupancyGrid(width, height)
-    last_t = None
-    for n, (t, x, y, *_) in enumerate(parse_trajectory(lines), 2):
+    mark, cells = grid.mark, grid.total_cells
+    rows = [SERIES_CSV_HEADER + "\n"]
+    visited = last_t = None
+    for n, line in enumerate(lines, 2):
+        try:
+            t, x, y, _, _, _ = _sample(line.rstrip("\n"))
+        except ValueError as exc:
+            raise SimError(f"line {n}: {exc}") from None
         if last_t is not None and not t - last_t > 0.0:
             raise SimError(f"line {n}: t does not increase")
         if not (0.0 <= x <= width and 0.0 <= y <= height):
@@ -128,38 +147,17 @@ def replay_trajectory(lines, width: float, height: float):
                 raise SimError(f"line {n}: ({x}, {y}) lies outside the {width} x {height} m room")
             x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
         if last_t is not None:
-            grid.mark(x, y, t - last_t)
+            mark(x, y, t - last_t)
         last_t = t
-        yield t, grid
-    if last_t is None:
-        raise SimError("trajectory log has no samples")
-
-
-def hashed(lines, hasher):
-    """The lines of ``lines`` as they are read, each hashed into ``hasher``
-    first: a trajectory log's digest (see ``harness.fly_logged``) comes
-    out of the pass that replays it."""
-    update = hasher.update
-    for line in lines:
-        update(line.encode())
-        yield line
-
-
-def coverage_series_csv(lines, width: float, height: float, out) -> str:
-    """Write the coverage over time replayed from the trajectory log ``lines``
-    to the open text file ``out``, at most ``_LOG_CHUNK`` lines per write;
-    return the final coverage as written."""
-    rows = [SERIES_CSV_HEADER + "\n"]
-    last = None
-    for t, grid in replay_trajectory(lines, width, height):
-        value = grid.coverage()
-        if value != last:  # most samples visit no new cell
-            last = value
-            coverage = f"{value:.6f}"
+        if grid._visited != visited:  # most samples visit no new cell
+            visited = grid._visited
+            coverage = f"{visited / cells:.6f}"
         rows.append(f"{t:.6f},{coverage}\n")
         if len(rows) == _LOG_CHUNK:
             out.write("".join(rows))
             rows = []
+    if last_t is None:
+        raise SimError("trajectory log has no samples")
     out.write("".join(rows))
     return coverage
 

@@ -1,8 +1,9 @@
 """Independent oracles the tests check the simulator against.
 
 These deliberately avoid the library's analytic code paths: the ray
-oracle advances in 1 mm steps with numpy point tests, and the motion
-oracle re-integrates set-points at a much finer step.
+oracle advances in 1 mm steps with numpy point tests, the motion oracle
+re-integrates set-points at a much finer step, and the replay oracle
+passes a trajectory log through the row parser a line at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from exploresim.errors import SimError
+from exploresim.metrics import OccupancyGrid
+from exploresim.report import parse_trajectory
 
 
 def dense_ray_distance(width, height, boxes, ox, oy, heading, step=0.001):
@@ -53,3 +58,40 @@ def fine_integrate(x, y, heading, v, omega, total_time, substeps):
         y += v * dt * math.sin(mid)
         heading += omega * dt
     return x, y, heading
+
+
+def replay_log(lines, width, height):
+    """Replay the lines of a trajectory log into a fresh occupancy grid.
+
+    Yields ``(t, grid)`` for the start sample (empty grid) and then after
+    marking each later sample with the time gap to its predecessor; only
+    the final sample may lie outside the room, and it is clamped into it.
+    The grid is one object updated in place.  The first bad line raises
+    :class:`SimError` naming it, as ``report.coverage_series_csv`` does.
+    """
+    lines = iter(lines)  # shared with the parser: the line after a sample is unread
+    grid = OccupancyGrid(width, height)
+    last_t = None
+    for n, (t, x, y, *_) in enumerate(parse_trajectory(lines), 2):
+        if last_t is not None and not t - last_t > 0.0:
+            raise SimError(f"line {n}: t does not increase")
+        if not (0.0 <= x <= width and 0.0 <= y <= height):
+            if next(lines, None) is not None:
+                raise SimError(f"line {n}: ({x}, {y}) lies outside the {width} x {height} m room")
+            x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
+        if last_t is not None:
+            grid.mark(x, y, t - last_t)
+        last_t = t
+        yield t, grid
+    if last_t is None:
+        raise SimError("trajectory log has no samples")
+
+
+def coverage_series(lines, width, height):
+    """The text of ``report.coverage_series_csv`` and the replayed grid,
+    from ``replay_log``, formatting the coverage of every sample."""
+    rows = ["t,coverage\n"]
+    grid = None
+    for t, grid in replay_log(lines, width, height):
+        rows.append(f"{t:.6f},{grid.coverage():.6f}\n")
+    return "".join(rows), grid

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from exploresim import report
 from exploresim.cli import main
 from exploresim.metrics import parse_dwell_csv
 from exploresim.report import parse_runs_csv
@@ -13,6 +15,12 @@ def run_cli(*argv):
 
 
 DEEP = "[" * 600 + "]" * 600
+
+
+def log_blocks(path):
+    """The blocks of lines in which ``report`` reads the trajectory log at ``path``."""
+    with open(path, encoding="ascii", newline="\n") as f:
+        return list(iter(lambda: f.readlines(report._BLOCK_CHARS), []))
 
 
 def arena_with(**keys):
@@ -449,6 +457,49 @@ class TestReport:
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not out.exists()
+
+    def test_crlf_log_exits_1(self, tmp_path, capsys):
+        # the digest is of the log's bytes: line ends are not translated on reading
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "5", "--policy", "spiral", "--out", str(src)) == 0
+        path = src / "trajectory.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 1: expected the header")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["malformed-first-line", "outside-last-line",
+                                       "digit-in-last-block"])
+    def test_fault_at_a_block_boundary_exits_1(self, tmp_path, capsys, fault):
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "30", "--out", str(src)) == 0
+        path, summary = src / "trajectory.csv", src / "summary.json"
+        blocks = log_blocks(path)
+        assert len(blocks) >= 3
+        lines = [line for block in blocks for line in block]
+        if fault == "malformed-first-line":  # of the second block
+            n = len(blocks[0]) + 1
+            fields = lines[n - 1].split(",")
+            lines[n - 1] = ",".join([fields[0], "x", *fields[2:]])
+            message = f"line {n}: could not convert string to float: 'x'"
+        elif fault == "outside-last-line":  # of the first block, a longer line than it was
+            n = len(blocks[0])
+            fields = lines[n - 1].split(",")
+            lines[n - 1] = ",".join([fields[0], "1000000.000000", *fields[2:]])
+            message = f"line {n}: (1000000.0, {float(fields[2])}) lies outside the 6.5 x 5.5 m room"
+        else:  # the last digit of the first line of the last block
+            n = len(lines) - len(blocks[-1]) + 1
+            lines[n - 1] = lines[n - 1][:-2] + str(9 - int(lines[n - 1][-2])) + "\n"
+            recorded = json.loads(summary.read_text())["digest"]
+            replayed = hashlib.blake2b("".join(lines).encode("ascii"), digest_size=8).hexdigest()
+            message = f"digest {replayed} does not match {summary}'s {recorded!r}"
+        path.write_text("".join(lines), encoding="ascii", newline="\n")
+        edited = log_blocks(path)
+        assert [len(block) for block in edited] == [len(block) for block in blocks]
+        assert edited[0][-1] == lines[len(blocks[0]) - 1]
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -18,11 +19,11 @@ from exploresim.harness import (RunConfig, SweepSpec, aggregate,
                                 aggregate_detection, flight_key, fly, run_batch,
                                 run_seed_for, run_single, run_sweep)
 from exploresim.policies import POLICY_KINDS, PolicyConfig, policy_draws
-from exploresim.report import parse_trajectory, replay_trajectory
+from exploresim.report import coverage_series_csv, parse_trajectory
 from exploresim.seeding import derive_seed
 from exploresim.sensing import MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
-from oracles import dense_ray_distance
+from oracles import coverage_series, dense_ray_distance
 
 
 def make_cfg(**kw):
@@ -101,7 +102,7 @@ class TestRunSingle:
         for policy, speed in (("pseudo-random", 0.5), ("spiral", 1.0)):
             res, lines = logged(make_cfg(policy=policy,
                                          policy_cfg=PolicyConfig(cruise_speed=speed)))
-            _, replay = list(replay_trajectory(lines, 6.5, 5.5))[-1]
+            _, replay = coverage_series(lines, 6.5, 5.5)
             assert replay.coverage() == res.coverage
             assert replay.dwell == pytest.approx(res.grid.dwell, abs=1e-9)
 
@@ -558,3 +559,29 @@ def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, si
             want = min(dense_ray_distance(arena.width, arena.height, arena.obstacles,
                                           state.x, state.y, state.heading + mount), max_range)
             assert abs(reading - want) <= 0.001 + 1e-9, (mount, reading, want)
+
+
+@given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),
+       speed=st.sampled_from([0.1, 0.5, 1.0]), trigger=st.sampled_from([0.011, 0.3, 1.0]),
+       n_ticks=st.integers(1, 500), seed=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_the_series_of_a_random_mission_replays_its_flight(data, arena, policy, speed, trigger,
+                                                           n_ticks, seed):
+    # a trigger distance below the airframe radius lets pseudo-random fly into a wall
+    u, v = data.draw(fractions.filter(lambda f: not arena.disc_blocked(
+        f[0] * arena.width, f[1] * arena.height, DEFAULT_DRONE_RADIUS)), label="start")
+    cfg = RunConfig(arena=arena, policy=policy,
+                    policy_cfg=PolicyConfig(cruise_speed=speed, trigger_dist=trigger),
+                    duration=n_ticks * 0.02,
+                    start=(u * arena.width, v * arena.height,
+                           data.draw(st.floats(-math.pi, math.pi), label="heading")),
+                    seed=seed)
+    res, lines = logged(cfg)
+    series, hasher = io.StringIO(), hashlib.blake2b(digest_size=8)
+    final = coverage_series_csv(io.StringIO("".join(lines)), arena.width, arena.height, series,
+                                hasher)
+    want, replay = coverage_series(lines, arena.width, arena.height)
+    assert series.getvalue() == want
+    assert final == f"{replay.coverage():.6f}" == f"{res.coverage:.6f}"
+    assert int.from_bytes(hasher.digest(), "big") == res.digest
+    assert replay.dwell == pytest.approx(res.grid.dwell, abs=1e-9)

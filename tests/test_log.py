@@ -5,7 +5,8 @@ formats a set-point again only when it is a new object and a coordinate
 only when it changes, and hashes a chunk of rows at a time.  The reference
 here formats every field of every tick from ``harness.fly``'s yields with
 a plain ``f"{v:.6f}"`` and hashes the joined rows once.  The log is
-written a chunk at a time as the flight goes, and replayed as it is read.
+written a chunk at a time as the flight goes, and replayed and hashed a
+block of lines at a time as it is read.
 """
 
 import hashlib
@@ -14,12 +15,13 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exploresim import harness, policies
+from exploresim import harness, policies, report
 from exploresim.arena import Arena, default_arena
 from exploresim.harness import TRAJECTORY_HEADER, RunConfig, fly, fly_logged
 from exploresim.policies import POLICY_KINDS
-from exploresim.report import SERIES_CSV_HEADER, coverage_series_csv, replay_trajectory
+from exploresim.report import coverage_series_csv
 from exploresim.vehicle import Setpoint
+from oracles import coverage_series
 
 CHUNK = harness._LOG_CHUNK
 # the golden boxed room (tests/test_golden.py)
@@ -117,32 +119,50 @@ def test_log_is_written_a_chunk_at_a_time():
 def test_series_is_written_a_chunk_at_a_time():
     cfg = RunConfig(arena=default_arena(), policy="spiral", duration=(3 * CHUNK + 7) * 0.02)
     log = io.StringIO()
-    fly_logged(cfg, log=log)
-    lines = log.getvalue().splitlines(keepends=True)
+    flight = fly_logged(cfg, log=log)
     sink = RecordingSink()
-    final = coverage_series_csv(lines, 6.5, 5.5, sink)
+    hasher = hashlib.blake2b(digest_size=8)
+    final = coverage_series_csv(io.StringIO(log.getvalue()), 6.5, 5.5, sink, hasher)
     assert len(sink.writes) >= 4
     assert max(text.count("\n") for text in sink.writes) <= CHUNK
-    rows = [f"{t:.6f},{grid.coverage():.6f}\n" for t, grid in replay_trajectory(lines, 6.5, 5.5)]
-    assert "".join(sink.writes) == SERIES_CSV_HEADER + "\n" + "".join(rows)
-    assert final == rows[-1].rstrip("\n").split(",")[1]
+    want, _ = coverage_series(log.getvalue().splitlines(keepends=True), 6.5, 5.5)
+    assert "".join(sink.writes) == want
+    assert final == want.rsplit(",", 1)[1].rstrip("\n")
+    assert int.from_bytes(hasher.digest(), "big") == flight.digest
 
 
-def test_replay_yields_before_the_log_is_read():
-    cfg = RunConfig(arena=default_arena(), policy="spiral", duration=10.0)
-    log = io.StringIO()
-    fly_logged(cfg, log=log)
-    lines = log.getvalue().splitlines(keepends=True)
-    read = []
+class CountingLog:
+    """A text log that counts the lines it has handed out."""
 
-    def source():
-        for line in lines:
-            read.append(line)
-            yield line
+    def __init__(self, text):
+        self.log = io.StringIO(text)
+        self.lines_read = 0
 
-    replay = replay_trajectory(source(), 6.5, 5.5)
-    t, grid = next(replay)
-    assert (t, grid.coverage()) == (0.0, 0.0)
-    assert read == lines[:2]  # the header and the start sample
-    assert sum(1 for _ in replay) == len(lines) - 2
-    assert read == lines
+    def readlines(self, hint=-1):
+        lines = self.log.readlines(hint)
+        self.lines_read += len(lines)
+        return lines
+
+
+def test_series_is_written_before_the_log_is_read():
+    cfg = RunConfig(arena=default_arena(), policy="spiral", duration=60.0)
+    text = io.StringIO()
+    fly_logged(cfg, log=text)
+    lines = text.getvalue().splitlines(keepends=True)
+    log = CountingLog(text.getvalue())
+    read_at_write = []
+
+    class Sink(RecordingSink):
+        def write(self, text):
+            read_at_write.append(log.lines_read)
+            super().write(text)
+
+    sink = Sink()
+    coverage_series_csv(log, 6.5, 5.5, sink, hashlib.blake2b(digest_size=8))
+    # a block holds at most one line past _BLOCK_CHARS characters
+    block = report._BLOCK_CHARS // min(map(len, lines)) + 1
+    bound = 2 * block + CHUNK
+    assert bound < len(lines)
+    assert read_at_write[0] <= bound
+    assert log.lines_read == len(lines)
+    assert "".join(sink.writes) == coverage_series(lines, 6.5, 5.5)[0]
