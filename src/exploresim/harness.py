@@ -40,7 +40,6 @@ import heapq
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import count
 
@@ -368,8 +367,11 @@ def run_batch(cfgs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
     """The missions of ``cfgs``, equal to :func:`run_single` of each, in
     input order; each was checked when made.  The configs of one
     :func:`flight_key` share one flight, flown once, and each runs its own
-    detection task over it.  At ``jobs`` > 1 each distinct flight is one
-    task of a process pool.  Nothing is kept after the call returns."""
+    detection task over it.  With more than one worker (``jobs``, capped
+    at the distinct flights and the CPUs) each distinct flight is one task
+    of a process pool, which is imported only then, so a batch flown in
+    this process loads none of the pool's modules.  A worker process that
+    dies raises :class:`SimError`.  Nothing is kept after the call returns."""
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(flight_key(cfg), []).append(i)
@@ -378,8 +380,12 @@ def run_batch(cfgs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
     # there are tasks or CPUs
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flown = list(pool.map(_sweep_task, tasks))
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                flown = list(pool.map(_sweep_task, tasks))
+        except BrokenExecutor as exc:
+            raise SimError(f"a sweep worker process died: {exc}") from None
     else:
         flown = [_sweep_task(task) for task in tasks]
     results = [None] * len(cfgs)

@@ -1,6 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +15,18 @@ from exploresim.metrics import parse_dwell_csv
 from exploresim.report import parse_runs_csv
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_python(script, *argv, cwd):
+    """``script`` run by a fresh, isolated interpreter that imports
+    exploresim from this checkout's ``src``, with ``argv`` as its arguments."""
+    return subprocess.run([sys.executable, "-I", "-c", script, str(SRC), *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 DEEP = "[" * 600 + "]" * 600
@@ -237,6 +252,56 @@ class TestSweep:
         run_cli("sweep", "--runs-per-config", "1", "--jobs", "2",
                 "--out", str(parallel), *SMALL_SWEEP)
         assert (serial / "runs.csv").read_bytes() == (parallel / "runs.csv").read_bytes()
+
+    def test_broken_pool_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--jobs", "2", "--out", str(out), *SMALL_SWEEP) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker process died: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    def test_dying_worker_exits_1_with_one_error_line(self, tmp_path):
+        # a worker of a forked pool inherits the patched module
+        script = """if True:
+            import multiprocessing, os, sys
+            sys.path.insert(0, sys.argv[1])
+            from exploresim import cli, harness
+            fly_logged = harness.fly_logged
+
+            def dying(cfg, *args, **kw):
+                if cfg.policy == "spiral":
+                    os._exit(3)
+                return fly_logged(cfg, *args, **kw)
+
+            multiprocessing.set_start_method("fork")
+            harness.fly_logged = dying
+            sys.exit(cli.main(sys.argv[2:]))
+        """
+        out = tmp_path / "o"
+        proc = run_python(script, "sweep", "--jobs", "2", "--runs-per-config", "1",
+                          "--set", "sweep.duration=1", "--out", str(out), cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: a sweep worker process died: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, field", [
         (["--set", 'sweep.speeds=["a"]'], "sweep.speeds"),
@@ -554,3 +619,28 @@ def test_help_documents_config_keys(capsys):
     for key in ("policy.cruise_speed", "tof.max_range", "camera.fov_deg",
                 "detector.model", "sweep.runs_per_config", "run.seed"):
         assert key in text
+
+
+def test_no_command_but_a_parallel_sweep_imports_a_process_pool(tmp_path):
+    # every command pays for its imports before its first tick
+    script = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from exploresim import cli
+
+        def pool_modules():
+            return sorted(m for m in sys.modules
+                          if m.startswith(("concurrent.futures", "multiprocessing")))
+
+        found = {"import": pool_modules()}
+        for argv in (["run", "--duration", "1", "--out", "r"], ["report", "--in", "r"],
+                     ["sweep", "--jobs", "1", "--runs-per-config", "1",
+                      "--set", "sweep.duration=1", "--out", "s"]):
+            assert cli.main(argv) == 0
+            found[argv[0]] = pool_modules()
+        print(json.dumps(found))
+    """
+    proc = run_python(script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [], "run": [], "report": [], "sweep": []}

@@ -267,7 +267,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         sweep = run_sweep(small_spec(runs_per_config=3), jobs=1000)
         assert sweep.flights == 4
@@ -482,6 +482,24 @@ detectors = st.one_of(st.none(), st.sampled_from(list(DETECTORS.values())),
 cameras = st.builds(CameraModel, st.floats(0.1, 3.0), st.floats(0.1, 5.0))
 
 
+def free_starts(arena):
+    """Starts ``(x, y)`` that the airframe disc clears in ``arena``, drawn
+    from a lattice: 21 evenly spaced lines across each side's free span,
+    and the lines on which the disc touches a box face.  A room with no
+    free lattice point is rejected."""
+    r = DEFAULT_DRONE_RADIUS
+
+    def lines(side, faces):
+        return sorted({r + (side - 2 * r) * k / 20 for k in range(21)}
+                      | {face + d for face in faces for d in (-r, r)})
+
+    xs = lines(arena.width, [x for x0, _, x1, _ in arena.obstacles for x in (x0, x1)])
+    ys = lines(arena.height, [y for _, y0, _, y1 in arena.obstacles for y in (y0, y1)])
+    free = [(x, y) for x in xs for y in ys if not arena.disc_blocked(x, y, r)]
+    assume(free)
+    return st.sampled_from(free)
+
+
 @st.composite
 def batches(draw):
     """2-5 base missions in one random room, each under 1-3 seeds, detectors
@@ -492,9 +510,7 @@ def batches(draw):
     arena = Arena(room.width, room.height, room.obstacles,
                   [TargetObject(i, "bottle", Vec2(x, y)) for i, (x, y) in enumerate(spots)
                    if room.in_free_space(x, y)])
-    # a start in free space: a filter is an assume that retries the draw
-    starts = fractions.map(lambda f: (f[0] * arena.width, f[1] * arena.height)).filter(
-        lambda at: not arena.disc_blocked(*at, DEFAULT_DRONE_RADIUS))
+    starts = free_starts(arena)
     cfgs = []
     for _ in range(draw(st.integers(2, 5))):
         (x, y), heading = draw(starts), draw(st.floats(-math.pi, math.pi))
@@ -536,12 +552,10 @@ def grazes(arena, x, y, heading):
 @settings(max_examples=60, deadline=None)
 def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, side, noise,
                                                          n_ticks, seed):
-    u, v = data.draw(fractions.filter(lambda f: not arena.disc_blocked(
-        f[0] * arena.width, f[1] * arena.height, DEFAULT_DRONE_RADIUS)), label="start")
+    x, y = data.draw(free_starts(arena), label="start")
     cfg = RunConfig(arena=arena, policy=policy, policy_cfg=PolicyConfig(follow_side=side),
                     tof=TofConfig(noise_sigma=noise), duration=n_ticks * 0.02,
-                    start=(u * arena.width, v * arena.height,
-                           data.draw(st.floats(-math.pi, math.pi), label="heading")),
+                    start=(x, y, data.draw(st.floats(-math.pi, math.pi), label="heading")),
                     seed=seed)
     res = run_single(cfg)
     assert abs(res.grid.total_dwell() - res.elapsed) <= 1e-9
@@ -568,13 +582,11 @@ def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, si
 def test_the_series_of_a_random_mission_replays_its_flight(data, arena, policy, speed, trigger,
                                                            n_ticks, seed):
     # a trigger distance below the airframe radius lets pseudo-random fly into a wall
-    u, v = data.draw(fractions.filter(lambda f: not arena.disc_blocked(
-        f[0] * arena.width, f[1] * arena.height, DEFAULT_DRONE_RADIUS)), label="start")
+    x, y = data.draw(free_starts(arena), label="start")
     cfg = RunConfig(arena=arena, policy=policy,
                     policy_cfg=PolicyConfig(cruise_speed=speed, trigger_dist=trigger),
                     duration=n_ticks * 0.02,
-                    start=(u * arena.width, v * arena.height,
-                           data.draw(st.floats(-math.pi, math.pi), label="heading")),
+                    start=(x, y, data.draw(st.floats(-math.pi, math.pi), label="heading")),
                     seed=seed)
     res, lines = logged(cfg)
     series, hasher = io.StringIO(), hashlib.blake2b(digest_size=8)
