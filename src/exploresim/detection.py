@@ -11,10 +11,11 @@ network's quantized accuracy score as its per-frame success probability
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SimError
 from .kinds import PROBABILITY, RATE, check_fields
+from .vehicle import State
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,16 @@ DETECTORS = {
 }
 
 
-@dataclass
-class DetectionLedger:
+class DetectionLedger(State):
     """Per-run record of first detections and frame counters."""
 
-    first_seen: dict[int, float] = field(default_factory=dict)
-    frames_fired: int = 0
-    frames_with_target: int = 0
+    __slots__ = ("first_seen", "frames_fired", "frames_with_target")
+
+    def __init__(self, first_seen: dict[int, float] | None = None, frames_fired: int = 0,
+                 frames_with_target: int = 0):
+        self.first_seen = {} if first_seen is None else first_seen
+        self.frames_fired = frames_fired
+        self.frames_with_target = frames_with_target
 
 
 def attempt_detection(model: DetectorModel, visible: list[int],

@@ -42,6 +42,7 @@ import os
 import random
 from dataclasses import dataclass, field, fields, replace
 from itertools import count
+from typing import NamedTuple
 
 from .arena import Arena, default_arena
 from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detection,
@@ -117,12 +118,12 @@ class RunConfig:
         return (c.x, c.y, 0.0)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """One mission's outcome.
 
     Missions that share a flight (see :func:`run_batch`) share its
-    ``grid`` and ``collision`` objects: read them, do not change them.
+    ``grid`` object: read it, do not change it.  The ``collision`` record
+    they also share is immutable.
     """
 
     coverage: float
@@ -135,8 +136,7 @@ class RunResult:
     elapsed: float
 
 
-@dataclass
-class Flight:
+class Flight(NamedTuple):
     """What a mission's seed reaches only through the policy and noise
     streams: the trajectory digest, dwell grid, collision record and
     elapsed time, plus the vehicle state after each tick that a detector
@@ -418,8 +418,7 @@ class SweepSpec:
                     yield policy, speed, det
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     policy: str
     speed: float
     detector: str | None
@@ -432,8 +431,7 @@ class SweepRow:
     digest: int
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: list[SweepRow]
     grids: list[OccupancyGrid]  # each run's dwell grid, in row order
     flights: int                # distinct flights flown for the rows
@@ -480,8 +478,7 @@ def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
                        flights=len(set(map(flight_key, cfgs))))
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     policy: str
     speed: float
     detector: str | None

@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, check_fields, choice
 from .sensing import TofFrame
-from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, normalize_heading
+from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, State, normalize_heading
 
 _EPS = 1e-12
 _WALL_LOST_MARGIN = 0.5  # side error beyond this means the wall is lost, m
@@ -93,55 +93,78 @@ class PolicyConfig:
         return Setpoint(0.0, self.turn_rate), Setpoint(0.0, -self.turn_rate)
 
 
-@dataclass(slots=True)
-class PseudoRandomState:
-    mode: str = "cruise"  # cruise | turning
-    target_heading: float = 0.0
+class PseudoRandomState(State):
+    __slots__ = ("mode", "target_heading")
+
+    def __init__(self, mode: str = "cruise", target_heading: float = 0.0):
+        self.mode = mode  # cruise | turning
+        self.target_heading = target_heading
 
 
-@dataclass(slots=True)
-class WallFollowState:
-    mode: str = "acquire"  # acquire | corner | follow
-    acquired: bool = False
-    target_heading: float = 0.0
-    prev_frame: TofFrame | None = None  # frame of the last side reading
-    deriv: float = 0.0
-    # the set-point tracked on prev_frame: until the next refresh the step
-    # returns it; None outside follow mode
-    held_sp: Setpoint | None = None
+class WallFollowState(State):
+    __slots__ = ("mode", "acquired", "target_heading", "prev_frame", "deriv", "held_sp")
+
+    def __init__(self, mode: str = "acquire", acquired: bool = False,
+                 target_heading: float = 0.0, prev_frame: TofFrame | None = None,
+                 deriv: float = 0.0, held_sp: Setpoint | None = None):
+        self.mode = mode  # acquire | corner | follow
+        self.acquired = acquired
+        self.target_heading = target_heading
+        self.prev_frame = prev_frame  # frame of the last side reading
+        self.deriv = deriv
+        # the set-point tracked on prev_frame: until the next refresh the
+        # step returns it; None outside follow mode
+        self.held_sp = held_sp
 
 
-@dataclass(slots=True)
 class SpiralState(WallFollowState):
-    ring_offset: float = 0.5
-    direction: str = "in"  # in | out
-    corners_done: int = 0
-    ring_limit: float = 2.7
+    __slots__ = ("ring_offset", "direction", "corners_done", "ring_limit")
+
+    def __init__(self, mode: str = "acquire", acquired: bool = False,
+                 target_heading: float = 0.0, prev_frame: TofFrame | None = None,
+                 deriv: float = 0.0, held_sp: Setpoint | None = None,
+                 ring_offset: float = 0.5, direction: str = "in", corners_done: int = 0,
+                 ring_limit: float = 2.7):
+        self.mode = mode
+        self.acquired = acquired
+        self.target_heading = target_heading
+        self.prev_frame = prev_frame
+        self.deriv = deriv
+        self.held_sp = held_sp
+        self.ring_offset = ring_offset
+        self.direction = direction  # in | out
+        self.corners_done = corners_done
+        self.ring_limit = ring_limit
 
 
-@dataclass(slots=True)
-class RotateMeasureState:
-    mode: str = "scan"  # scan | travel
-    scan_start: float = 0.0
-    prev_heading: float = 0.0
-    rotated: float = 0.0
-    scan_table: tuple = field(default_factory=tuple)
-    leg_heading: float = 0.0
-    leg_len: float = 0.0
-    leg_travelled: float = 0.0
+class RotateMeasureState(State):
+    __slots__ = ("mode", "scan_start", "prev_heading", "rotated", "scan_table", "leg_heading",
+                 "leg_len", "leg_travelled")
+
+    def __init__(self, mode: str = "scan", scan_start: float = 0.0, prev_heading: float = 0.0,
+                 rotated: float = 0.0, scan_table: tuple = (), leg_heading: float = 0.0,
+                 leg_len: float = 0.0, leg_travelled: float = 0.0):
+        self.mode = mode  # scan | travel
+        self.scan_start = scan_start
+        self.prev_heading = prev_heading
+        self.rotated = rotated
+        self.scan_table = scan_table
+        self.leg_heading = leg_heading
+        self.leg_len = leg_len
+        self.leg_travelled = leg_travelled
 
 
 PolicyState = PseudoRandomState | WallFollowState | SpiralState | RotateMeasureState
 
 # state class -> its field values in constructor order
-_VALUES = {cls: attrgetter(*(f.name for f in fields(cls)))
+_VALUES = {cls: attrgetter(*cls.FIELDS)
            for cls in (PseudoRandomState, WallFollowState, SpiralState, RotateMeasureState)}
 
 
 def _copy(ps: PolicyState) -> PolicyState:
     """A new state equal to ``ps``, for a step to change: a step never
-    changes the state it was given.  Several times cheaper than
-    ``dataclasses.replace``, which checks every field by name."""
+    changes the state it was given.  One ``attrgetter`` reads the fields
+    and the positional constructor takes them."""
     cls = ps.__class__
     return cls(*_VALUES[cls](ps))
 

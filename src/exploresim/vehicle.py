@@ -1,4 +1,5 @@
-"""Planar drone kinematics: set-point integration and the collision record.
+"""Planar drone kinematics: set-point integration, the collision record,
+and :class:`State`, the base of a run's mutable states.
 
 Set-points (forward speed, yaw rate) apply instantaneously; there are no
 attitude dynamics.  Integration uses the midpoint-heading rule, which is
@@ -9,7 +10,6 @@ exactly ``|v| * dt``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
@@ -29,15 +29,41 @@ class Setpoint(NamedTuple):
     omega: float
 
 
-@dataclass(slots=True)
-class VehicleState:
-    x: float
-    y: float
-    heading: float
+class State:
+    """Base of a mutable state held in ``__slots__``: the vehicle's, a
+    policy's, the detection ledger.  Its fields are the slots along the
+    MRO, a subclass's after its base's (``FIELDS``), in the order of its
+    positional ``__init__``.  Equality and ``repr`` go by those fields, as
+    a dataclass's do, but no code is generated at import.  A state takes
+    no other attribute."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.FIELDS = tuple(name for c in reversed(cls.__mro__)
+                           for name in c.__dict__.get("__slots__", ()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self.FIELDS] == [getattr(other, f) for f in self.FIELDS]
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS)
+        return f"{self.__class__.__qualname__}({values})"
 
 
-@dataclass
-class CollisionRecord:
+class VehicleState(State):
+    __slots__ = ("x", "y", "heading")
+
+    def __init__(self, x: float, y: float, heading: float):
+        self.x = x
+        self.y = y
+        self.heading = heading
+
+
+class CollisionRecord(NamedTuple):
     occurred: bool = False
     time: float = 0.0
     x: float = 0.0

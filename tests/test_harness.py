@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import os
+import pickle
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -149,6 +150,15 @@ class TestRunSingle:
         res = run_single(make_cfg(detector=DETECTORS["ssd-1.0"]))
         assert res.ledger is not None
         assert res.detection_rate == len(res.ledger.first_seen) / 6
+
+    def test_result_survives_pickling(self):
+        # run_batch with more than one worker ships each result back by pickle
+        res = run_single(make_cfg(detector=DETECTORS["ssd-1.0"], duration=30.0))
+        back = pickle.loads(pickle.dumps(res))
+        assert back.ledger == res.ledger and back.ledger is not res.ledger
+        assert res.ledger.first_seen and res.ledger.frames_fired == 48
+        assert back._replace(grid=None) == res._replace(grid=None)
+        assert (back.grid.dwell, back.grid.coverage()) == (res.grid.dwell, res.grid.coverage())
 
     def test_no_objects_means_no_rate(self):
         empty = load_arena({"width": 6.5, "height": 5.5})

@@ -1,4 +1,5 @@
 import math
+import types
 from collections import namedtuple
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from exploresim.arena import Arena, default_arena
 from exploresim.harness import RunConfig, fly
 from exploresim.policies import (POLICY_KINDS, PolicyConfig, PseudoRandomState,
                                  RotateMeasureState, SpiralState,
-                                 WallFollowState, initial_state, policy_step,
+                                 WallFollowState, _copy, initial_state, policy_step,
                                  pseudo_random_step, rotate_measure_step,
                                  spiral_step, wall_following_step)
 from exploresim.sensing import TofFrame
@@ -306,6 +307,38 @@ class TestDispatchAndInvariants:
         assert [(t.sp.v, t.sp.omega) for t in a] == [(t.sp.v, t.sp.omega) for t in b]
         assert [(t.state.x, t.state.y, t.state.heading) for t in a] == \
                [(t.state.x, t.state.y, t.state.heading) for t in b]
+
+
+class TestStates:
+    """The policy states are hand-written slotted classes: ``_copy`` must
+    carry every slot, the inherited ones of a spiral state too."""
+
+    @staticmethod
+    def slots(cls) -> set[str]:
+        return {name for c in cls.__mro__ for name, value in vars(c).items()
+                if isinstance(value, types.MemberDescriptorType)}
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_copy_is_a_new_equal_state(self, room, kind):
+        cls = initial_state(kind, CFG, 0.3, room).__class__
+        names = self.slots(cls)
+        values = [object() for _ in names]  # a constructor that swaps two fields fails
+        ps = cls(*values)
+        copy = _copy(ps)
+        assert copy is not ps and copy.__class__ is cls
+        assert copy == ps
+        assert [getattr(copy, name) for name in cls.FIELDS] == values
+        assert set(cls.FIELDS) == names
+        if kind == "spiral":
+            assert set(WallFollowState.FIELDS) < names
+        copy.mode = "other"
+        assert copy != ps and ps.mode is values[0]
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_takes_no_unknown_attribute(self, room, kind):
+        ps = initial_state(kind, CFG, 0.3, room)
+        with pytest.raises(AttributeError):
+            ps.side = "left"
 
 
 def test_config_validation():

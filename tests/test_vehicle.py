@@ -42,6 +42,14 @@ class TestStep:
             total += abs(sp.v) * 0.02
         assert length == pytest.approx(total, rel=1e-9)
 
+    def test_state_takes_no_attribute_beyond_its_three_fields(self):
+        s = VehicleState(1.0, 2.0, 0.5)
+        with pytest.raises(AttributeError):
+            s.z = 0.0
+        assert (s.x, s.y, s.heading) == (1.0, 2.0, 0.5)
+        assert s == VehicleState(1.0, 2.0, 0.5) != VehicleState(1.0, 2.0, -0.5)
+        assert repr(s) == "VehicleState(x=1.0, y=2.0, heading=0.5)"
+
 
 @given(st.floats(-math.pi, math.pi - 1e-9), st.floats(-2.0, 2.0))
 @settings(max_examples=200, deadline=None)
