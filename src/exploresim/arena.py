@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .kinds import INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, check_fields, choice
+from .kinds import INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, Model, choice
 
 OBJECT_CLASSES = ("bottle", "tin_can")
 DEFAULT_OBJECT_RADIUS = 0.05
@@ -51,8 +50,7 @@ class Vec2(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class TargetObject:
+class TargetObject(Model):
     """A detectable object on the floor, modeled as a disc."""
 
     id: int
@@ -61,9 +59,6 @@ class TargetObject:
     radius: float = DEFAULT_OBJECT_RADIUS
 
     KINDS = {"id": INTEGER, "cls": choice(OBJECT_CLASSES), "pos": POINT, "radius": POSITIVE}
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 class Arena:

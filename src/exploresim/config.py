@@ -9,7 +9,6 @@ checks and the builders derive from it.  Unknown keys are rejected.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 
 from .arena import Arena, default_arena, load_arena, load_arena_file
@@ -22,6 +21,8 @@ from .policies import POLICY_KINDS, PolicyConfig
 from .sensing import CameraModel, TofConfig
 
 SCHEMA_VERSION = 1
+
+_NO_DEFAULT = object()  # a Leaf given no default takes its field's
 
 # the model object each section of the config document builds
 _MODELS = {"run": RunConfig, "policy": PolicyConfig, "tof": TofConfig,
@@ -37,7 +38,7 @@ class Leaf:
 
     def __init__(self, key: str, doc: str, field: str | None = None, *,
                  target: type | None = None, kind: Kind | None = None,
-                 default=dataclasses.MISSING, degrees: bool = False, optional: bool = False):
+                 default=_NO_DEFAULT, degrees: bool = False, optional: bool = False):
         section, _, name = key.rpartition(".")
         self.key, self.doc = key, doc
         self.target = None if kind else target or _MODELS[section]
@@ -45,9 +46,8 @@ class Leaf:
         kind = kind or self.target.KINDS[self.field]
         kind = in_degrees(kind) if degrees else kind
         self.kind = nullable(kind) if optional else kind
-        if default is dataclasses.MISSING:
-            default = next(f.default for f in dataclasses.fields(self.target)
-                           if f.name == self.field)
+        if default is _NO_DEFAULT:
+            default = getattr(self.target, self.field)
         self.default = list(default) if isinstance(default, tuple) else default
         # an error names the key, and the field when the key sets one
         self.note = f" (sets {self.target.__name__}.{self.field})" if self.target else ""
@@ -198,7 +198,7 @@ def _detector(values: dict) -> DetectorModel | None:
     name = values["detector.model"]
     given = _fields(values, DetectorModel)
     if name is not None:
-        return dataclasses.replace(DETECTORS[name], **given)
+        return DETECTORS[name].replace(**given)
     if not given:
         return None
     for field in ("fps", "p_detect"):

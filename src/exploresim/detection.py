@@ -11,23 +11,17 @@ network's quantized accuracy score as its per-frame success probability
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SimError
-from .kinds import PROBABILITY, RATE, check_fields
+from .kinds import PROBABILITY, RATE, Model
 from .vehicle import State
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(Model):
     name: str
     fps: float                 # inference throughput, frames per second
     p_detect: float            # per in-view frame success probability
 
     KINDS = {"fps": RATE, "p_detect": PROBABILITY}
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 DETECTORS = {

@@ -40,7 +40,6 @@ import heapq
 import math
 import os
 import random
-from dataclasses import dataclass, field, fields, replace
 from itertools import count
 from typing import NamedTuple
 
@@ -48,8 +47,8 @@ from .arena import Arena, default_arena
 from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detection,
                         detection_rate)
 from .errors import SimError, ValidationError
-from .kinds import (COUNT, POSE, POSITIVE, RADIUS, SEED, SPEED, TIME_STEP, check_fields,
-                    choice, list_of, nullable)
+from .kinds import (COUNT, POSE, POSITIVE, RADIUS, SEED, SPEED, TIME_STEP, Model,
+                    check_fields, choice, list_of, nullable)
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_draws, policy_step
 from .seeding import derive_seed
@@ -78,15 +77,14 @@ def tick_count(duration: float, dt: float, key: str) -> int:
     return n_ticks
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Model):
     """One mission's parameters, checked when made: any RunConfig can fly."""
 
     arena: Arena
     policy: str = "pseudo-random"
-    policy_cfg: PolicyConfig = field(default_factory=PolicyConfig)
-    tof: TofConfig = field(default_factory=TofConfig)
-    camera: CameraModel = field(default_factory=CameraModel)
+    policy_cfg: PolicyConfig = PolicyConfig()  # immutable, so one default serves every config
+    tof: TofConfig = TofConfig()
+    camera: CameraModel = CameraModel()
     detector: DetectorModel | None = None
     duration: float = 180.0
     seed: int = 0
@@ -345,7 +343,7 @@ def flight_key(cfg: RunConfig) -> tuple:
     """What the flight of ``cfg`` depends on: every field but seed, detector
     and camera, by ``repr`` (which, unlike ``==``, tells -0.0 from 0.0, as
     the log does), plus the sub-seed of each stream it draws from."""
-    flown = tuple(repr(getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _NOT_FLOWN)
+    flown = tuple(repr(getattr(cfg, f)) for f in cfg.FIELDS if f not in _NOT_FLOWN)
     return (flown, *(derive_seed(cfg.seed, name) if drawn else None
                      for name, drawn in _streams(cfg)))
 
@@ -395,8 +393,7 @@ def run_batch(cfgs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
     return results
 
 
-@dataclass
-class SweepSpec:
+class SweepSpec(Model):
     policies: tuple[str, ...] = POLICY_KINDS
     speeds: tuple[float, ...] = (0.1, 0.5, 1.0)
     detectors: tuple[str | None, ...] = ()  # empty: exploration only
@@ -407,9 +404,6 @@ class SweepSpec:
     KINDS = {"policies": list_of(POLICY_NAME), "speeds": list_of(SPEED),
              "detectors": list_of(DETECTOR_NAME, nonempty=False),
              "runs_per_config": COUNT, "base_seed": SEED, "duration": POSITIVE}
-
-    def __post_init__(self):
-        check_fields(self)
 
     def configurations(self):
         for policy in self.policies:
@@ -461,11 +455,11 @@ def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
     tick_count(spec.duration, template.control_dt, "sweep.duration")
     cfgs, runs = [], []
     for policy, speed, det in spec.configurations():
-        cfg = replace(template, policy=policy, duration=spec.duration,
-                      policy_cfg=replace(template.policy_cfg, cruise_speed=speed),
-                      detector=DETECTORS[det] if det is not None else None)
+        cfg = template.replace(policy=policy, duration=spec.duration,
+                               policy_cfg=template.policy_cfg.replace(cruise_speed=speed),
+                               detector=DETECTORS[det] if det is not None else None)
         for i in range(spec.runs_per_config):
-            cfgs.append(replace(cfg, seed=run_seed_for(spec.base_seed, policy, speed, det, i)))
+            cfgs.append(cfg.replace(seed=run_seed_for(spec.base_seed, policy, speed, det, i)))
             runs.append(i)
 
     results = run_batch(cfgs, jobs)

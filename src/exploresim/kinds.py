@@ -1,8 +1,9 @@
 """Value kinds: the conversion and the range of one config value or model
-field.  A model dataclass names the kind of each checked field in its
-``KINDS`` class attribute and checks them with :func:`check_fields`; the
-config table (:mod:`exploresim.config`) reads the same declarations, so
-each bound is written once.
+field, and :class:`Model`, the base of the config models.  A model names
+the kind of each checked field in its ``KINDS`` class attribute and
+checks them with :func:`check_fields` when it is made; the config table
+(:mod:`exploresim.config`) reads the same declarations, so each bound is
+written once.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 import reprlib
 
-from .errors import ValidationError
+from .errors import FrozenError, ValidationError
 
 
 class Kind:
@@ -129,3 +130,82 @@ def check_fields(obj) -> None:
     field name.  :class:`ValidationError` is a ``ValueError``."""
     for name, kind in obj.KINDS.items():
         kind(getattr(obj, name), name)
+
+
+class Fieldwise:
+    """Equality and ``repr`` by the values of ``FIELDS``, as for a
+    dataclass: equal only to an instance of the same class, and shown as
+    ``Name(field=value, ...)``.  The base of :class:`Model` and of
+    ``vehicle.State``."""
+
+    __slots__ = ()
+    FIELDS = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self.FIELDS] == [getattr(other, f) for f in self.FIELDS]
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS)
+        return f"{self.__class__.__qualname__}({values})"
+
+
+_MISSING = object()
+
+
+class Model(Fieldwise):
+    """An immutable config model, checked when made.
+
+    Its fields (``FIELDS``) are the names its class annotates, a base's
+    first; a class attribute of the same name is the field's default.  It
+    is made from field values by position or keyword, then checked by
+    ``__post_init__`` (:func:`check_fields` unless a model says otherwise),
+    and takes no assignment after.  Equality, hash and ``repr`` go by the
+    field values, as a frozen dataclass's do; :meth:`replace` makes a
+    changed, checked copy.  Nothing is generated at import.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.FIELDS = tuple(dict.fromkeys(name for c in reversed(cls.__mro__)
+                                         for name in c.__dict__.get("__annotations__", ())))
+        # each field's default, or _MISSING
+        cls._DEFAULTS = {name: getattr(cls, name, _MISSING) for name in cls.FIELDS}
+
+    def __init__(self, *args, **kwargs):
+        cls = self.__class__
+        if len(args) > len(cls.FIELDS):
+            raise TypeError(f"{cls.__name__}() takes at most {len(cls.FIELDS)} fields "
+                            f"by position, got {len(args)}")
+        values = dict(cls._DEFAULTS)
+        values.update(zip(cls.FIELDS, args))
+        for name, value in kwargs.items():
+            if name not in values:
+                raise TypeError(f"{cls.__name__}() has no field {name!r}")
+            if name in cls.FIELDS[:len(args)]:
+                raise TypeError(f"{cls.__name__}() got field {name!r} twice")
+            values[name] = value
+        for name, value in values.items():
+            if value is _MISSING:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+            # not self.__dict__[name]: a dict made from the instance's inline
+            # values makes every later read of a field about four times slower
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        check_fields(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.FIELDS))
+
+    def replace(self, **changes):
+        """A copy with ``changes`` made to its fields, checked as it is made."""
+        return self.__class__(**{**{f: getattr(self, f) for f in self.FIELDS}, **changes})

@@ -13,9 +13,9 @@ saturation time (18 s default), black for unvisited cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import SimError
+from .kinds import Model
 
 DEFAULT_CELL_SIZE = 0.5
 HEATMAP_SATURATION_S = 18.0
@@ -136,8 +136,7 @@ def export_heatmap(grid: OccupancyGrid, csv_path, pgm_path,
         fh.write(dwell_matrix_pgm(matrix, saturation))
 
 
-@dataclass(frozen=True)
-class EnergyModel:
+class EnergyModel(Model):
     """Constant per-component electrical powers of the platform, watts.
 
     ``p_total`` is the platform's published total draw; the components

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
-from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, check_fields, choice
+from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, Model, choice
 from .sensing import TofFrame
 from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, State, normalize_heading
 
@@ -50,8 +49,7 @@ _EPS = 1e-12
 _WALL_LOST_MARGIN = 0.5  # side error beyond this means the wall is lost, m
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(Model):
     cruise_speed: float = 0.5    # mission mean flight speed, m/s
     trigger_dist: float = 1.0    # front distance that triggers avoidance, m
     wall_standoff: float = 0.5   # lateral wall distance to hold, m
@@ -71,9 +69,6 @@ class PolicyConfig:
          "k_heading", "corner_margin", "align_tol"), POSITIVE),
         "cruise_speed": SPEED, "turn_rate": TURN_RATE, "scan_step": SCAN_STEP,
         "follow_side": choice(("left", "right"))}
-
-    def __post_init__(self):
-        check_fields(self)
 
     @functools.cached_property
     def cruise(self) -> Setpoint:

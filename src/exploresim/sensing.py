@@ -13,11 +13,10 @@ an inference frame can possibly see; it synthesizes no images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arena import Arena
-from .kinds import FOV, NON_NEGATIVE, POSITIVE, RATE, check_fields
+from .kinds import FOV, NON_NEGATIVE, POSITIVE, RATE, Model
 from .vehicle import VehicleState, normalize_heading
 
 # beam mount angles relative to body heading: front, left, right, back
@@ -27,16 +26,12 @@ _MIN_READING = 0.001
 _TIME_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class TofConfig:
+class TofConfig(Model):
     max_range: float = 4.0
     rate_hz: float = 20.0
     noise_sigma: float = 0.0
 
     KINDS = {"max_range": POSITIVE, "rate_hz": RATE, "noise_sigma": NON_NEGATIVE}
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 class TofFrame(NamedTuple):
@@ -49,15 +44,11 @@ class TofFrame(NamedTuple):
     t: float
 
 
-@dataclass(frozen=True)
-class CameraModel:
+class CameraModel(Model):
     fov: float = 1.1                # horizontal, radians
     max_detect_range: float = 2.0   # meters
 
     KINDS = {"fov": FOV, "max_detect_range": POSITIVE}
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 class TofBank:

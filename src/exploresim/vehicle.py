@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .kinds import Fieldwise
+
 TWO_PI = 2.0 * math.pi
 DEFAULT_DRONE_RADIUS = 0.05  # 10 cm diameter airframe
 
@@ -29,13 +31,13 @@ class Setpoint(NamedTuple):
     omega: float
 
 
-class State:
+class State(Fieldwise):
     """Base of a mutable state held in ``__slots__``: the vehicle's, a
     policy's, the detection ledger.  Its fields are the slots along the
     MRO, a subclass's after its base's (``FIELDS``), in the order of its
-    positional ``__init__``.  Equality and ``repr`` go by those fields, as
-    a dataclass's do, but no code is generated at import.  A state takes
-    no other attribute."""
+    positional ``__init__``.  Equality and ``repr`` go by those fields
+    (:class:`~exploresim.kinds.Fieldwise`).  A state takes no other
+    attribute."""
 
     __slots__ = ()
 
@@ -43,15 +45,6 @@ class State:
         super().__init_subclass__()
         cls.FIELDS = tuple(name for c in reversed(cls.__mro__)
                            for name in c.__dict__.get("__slots__", ()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return [getattr(self, f) for f in self.FIELDS] == [getattr(other, f) for f in self.FIELDS]
-
-    def __repr__(self) -> str:
-        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS)
-        return f"{self.__class__.__qualname__}({values})"
 
 
 class VehicleState(State):

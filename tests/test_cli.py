@@ -621,26 +621,57 @@ def test_help_documents_config_keys(capsys):
         assert key in text
 
 
-def test_no_command_but_a_parallel_sweep_imports_a_process_pool(tmp_path):
-    # every command pays for its imports before its first tick
+@pytest.fixture(scope="module")
+def command_modules(tmp_path_factory):
+    """In one fresh, isolated interpreter: the modules loaded after
+    ``import exploresim.cli`` and after each of ``run``, ``report`` and
+    ``sweep --jobs 1``; then the exploresim classes that carry
+    ``__dataclass_fields__``, found by importing every module."""
     script = """if True:
-        import json, sys
+        import importlib, json, pkgutil, sys
         sys.path.insert(0, sys.argv[1])
+        import exploresim
         from exploresim import cli
 
-        def pool_modules():
-            return sorted(m for m in sys.modules
-                          if m.startswith(("concurrent.futures", "multiprocessing")))
-
-        found = {"import": pool_modules()}
+        found = {"import": sorted(sys.modules)}
         for argv in (["run", "--duration", "1", "--out", "r"], ["report", "--in", "r"],
                      ["sweep", "--jobs", "1", "--runs-per-config", "1",
                       "--set", "sweep.duration=1", "--out", "s"]):
             assert cli.main(argv) == 0
-            found[argv[0]] = pool_modules()
+            found[argv[0]] = sorted(sys.modules)
+        found["dataclasses"] = []
+        for info in pkgutil.iter_modules(exploresim.__path__):
+            if info.name == "__main__":  # importing it runs the command line
+                continue
+            module = importlib.import_module(f"exploresim.{info.name}")
+            found["dataclasses"] += [cls.__qualname__ for cls in vars(module).values()
+                                     if isinstance(cls, type) and cls.__module__ == module.__name__
+                                     and hasattr(cls, "__dataclass_fields__")]
         print(json.dumps(found))
     """
-    proc = run_python(script, cwd=tmp_path)
+    proc = run_python(script, cwd=tmp_path_factory.mktemp("imports"))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after_each_command(found, prefixes):
+    """The modules named by ``prefixes`` (or in a package they name) that
+    ``found`` lists after the import and after each command."""
+    return {stage: [m for m in found[stage] if m in prefixes or m.startswith(
+        tuple(f"{p}." for p in prefixes))] for stage in ("import", "run", "report", "sweep")}
+
+
+def test_no_command_but_a_parallel_sweep_imports_a_process_pool(command_modules):
+    # every command pays for its imports before its first tick
+    assert loaded_after_each_command(command_modules, ("concurrent.futures", "multiprocessing")) \
+        == {"import": [], "run": [], "report": [], "sweep": []}
+
+
+def test_no_class_is_a_dataclass_and_no_command_imports_dataclasses(command_modules):
+    # a dataclass generates its methods when its module is imported, and
+    # `dataclasses` loads `inspect`: every command would pay for both.  The
+    # config models are kinds.Model classes, records NamedTuples and run
+    # states vehicle.State classes
+    assert command_modules["dataclasses"] == []
+    assert loaded_after_each_command(command_modules, ("dataclasses", "inspect")) == {
         "import": [], "run": [], "report": [], "sweep": []}

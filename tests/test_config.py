@@ -1,17 +1,14 @@
 import contextlib
-import importlib
 import io
 import json
 import math
 import os
-import pkgutil
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import exploresim
 from exploresim.arena import OBJECT_CLASSES
 from exploresim.cli import main
 from exploresim.config import (DEFAULT_CONFIG, LEAF, apply_overrides, build_run_config,
@@ -283,19 +280,3 @@ def test_any_value_for_any_key_flies_or_names_its_key(data):
 @given(_ARENA_DOC, st.sampled_from(POLICY_KINDS))
 def test_any_arena_document_flies_or_names_arena(doc, policy):
     flies_or_names_its_key("arena", doc, policy)
-
-
-def test_only_the_config_models_are_dataclasses():
-    # a dataclass generates its methods when its module is imported, which
-    # every command pays for; records are NamedTuples and run states
-    # vehicle.State classes
-    found = set()
-    for info in pkgutil.iter_modules(exploresim.__path__):
-        if info.name == "__main__":  # importing it runs the command line
-            continue
-        module = importlib.import_module(f"exploresim.{info.name}")
-        found |= {cls.__qualname__ for cls in vars(module).values()
-                  if isinstance(cls, type) and cls.__module__ == module.__name__
-                  and hasattr(cls, "__dataclass_fields__")}
-    assert found == {"RunConfig", "PolicyConfig", "TofConfig", "CameraModel", "DetectorModel",
-                     "SweepSpec", "EnergyModel", "TargetObject"}

@@ -4,7 +4,6 @@ import math
 import os
 import pickle
 import random
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +14,7 @@ from exploresim.arena import (DEFAULT_ARENA_DOC, Arena, TargetObject, Vec2, defa
                               load_arena)
 from exploresim.cli import main
 from exploresim.detection import DETECTORS, DetectorModel
-from exploresim.errors import SimError, ValidationError
+from exploresim.errors import FrozenError, SimError, ValidationError
 from exploresim.harness import (RunConfig, SweepSpec, aggregate,
                                 aggregate_detection, flight_key, fly, run_batch,
                                 run_seed_for, run_single, run_sweep)
@@ -65,15 +64,15 @@ def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
 class TestRunConfig:
     def test_checked_when_replaced(self):
         with pytest.raises(ValidationError) as err:
-            replace(make_cfg(), duration=-1.0)
+            make_cfg().replace(duration=-1.0)
         assert err.value.path == "duration"
         with pytest.raises(ValidationError) as err:
-            replace(make_cfg(), start=(-1.0, 2.0, 0.0))
+            make_cfg().replace(start=(-1.0, 2.0, 0.0))
         assert err.value.path == "run.start"
 
     def test_frozen(self):
         cfg = make_cfg()
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(FrozenError):
             cfg.seed = 1
 
 
@@ -168,7 +167,7 @@ class TestRunSingle:
 
     def test_frame_rate_too_low_for_any_frame(self):
         # the first frame's tick, 50 / fps, overflows to infinity
-        det = replace(DETECTORS["ssd-1.0"], fps=7.451148835073434e-308)
+        det = DETECTORS["ssd-1.0"].replace(fps=7.451148835073434e-308)
         res = run_single(make_cfg(detector=det, duration=1.0))
         assert res.ledger.frames_fired == 0
 
@@ -199,6 +198,18 @@ class TestSweep:
         spec = SweepSpec()
         assert len(list(spec.configurations())) == 12
         assert spec.runs_per_config == 5
+
+    def test_spec_is_frozen_and_checked_when_replaced(self):
+        # a changed spec would skip its checks: runs_per_config=0 gave 0 rows
+        spec = SweepSpec()
+        with pytest.raises(FrozenError):
+            spec.runs_per_config = 0
+        with pytest.raises(FrozenError):
+            spec.speeds = (5.0,)
+        assert spec == SweepSpec() and hash(spec) == hash(SweepSpec())
+        with pytest.raises(ValidationError) as err:
+            spec.replace(runs_per_config=0)
+        assert err.value.path == "runs_per_config"
 
     def test_row_count_and_order(self):
         sweep = run_sweep(small_spec())
@@ -328,9 +339,9 @@ class TestAggregateDetection:
         # p=1 overrides: a 100 fps detector can only beat 1.6 fps on the
         # same seeds (trajectories are detector-independent)
         lo = DETECTORS["ssd-1.0"]
-        hi = replace(lo, fps=100.0)
-        lo_sure = replace(lo, p_detect=1.0)
-        hi_sure = replace(hi, p_detect=1.0)
+        hi = lo.replace(fps=100.0)
+        lo_sure = lo.replace(p_detect=1.0)
+        hi_sure = hi.replace(p_detect=1.0)
         means = []
         for det in (lo_sure, hi_sure):
             rates = []
@@ -396,18 +407,42 @@ class TestFlights:
         assert capsys.readouterr().err.startswith("error: run failed for wall-following/0.5/")
         assert not out.exists()
 
+    def test_reprs_read_by_flight_key_are_pinned(self):
+        # flight_key groups flights by these texts: a change to how a model
+        # shows itself fails here by name, not as moved flight keys
+        assert repr(RunConfig(arena=default_arena(), detector=DETECTORS["ssd-1.0"])) == (
+            "RunConfig(arena=Arena(6.5, 5.5, obstacles=(), objects=("
+            "TargetObject(id=1, cls='bottle', pos=Vec2(x=2.9, y=2.75), radius=0.05), "
+            "TargetObject(id=2, cls='tin_can', pos=Vec2(x=3.6, y=2.75), radius=0.05), "
+            "TargetObject(id=3, cls='bottle', pos=Vec2(x=0.8, y=0.8), radius=0.05), "
+            "TargetObject(id=4, cls='tin_can', pos=Vec2(x=5.7, y=0.8), radius=0.05), "
+            "TargetObject(id=5, cls='bottle', pos=Vec2(x=0.8, y=4.7), radius=0.05), "
+            "TargetObject(id=6, cls='tin_can', pos=Vec2(x=5.7, y=4.7), radius=0.05))), "
+            "policy='pseudo-random', policy_cfg=PolicyConfig(cruise_speed=0.5, "
+            "trigger_dist=1.0, wall_standoff=0.5, spiral_step=0.5, "
+            "scan_step=0.7853981633974483, leg_max=2.0, turn_rate=1.5, k_wall=1.5, "
+            "kd_wall=3.5, k_heading=2.0, follow_side='left', corner_margin=0.1, "
+            "align_tol=0.05), tof=TofConfig(max_range=4.0, rate_hz=20.0, noise_sigma=0.0), "
+            "camera=CameraModel(fov=1.1, max_detect_range=2.0), "
+            "detector=DetectorModel(name='ssd-1.0', fps=1.6, p_detect=0.5), duration=180.0, "
+            "seed=0, start=None, control_dt=0.02, drone_radius=0.05)")
+        assert repr(SweepSpec()) == (
+            "SweepSpec(policies=('pseudo-random', 'wall-following', 'spiral', "
+            "'rotate-and-measure'), speeds=(0.1, 0.5, 1.0), detectors=(), runs_per_config=5, "
+            "base_seed=42, duration=180.0)")
+
     def test_flight_key(self):
         cfg = make_cfg(policy="spiral")
         rebuilt = make_cfg(policy="spiral", arena=default_arena(), seed=9,
                            detector=DETECTORS["ssd-1.0"])
         assert rebuilt.arena is not cfg.arena and rebuilt.arena == cfg.arena
         assert flight_key(rebuilt) == flight_key(cfg)
-        assert flight_key(replace(cfg, tof=NOISY)) != flight_key(replace(rebuilt, tof=NOISY))
-        assert flight_key(replace(cfg, policy="pseudo-random")) != \
-            flight_key(replace(rebuilt, policy="pseudo-random"))
+        assert flight_key(cfg.replace(tof=NOISY)) != flight_key(rebuilt.replace(tof=NOISY))
+        assert flight_key(cfg.replace(policy="pseudo-random")) != \
+            flight_key(rebuilt.replace(policy="pseudo-random"))
         # the log writes -0.0 as "-0.000000", so the two starts are two flights
-        assert flight_key(replace(cfg, start=(1.0, 5.0, 0.0))) != \
-            flight_key(replace(cfg, start=(1.0, 5.0, -0.0)))
+        assert flight_key(cfg.replace(start=(1.0, 5.0, 0.0))) != \
+            flight_key(cfg.replace(start=(1.0, 5.0, -0.0)))
         assert flight_key(make_cfg(policy="spiral", arena=load_arena(BOXED_ROOM))) != \
             flight_key(cfg)
 
@@ -440,9 +475,9 @@ class TestFlights:
         sweep = run_sweep(spec, template, jobs=jobs)
         assert sweep.flights == (16 if noise else 4 + 3)
         for row, grid in zip(sweep.rows, sweep.grids, strict=True):
-            cfg = replace(template, policy=row.policy, seed=row.seed, duration=30.0,
-                          policy_cfg=PolicyConfig(cruise_speed=row.speed),
-                          detector=DETECTORS[row.detector])
+            cfg = template.replace(policy=row.policy, seed=row.seed, duration=30.0,
+                                   policy_cfg=PolicyConfig(cruise_speed=row.speed),
+                                   detector=DETECTORS[row.detector])
             want = run_single(cfg)
             assert (row.digest, row.coverage, row.detection_rate, row.collision) == \
                 (want.digest, want.coverage, want.detection_rate, want.collision.occurred)
@@ -531,8 +566,8 @@ def batches(draw):
                          tof=TofConfig(noise_sigma=draw(st.sampled_from([0.0, 0.02]))),
                          control_dt=dt, duration=draw(st.integers(1, round(10.0 / dt))) * dt,
                          start=(x, y, heading))
-        cfgs += [replace(base, seed=draw(st.integers(0, 3)), detector=draw(detectors),
-                         camera=draw(cameras))
+        cfgs += [base.replace(seed=draw(st.integers(0, 3)), detector=draw(detectors),
+                              camera=draw(cameras))
                  for _ in range(draw(st.integers(1, 3)))]
     return cfgs
 

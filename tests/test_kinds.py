@@ -1,0 +1,144 @@
+import pickle
+
+import pytest
+
+from exploresim.arena import TargetObject, Vec2, default_arena
+from exploresim.detection import DETECTORS, DetectorModel
+from exploresim.errors import FrozenError, ValidationError
+from exploresim.harness import RunConfig, SweepSpec
+from exploresim.kinds import Model
+from exploresim.metrics import EnergyModel
+from exploresim.policies import PolicyConfig
+from exploresim.sensing import CameraModel, TofConfig
+
+ROOM = default_arena()
+
+# each config model, one of its instances, and a field value its checks refuse
+MODELS = [
+    (RunConfig(arena=ROOM), "duration", -1.0),
+    (PolicyConfig(), "cruise_speed", 2.0),
+    (TofConfig(), "rate_hz", 0.0),
+    (CameraModel(), "fov", 4.0),
+    (DETECTORS["ssd-1.0"], "p_detect", 1.5),
+    (SweepSpec(), "runs_per_config", 0),
+    (TargetObject(1, "bottle", Vec2(1.0, 1.0)), "cls", "cup"),
+    (EnergyModel(), "p_motors", 5.0),
+]
+IDS = [model.__class__.__name__ for model, *_ in MODELS]
+
+
+def test_every_config_model_is_a_model():
+    assert {model.__class__ for model, *_ in MODELS} == set(Model.__subclasses__())
+
+
+def test_fields_are_the_annotations_in_order():
+    assert TofConfig.FIELDS == ("max_range", "rate_hz", "noise_sigma")
+    assert RunConfig.FIELDS[:3] == ("arena", "policy", "policy_cfg")
+
+    class Noisy(TofConfig):
+        noise_sigma: float = 0.1
+        bias: float = 0.0
+
+    # a base's fields first; a redefined field keeps its place
+    assert Noisy.FIELDS == ("max_range", "rate_hz", "noise_sigma", "bias")
+    assert Noisy().noise_sigma == 0.1
+
+
+def test_made_by_position_or_keyword():
+    assert TofConfig(3.0, 10.0) == TofConfig(max_range=3.0, rate_hz=10.0)
+    assert TofConfig(3.0, noise_sigma=0.01) == TofConfig(3.0, 20.0, 0.01)
+    det = DetectorModel("custom", 2.0, p_detect=0.5)
+    assert (det.name, det.fps, det.p_detect) == ("custom", 2.0, 0.5)
+    assert TargetObject(id=1, cls="bottle", pos=Vec2(1.0, 1.0)).radius == 0.05
+
+
+def test_default_model_fields_are_shared():
+    # the models are immutable, so one default instance serves every config
+    a, b = RunConfig(arena=ROOM), RunConfig(arena=ROOM, seed=3)
+    assert a.policy_cfg is b.policy_cfg and a.tof is b.tof and a.camera is b.camera
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DetectorModel("custom", 2.0), "missing field 'p_detect'"),
+    (lambda: RunConfig(), "missing field 'arena'"),
+    (lambda: TofConfig(speed=1.0), "has no field 'speed'"),
+    (lambda: TofConfig(3.0, max_range=3.0), "got field 'max_range' twice"),
+    (lambda: TofConfig(1.0, 2.0, 0.0, 4.0), "takes at most 3 fields by position, got 4"),
+    (lambda: PolicyConfig(cruise=0.5), "has no field 'cruise'"),
+])
+def test_a_missing_unknown_or_repeated_field_is_a_type_error(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("model, field, bad", MODELS, ids=IDS)
+def test_replace_makes_a_checked_copy(model, field, bad):
+    if isinstance(model, EnergyModel):  # checks the sum of its parts, not a field
+        with pytest.raises(ValueError, match="component powers sum to"):
+            model.replace(**{field: bad})
+    else:
+        with pytest.raises(ValidationError) as err:
+            model.replace(**{field: bad})
+        assert err.value.path == field
+    copy = model.replace()
+    assert copy == model and copy is not model
+    with pytest.raises(TypeError, match="has no field 'colour'"):
+        model.replace(colour="red")
+
+
+def test_replace_changes_only_what_it_names():
+    cfg = RunConfig(arena=ROOM, seed=5)
+    moved = cfg.replace(duration=60.0, start=(1.0, 1.0, 0.0))
+    assert (moved.duration, moved.start, moved.seed) == (60.0, (1.0, 1.0, 0.0), 5)
+    assert (cfg.duration, cfg.start) == (180.0, None)
+
+
+@pytest.mark.parametrize("model, field, bad", MODELS, ids=IDS)
+def test_frozen(model, field, bad):
+    before = repr(model)
+    with pytest.raises(FrozenError, match=f"cannot assign to field '{field}'"):
+        setattr(model, field, bad)
+    with pytest.raises(FrozenError, match=f"cannot delete field '{field}'"):
+        delattr(model, field)
+    with pytest.raises(AttributeError):  # FrozenError is one
+        model.colour = "red"
+    assert repr(model) == before
+
+
+@pytest.mark.parametrize("model, field, bad", MODELS, ids=IDS)
+def test_equality_and_hash_go_by_value(model, field, bad):
+    twin = model.__class__(**{f: getattr(model, f) for f in model.FIELDS})
+    assert twin == model and hash(twin) == hash(model) and len({twin, model}) == 1
+    assert model != (*(getattr(model, f) for f in model.FIELDS),)
+
+
+def test_models_of_different_classes_are_unequal():
+    class Other(TofConfig):
+        pass
+
+    assert Other() != TofConfig() and TofConfig() == TofConfig()
+    assert TofConfig(rate_hz=10.0) != TofConfig()
+    assert DETECTORS["ssd-1.0"] != DETECTORS["ssd-1.0"].replace(fps=1.7)
+
+
+def test_policy_config_caches_stay_out_of_eq_hash_and_repr():
+    cfg, fresh = PolicyConfig(), PolicyConfig()
+    # each is built once per instance
+    assert cfg.cruise is cfg.cruise and cfg.turns is cfg.turns
+    assert cfg.scan_records == 8 and cfg.cruise == (0.5, 0.0)
+    assert {"cruise", "turns", "scan_records"} <= vars(cfg).keys()
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+    for name in ("cruise", "turns", "scan_records"):
+        assert name not in PolicyConfig.FIELDS and f"{name}=" not in repr(cfg)
+    # a copy computes its own
+    assert cfg.replace(cruise_speed=0.2).cruise == (0.2, 0.0)
+
+
+def test_a_model_survives_pickling():
+    # run_batch ships configs to its worker processes
+    cfg = RunConfig(arena=ROOM, detector=DETECTORS["ssd-0.5"], seed=9)
+    cfg.policy_cfg.turns
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg and repr(back) == repr(cfg)
+    with pytest.raises(FrozenError):
+        back.seed = 1

@@ -1,7 +1,6 @@
 import math
 import types
 from collections import namedtuple
-from dataclasses import replace
 
 import pytest
 
@@ -97,7 +96,7 @@ class TestWallFollowing:
     def test_right_following_sign(self):
         ps = WallFollowState(mode="follow", acquired=True)
         ps, sp = wall_following_step(ps, frame(front=3.0, right=0.7), 0.0, 0.02,
-                                     replace(CFG, follow_side="right"), None)
+                                     CFG.replace(follow_side="right"), None)
         assert sp.omega == pytest.approx(-1.5 * (0.7 - 0.5))
 
     def test_acquire_cruises_then_turns_away_from_followed_side(self):
