@@ -178,6 +178,8 @@ class Arena:
         if (x - radius < 0.0 or x + radius > self.width
                 or y - radius < 0.0 or y + radius > self.height):
             return True
+        if not self.obstacles:
+            return False
         rr = radius * radius
         for x0, y0, x1, y1 in self.obstacles:
             cx = x0 if x < x0 else (x1 if x > x1 else x)

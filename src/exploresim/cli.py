@@ -25,8 +25,8 @@ from .detection import DETECTORS
 from .errors import SimError, ValidationError
 from .harness import RunConfig, aggregate, aggregate_detection, run_single, run_sweep
 from .kinds import COUNT, ROOM_SIDE
-from .metrics import (HEATMAP_SATURATION_S, EnergyModel, dwell_matrix_pgm, export_heatmap,
-                      mean_grid, parse_dwell_csv)
+from .metrics import (HEATMAP_SATURATION_S, EnergyModel, OccupancyGrid, dwell_matrix_pgm,
+                      export_heatmap, mean_grid, parse_dwell_csv)
 from .policies import POLICY_KINDS
 from . import report as rep
 
@@ -209,16 +209,20 @@ def cmd_report(args) -> int:
         width, height, coverage, digest = _read(summary, _record)
         detections = src / "detections.csv"
         hasher = hashlib.blake2b(digest_size=8)
+        grid = OccupancyGrid(width, height)
         with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as series:
             # as written, untranslated: the digest is of the log's bytes
             final = _read(trajectory, lambda f: rep.coverage_series_csv(
-                f, width, height, series, hasher), encoding="ascii", newline="\n")
+                f, grid, series, hasher), encoding="ascii", newline="\n")
             # the run's own record: a log edited or swapped since is not reported
             for field, replayed, recorded in (("digest", hasher.hexdigest(), digest),
                                               ("coverage", float(final), coverage)):
                 if replayed != recorded:
                     raise SimError(f"{trajectory}: {field} {replayed} does not match "
                                    f"{summary}'s {reprlib.repr(recorded)}")
+            # the dwell grid the log replays to; heatmap.pgm is not checked
+            _read(src / "heatmap.csv", lambda f: rep.check_heatmap_csv(f.read(), grid),
+                  encoding="ascii", newline="\n")
             found = _read(detections, rep.parse_detections_csv) if detections.exists() else []
             out.mkdir(parents=True, exist_ok=True)
             series.seek(0)

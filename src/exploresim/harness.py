@@ -17,9 +17,12 @@ One run interleaves two clocked tasks on a single timeline:
 bit: a run seed expands into independent sub-streams for the policy, the
 detector, and sensor noise, so enabling or swapping the detector never
 perturbs the trajectory.  The trajectory log is written and hashed into
-a 64-bit digest (blake2b) a chunk of rows at a time, as it is flown;
-cells are marked from the log-quantized coordinates (six decimals) so
-that replaying the emitted log reconstructs the grid exactly.
+a 64-bit digest (blake2b) a chunk of rows at a time, as it is flown.
+Dwell goes to the cell of the log-quantized coordinates (six decimals),
+so that replaying the emitted log reconstructs the grid's cells; it is
+deposited a cell-run at a time: each run of ticks that stays in one cell
+adds its ticks' dt there together, one addition per tick, as marking
+each tick would.
 
 A flight depends on the seed only through the policy stream, if the
 policy draws from it, and the noise stream, if the ranging is noisy
@@ -217,12 +220,16 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     """The flight of one mission: :func:`fly` plus the log, digest, grid and
     collision record, keeping the state after every tick that a frame of a
     detector at one of ``frame_rates`` (frames per second) samples.  The
-    log goes to ``log``, an open text file or ``None``, a chunk at a time."""
+    log goes to ``log``, an open text file or ``None``, a chunk at a time.
+    The grid gets each tick's dt at the tick's quantized position (clamped
+    into the room on a crash tick): the ticks of a run in one cell are
+    deposited when the position leaves the cell, and the last run at the
+    end (:meth:`OccupancyGrid.deposit`)."""
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
     dt = cfg.control_dt
     grid = OccupancyGrid(arena.width, arena.height)
-    mark = grid.mark
+    cell, deposit = grid.cell, grid.deposit
     collision = CollisionRecord()
     seen: dict[int, VehicleState] = {}
     dues = heapq.merge(*(_frame_ticks(fps, dt) for fps in set(frame_rates)))
@@ -243,6 +250,9 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     hs = f"{h0:.6f}"
     xq = float(xs)
     yq = float(ys)
+    # the dwell cell of the current run of ticks, its bounds and the run's
+    # length: the first tick starts a run, as the bounds hold no point
+    i_cell, run, x_lo, x_hi, y_lo, y_hi = 0, 0, 0.0, 0.0, 0.0, 0.0
 
     # time is the tick count times dt, never a running sum; a coordinate's
     # text is formatted again only when it changes (a zero may change sign),
@@ -268,18 +278,25 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
             if state.heading != heading or not heading:
                 heading = state.heading
                 hs = f"{heading:.6f}"
-            if blocked:  # the last tick: fly stops after it
+            if blocked:  # the last tick: fly stops after it, at a clamped state
                 collision = CollisionRecord(True, ticks * dt, state.x, state.y)
-                mark(min(max(xq, 0.0), arena.width), min(max(yq, 0.0), arena.height), dt)
+                xq = min(max(xq, 0.0), arena.width)
+                yq = min(max(yq, 0.0), arena.height)
             else:
-                mark(xq, yq, dt)
                 while frame_due == ticks:
                     seen[ticks] = state
                     frame_due = next(dues)[0]
+            if x_lo <= xq < x_hi and y_lo <= yq < y_hi:
+                run += 1
+            else:  # a new cell: deposit the run that ends
+                deposit(i_cell, dt, run)
+                i_cell, x_lo, x_hi, y_lo, y_hi = cell(xq, yq)
+                run = 1
         emit("".join(rows))
         if len(rows) < _LOG_CHUNK:
             break
 
+    deposit(i_cell, dt, run)
     elapsed = ticks * dt
     emit(f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n")
     return Flight(grid, collision, int.from_bytes(hasher.digest(), "big"), elapsed, seen)

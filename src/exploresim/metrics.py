@@ -4,6 +4,11 @@ The grid divides the room into square 0.5 m cells (the default room
 yields 13 x 11 = 143 cells).  Each control tick deposits its dt
 into the cell containing the drone's center, so total dwell equals
 elapsed flight time.  Coverage is visited cells over total cells.
+A replay marks each sample as it comes (:meth:`OccupancyGrid.mark`);
+a flight stays in one cell for tens of ticks, so it finds a cell and its
+bounds once (:meth:`OccupancyGrid.cell`) and deposits the ticks of a run
+of them in that cell together (:meth:`OccupancyGrid.deposit`), with the
+same float sums.
 
 Heatmaps export as a CSV dwell matrix (row 0 = north) and a binary PGM
 with one 32 x 32 pixel block per cell, intensity linear in dwell up to a
@@ -29,6 +34,7 @@ class OccupancyGrid:
         self.cols = int(math.ceil(width / DEFAULT_CELL_SIZE - 1e-9))
         self.rows = int(math.ceil(height / DEFAULT_CELL_SIZE - 1e-9))
         self.dwell = [0.0] * (self.rows * self.cols)
+        self.ticks = [0] * (self.rows * self.cols)  # deposits made in each cell
         self._visited = 0
 
     def mark(self, x: float, y: float, dt: float) -> None:
@@ -51,6 +57,45 @@ class OccupancyGrid:
         if dwell[i] == 0.0:
             self._visited += 1
         dwell[i] += dt
+        self.ticks[i] += 1
+
+    def cell(self, x: float, y: float) -> tuple[int, float, float, float, float]:
+        """``(i, x0, x1, y0, y1)``: the index of the cell that ``mark(x, y, dt)``
+        deposits into, and the bounds ``x0 <= x < x1``, ``y0 <= y < y1`` of
+        the points that :meth:`mark` sends to it; the far edge cells are
+        unbounded above.  Exact: ``x / 0.5`` is exact in binary, so
+        ``int(x / 0.5) == c`` holds exactly when ``c * 0.5 <= x < (c + 1) * 0.5``.
+        (x, y) must lie in the closed room, as for :meth:`mark`.
+        """
+        size = DEFAULT_CELL_SIZE
+        c = int(x / size)
+        if c >= self.cols - 1:
+            c = self.cols - 1
+            x1 = math.inf
+        else:
+            x1 = (c + 1) * size
+        r = int(y / size)
+        if r >= self.rows - 1:
+            r = self.rows - 1
+            y1 = math.inf
+        else:
+            y1 = (r + 1) * size
+        return r * self.cols + c, c * size, x1, r * size, y1
+
+    def deposit(self, i: int, dt: float, n: int) -> None:
+        """Deposit dt seconds of dwell ``n`` times into cell ``i``: one
+        addition at a time, never ``n * dt``, so the cell holds the same
+        float sum as after ``n`` calls of :meth:`mark` there.  ``n`` may be 0."""
+        if n < 1:
+            return
+        dwell = self.dwell
+        total = dwell[i]
+        if total == 0.0:
+            self._visited += 1
+        for _ in range(n):
+            total += dt
+        dwell[i] = total
+        self.ticks[i] += n
 
     @property
     def total_cells(self) -> int:

@@ -37,11 +37,10 @@ circle in place forever.
 
 from __future__ import annotations
 
-import functools
 import math
 from operator import attrgetter
 
-from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, Model, choice
+from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, Model, check_fields, choice
 from .sensing import TofFrame
 from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, State, normalize_heading
 
@@ -70,22 +69,19 @@ class PolicyConfig(Model):
         "cruise_speed": SPEED, "turn_rate": TURN_RATE, "scan_step": SCAN_STEP,
         "follow_side": choice(("left", "right"))}
 
-    @functools.cached_property
-    def cruise(self) -> Setpoint:
-        """Straight flight at the cruise speed, built once per config:
-        most ticks of a flight emit it."""
-        return Setpoint(self.cruise_speed, 0.0)
-
-    @functools.cached_property
-    def scan_records(self) -> int:
-        """Front ranges recorded per rotate-and-measure scan."""
-        return max(1, round(2.0 * math.pi / self.scan_step))
-
-    @functools.cached_property
-    def turns(self) -> tuple[Setpoint, Setpoint]:
-        """The in-place turns, counter-clockwise then clockwise, built once
-        per config; ``turns[x < 0.0]`` turns toward the sign of a nonzero x."""
-        return Setpoint(0.0, self.turn_rate), Setpoint(0.0, -self.turn_rate)
+    def __post_init__(self):
+        check_fields(self)
+        # values read on most ticks, made once per config: plain attributes
+        # outside FIELDS, so out of eq, hash and repr, and set here rather
+        # than cached on first read, which would give the instance a dict
+        # and slow every later read of a field.  ``cruise``: straight flight
+        # at the cruise speed; ``turns``: the in-place turns, counter-clockwise
+        # then clockwise (``turns[x < 0.0]`` turns toward the sign of a
+        # nonzero x); ``scan_records``: front ranges per rotate-and-measure scan
+        object.__setattr__(self, "cruise", Setpoint(self.cruise_speed, 0.0))
+        object.__setattr__(self, "turns", (Setpoint(0.0, self.turn_rate),
+                                           Setpoint(0.0, -self.turn_rate)))
+        object.__setattr__(self, "scan_records", max(1, round(2.0 * math.pi / self.scan_step)))
 
 
 class PseudoRandomState(State):
@@ -200,10 +196,9 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
     In follow mode the set-point is a function of the frame, ``standoff``
     and the state alone, so a state that tracked the wall on this very
     frame (a zero-order hold repeats it between refreshes) holds its
-    set-point; a caller that changes ``standoff`` clears it.
+    set-point: each caller returns ``held_sp`` before calling this when
+    ``prev_frame`` is ``tof``, and a caller that changes ``standoff`` clears it.
     """
-    if ps.prev_frame is tof and ps.held_sp is not None:
-        return ps, ps.held_sp, False
     side_is_left = cfg.follow_side == "left"
     if ps.mode == "corner":
         err = normalize_heading(ps.target_heading - heading)
@@ -274,6 +269,8 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
 def wall_following_step(ps: WallFollowState, tof: TofFrame, heading: float,
                         dt: float, cfg: PolicyConfig, rng) -> tuple[WallFollowState, Setpoint]:
     """Hold the configured standoff from the wall on the followed side."""
+    if ps.prev_frame is tof and ps.held_sp is not None:
+        return ps, ps.held_sp
     ps, sp, _ = _boundary_track_step(ps, tof, heading, dt, cfg, cfg.wall_standoff)
     return ps, sp
 
@@ -287,6 +284,8 @@ def spiral_step(ps: SpiralState, tof: TofFrame, heading: float,
     leave [wall_standoff, ring_limit] the direction reverses instead and
     the boundary ring is flown once more.
     """
+    if ps.prev_frame is tof and ps.held_sp is not None:
+        return ps, ps.held_sp
     ps, sp, corner_done = _boundary_track_step(ps, tof, heading, dt, cfg, ps.ring_offset)
     if corner_done:
         corners = ps.corners_done + 1

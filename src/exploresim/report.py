@@ -14,7 +14,7 @@ from math import isfinite
 from .arena import Arena
 from .errors import SimError
 from .harness import _LOG_CHUNK, AggregateRow, SweepRow, TRAJECTORY_HEADER, RunResult
-from .metrics import OccupancyGrid
+from .metrics import OccupancyGrid, dwell_matrix_csv, parse_dwell_csv
 
 RUNS_CSV_HEADER = "policy,speed,detector,run,seed,coverage,detection_rate,collision,energy_j,digest"
 AGGREGATE_CSV_HEADER = ("policy,speed,detector,runs,coverage_mean,coverage_var,"
@@ -107,11 +107,11 @@ def parse_trajectory(lines):
     return _parse_lines(lines, TRAJECTORY_HEADER, _sample)
 
 
-def coverage_series_csv(log, width: float, height: float, out, hasher) -> str:
-    """Replay the trajectory log ``log``, an open text file, into a fresh
-    occupancy grid as it is read; write the coverage over time to the open
-    text file ``out``, at most ``_LOG_CHUNK`` rows per write, and return the
-    final coverage as written.
+def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
+    """Replay the trajectory log ``log``, an open text file, into ``grid``,
+    a fresh occupancy grid of the room, as it is read; write the coverage
+    over time to the open text file ``out``, at most ``_LOG_CHUNK`` rows per
+    write, and return the final coverage as written.
 
     The log is read and hashed into ``hasher`` a block of lines at a time:
     blake2b streams, so the digest equals the flight's (``harness.fly_logged``).
@@ -131,7 +131,7 @@ def coverage_series_csv(log, width: float, height: float, out, hasher) -> str:
     lines = chain.from_iterable(blocks())
     if next(lines, "").rstrip("\n") != TRAJECTORY_HEADER:
         raise SimError(f"line 1: expected the header {TRAJECTORY_HEADER!r}")
-    grid = OccupancyGrid(width, height)
+    width, height = grid.width, grid.height
     mark, cells = grid.mark, grid.total_cells
     rows = [SERIES_CSV_HEADER + "\n"]
     visited = last_t = None
@@ -160,6 +160,46 @@ def coverage_series_csv(log, width: float, height: float, out, hasher) -> str:
         raise SimError("trajectory log has no samples")
     out.write("".join(rows))
     return coverage
+
+
+def check_heatmap_csv(text: str, grid: OccupancyGrid) -> None:
+    """Raise :class:`SimError` unless ``text`` is the ``heatmap.csv`` that
+    ``run`` writes for the flight that ``grid`` replays from its log.
+
+    The text must be the six-decimal rendering of a dwell matrix the size
+    of the grid.  A cell's value is not compared digit for digit: the
+    flight deposits its ``dt`` on each tick, while the replay deposits the
+    gaps between six-decimal times, each within 1e-6 of ``dt``, so at a
+    ``dt`` that is not a whole number of microseconds (1/60 s) the two
+    sums differ in the last digit.  Each cell is checked against the ticks
+    that the replay deposited in it instead: the flight's dwell in a cell
+    of ``n`` of the log's ``N`` ticks is ``n * dt``, and the log's final
+    time ``T``, the replay's total dwell, is ``N * dt`` within 5e-7 s.  So
+    the file's value is within ``5e-7 * (1 + n / N)`` of ``n * T / N``,
+    save float rounding: the last digit of a cell is checked unless the
+    cell holds every tick.
+    """
+    matrix = parse_dwell_csv(text)
+    if dwell_matrix_csv(matrix) != text:
+        raise SimError("not a dwell matrix as run writes it: six decimals, one line a row")
+    rows, cols = grid.rows, grid.cols
+    if len(matrix) != rows or len(matrix[0]) != cols:
+        raise SimError(f"{len(matrix)} x {len(matrix[0]) if matrix else 0} cells, "
+                       f"the {grid.width} x {grid.height} m room has {rows} x {cols}")
+    ticks = grid.ticks
+    n_ticks = max(sum(ticks), 1)  # a log of one sample deposits nothing
+    total = grid.total_dwell()
+    per_tick = total / n_ticks
+    for line_no, row in enumerate(matrix, 1):
+        first = (rows - line_no) * cols  # row 0 of the file is the north row
+        for c, value in enumerate(row):
+            n = ticks[first + c]
+            want = n * per_tick
+            # rounding to six decimals, the spread of dt, and float sums
+            bound = 5e-7 * (1.0 + n / n_ticks) + 2.0 ** -49 * (n + 4) * total
+            if abs(value - want) > bound:
+                raise SimError(f"line {line_no}: cell {c + 1} holds {value:.6f} s, but the "
+                               f"log's {n} ticks in it make {want:.6f} s")
 
 
 def parse_runs_csv(lines) -> list[SweepRow]:

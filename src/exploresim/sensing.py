@@ -24,6 +24,7 @@ MOUNT_ANGLES = (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
 
 _MIN_READING = 0.001
 _TIME_EPS = 1e-9
+_tuple_new = tuple.__new__
 
 
 class TofConfig(Model):
@@ -92,7 +93,9 @@ class TofBank:
                 elif r > max_range:
                     r = max_range
             readings.append(r)
-        self._frame = TofFrame(readings[0], readings[1], readings[2], readings[3], t)
+        readings.append(t)
+        # the tuple made directly, not through the NamedTuple's Python-level __new__
+        self._frame = _tuple_new(TofFrame, readings)
         period = self._period
         self.due = (int(t / period + _TIME_EPS) + 1) * period - _TIME_EPS
         return self._frame

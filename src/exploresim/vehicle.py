@@ -10,6 +10,7 @@ exactly ``|v| * dt``.
 from __future__ import annotations
 
 import math
+from math import cos, pi, sin
 from typing import NamedTuple
 
 from .kinds import Fieldwise
@@ -66,14 +67,16 @@ class CollisionRecord(NamedTuple):
 def step(state: VehicleState, sp: Setpoint, dt: float) -> VehicleState:
     """Advance one control tick under a set-point (midpoint-heading rule).
     A turn in place (``v == 0``) keeps the position without any trig: a
-    flight's positions are never zero, so adding ``0.0 * cos`` changes none."""
+    flight's positions are never zero, so adding ``0.0 * cos`` changes none.
+    The new heading is :func:`normalize_heading`'s expression, inline."""
     v, omega = sp
+    heading = state.heading
     if not v:
-        return VehicleState(state.x, state.y, normalize_heading(state.heading + omega * dt))
-    mid = state.heading + omega * dt * 0.5
+        return VehicleState(state.x, state.y, (heading + omega * dt + pi) % TWO_PI - pi)
+    mid = heading + omega * dt * 0.5
     return VehicleState(
-        state.x + v * dt * math.cos(mid),
-        state.y + v * dt * math.sin(mid),
-        normalize_heading(state.heading + omega * dt),
+        state.x + v * dt * cos(mid),
+        state.y + v * dt * sin(mid),
+        (heading + omega * dt + pi) % TWO_PI - pi,
     )
 

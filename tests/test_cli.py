@@ -524,6 +524,37 @@ class TestReport:
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [
+        # the last digit of the busiest cell, one up
+        lambda rows: "line {}: cell {} holds ".format(*_bump_busiest(rows, 1e-6)),
+        # north and south swapped: the first line that changed is named
+        lambda rows: "line {}: cell ".format(_mirror(rows)),
+        # a row dropped
+        lambda rows: rows.pop() and "10 x 13 cells, the 6.5 x 5.5 m room has 11 x 13",
+        # the same values, written with fewer decimals
+        lambda rows: rows.__setitem__(0, [float(v) for v in rows[0]]) or "not a dwell matrix",
+    ], ids=["last-digit", "mirrored", "dropped-row", "reformatted"])
+    def test_edited_heatmap_csv_exits_1(self, tmp_path, capsys, edit):
+        src, out = tmp_path / "mission", tmp_path / "report"
+        assert run_cli("run", "--duration", "20", "--out", str(src)) == 0
+        path = src / "heatmap.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        message = edit(rows)
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not (out / "coverage_series.csv").exists() and not out.exists()
+
+    @pytest.mark.parametrize("control_dt", ["0.02", "0.016666666666666666", "0.0123"])
+    def test_heatmap_of_any_control_step_is_vouched_for(self, tmp_path, control_dt):
+        # at 60 Hz the log's six-decimal times are not whole multiples of dt:
+        # the replayed dwell differs from the flight's in the last digit
+        src = tmp_path / "mission"
+        for policy in ("pseudo-random", "rotate-and-measure"):
+            assert run_cli("run", "--policy", policy, "--duration", "36.9",
+                           "--set", f"run.control_dt={control_dt}", "--out", str(src)) == 0
+            assert run_cli("report", "--in", str(src)) == 0
+
     def test_crlf_log_exits_1(self, tmp_path, capsys):
         # the digest is of the log's bytes: line ends are not translated on reading
         src, out = tmp_path / "mission", tmp_path / "report"
@@ -675,3 +706,19 @@ def test_no_class_is_a_dataclass_and_no_command_imports_dataclasses(command_modu
     assert command_modules["dataclasses"] == []
     assert loaded_after_each_command(command_modules, ("dataclasses", "inspect")) == {
         "import": [], "run": [], "report": [], "sweep": []}
+
+
+def _bump_busiest(rows, delta):
+    """Add ``delta`` to the largest dwell of heatmap rows (text cells) and
+    return its ``(line, cell)``, both counted from 1."""
+    line, cell = max(((r, c) for r in range(len(rows)) for c in range(len(rows[r]))),
+                     key=lambda rc: float(rows[rc[0]][rc[1]]))
+    rows[line][cell] = f"{float(rows[line][cell]) + delta:.6f}"
+    return line + 1, cell + 1
+
+
+def _mirror(rows):
+    """Reverse heatmap rows in place; the first line that changed, from 1."""
+    before = list(rows)
+    rows.reverse()
+    return next(n for n, (a, b) in enumerate(zip(before, rows), 1) if a != b)

@@ -19,7 +19,9 @@ from exploresim.harness import (RunConfig, SweepSpec, aggregate,
                                 aggregate_detection, flight_key, fly, run_batch,
                                 run_seed_for, run_single, run_sweep)
 from exploresim.policies import POLICY_KINDS, PolicyConfig, policy_draws
-from exploresim.report import coverage_series_csv, parse_trajectory
+from exploresim.metrics import OccupancyGrid, dwell_matrix_csv
+from exploresim.report import (check_heatmap_csv, coverage_series_csv,
+                               parse_trajectory)
 from exploresim.seeding import derive_seed
 from exploresim.sensing import MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
@@ -635,10 +637,13 @@ def test_the_series_of_a_random_mission_replays_its_flight(data, arena, policy, 
                     seed=seed)
     res, lines = logged(cfg)
     series, hasher = io.StringIO(), hashlib.blake2b(digest_size=8)
-    final = coverage_series_csv(io.StringIO("".join(lines)), arena.width, arena.height, series,
-                                hasher)
+    grid = OccupancyGrid(arena.width, arena.height)
+    final = coverage_series_csv(io.StringIO("".join(lines)), grid, series, hasher)
     want, replay = coverage_series(lines, arena.width, arena.height)
     assert series.getvalue() == want
     assert final == f"{replay.coverage():.6f}" == f"{res.coverage:.6f}"
     assert int.from_bytes(hasher.digest(), "big") == res.digest
     assert replay.dwell == pytest.approx(res.grid.dwell, abs=1e-9)
+    assert grid.dwell == replay.dwell and grid.ticks == res.grid.ticks
+    # the report vouches for the run's heatmap.csv
+    check_heatmap_csv(dwell_matrix_csv(res.grid.matrix_north_first()), grid)

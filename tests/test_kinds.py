@@ -1,3 +1,5 @@
+import functools
+import math
 import pickle
 
 import pytest
@@ -123,15 +125,36 @@ def test_models_of_different_classes_are_unequal():
 
 def test_policy_config_caches_stay_out_of_eq_hash_and_repr():
     cfg, fresh = PolicyConfig(), PolicyConfig()
-    # each is built once per instance
+    # set when the config is made, before any read, as plain attributes
+    assert {"cruise", "turns", "scan_records"} <= vars(cfg).keys()
     assert cfg.cruise is cfg.cruise and cfg.turns is cfg.turns
     assert cfg.scan_records == 8 and cfg.cruise == (0.5, 0.0)
-    assert {"cruise", "turns", "scan_records"} <= vars(cfg).keys()
+    assert cfg.turns == ((0.0, 1.5), (0.0, -1.5))
     assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
     for name in ("cruise", "turns", "scan_records"):
         assert name not in PolicyConfig.FIELDS and f"{name}=" not in repr(cfg)
     # a copy computes its own
-    assert cfg.replace(cruise_speed=0.2).cruise == (0.2, 0.0)
+    copy = cfg.replace(cruise_speed=0.2, turn_rate=2.0, scan_step=math.pi / 2.0)
+    assert copy.cruise == (0.2, 0.0) and copy.turns == ((0.0, 2.0), (0.0, -2.0))
+    assert copy.scan_records == 4 and cfg.cruise == (0.5, 0.0)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_model_carries_a_cached_property():
+    # a value cached on first read writes the instance's __dict__, and every
+    # later read of a field of that instance is several times slower
+    models = list(_subclasses(Model))
+    assert PolicyConfig in models
+    for model in models:
+        for klass in model.__mro__:
+            cached = [name for name, value in vars(klass).items()
+                      if isinstance(value, functools.cached_property)]
+            assert not cached, f"{klass.__name__} caches {cached}"
 
 
 def test_a_model_survives_pickling():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from exploresim import harness, policies, report
 from exploresim.arena import Arena, default_arena
 from exploresim.harness import TRAJECTORY_HEADER, RunConfig, fly, fly_logged
+from exploresim.metrics import OccupancyGrid
 from exploresim.policies import POLICY_KINDS
 from exploresim.report import coverage_series_csv
 from exploresim.vehicle import Setpoint
@@ -122,7 +123,8 @@ def test_series_is_written_a_chunk_at_a_time():
     flight = fly_logged(cfg, log=log)
     sink = RecordingSink()
     hasher = hashlib.blake2b(digest_size=8)
-    final = coverage_series_csv(io.StringIO(log.getvalue()), 6.5, 5.5, sink, hasher)
+    final = coverage_series_csv(io.StringIO(log.getvalue()), OccupancyGrid(6.5, 5.5), sink,
+                                hasher)
     assert len(sink.writes) >= 4
     assert max(text.count("\n") for text in sink.writes) <= CHUNK
     want, _ = coverage_series(log.getvalue().splitlines(keepends=True), 6.5, 5.5)
@@ -158,7 +160,7 @@ def test_series_is_written_before_the_log_is_read():
             super().write(text)
 
     sink = Sink()
-    coverage_series_csv(log, 6.5, 5.5, sink, hashlib.blake2b(digest_size=8))
+    coverage_series_csv(log, OccupancyGrid(6.5, 5.5), sink, hashlib.blake2b(digest_size=8))
     # a block holds at most one line past _BLOCK_CHARS characters
     block = report._BLOCK_CHARS // min(map(len, lines)) + 1
     bound = 2 * block + CHUNK

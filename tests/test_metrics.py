@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exploresim.metrics import (EnergyModel, OccupancyGrid, dwell_matrix_csv,
                                 dwell_matrix_pgm, export_heatmap,
@@ -57,6 +61,70 @@ class TestGrid:
             grid.mark((i % 13) * 0.5 + 0.1, (i % 11) * 0.5 + 0.1, 0.02)
             assert grid.coverage() >= last
             last = grid.coverage()
+
+
+def _coordinates(side: float):
+    """Points along one side of a room: exact cell edges (multiples of 0.5),
+    both room edges, their float neighbours and any point between."""
+    edges = st.integers(0, int(side / 0.5)).map(lambda k: k * 0.5)
+    return st.one_of(
+        st.sampled_from([0.0, side, math.nextafter(side, 0.0), math.nextafter(0.0, 1.0)]),
+        edges.filter(lambda v: v <= side),
+        edges.map(lambda v: math.nextafter(v, math.inf)).filter(lambda v: v <= side),
+        edges.map(lambda v: math.nextafter(v, 0.0)).filter(lambda v: 0.0 <= v <= side),
+        st.floats(0.0, side))
+
+
+@st.composite
+def _rooms_and_points(draw):
+    width = draw(st.sampled_from([6.5, 5.5, 3.2, 0.7, 0.5, 12.25]))
+    height = draw(st.sampled_from([5.5, 6.5, 4.1, 0.3, 1.0]))
+    points = draw(st.lists(st.tuples(_coordinates(width), _coordinates(height)),
+                           min_size=1, max_size=30))
+    return width, height, [(width, height), *points]  # the far corner first
+
+
+@given(_rooms_and_points())
+@settings(max_examples=200, deadline=None)
+def test_cell_agrees_with_mark_on_every_point(room):
+    width, height, points = room
+    for x, y in points:
+        grid = OccupancyGrid(width, height)
+        i, x0, x1, y0, y1 = grid.cell(x, y)
+        grid.mark(x, y, 1.0)
+        assert grid.dwell[i] == 1.0 and grid.ticks[i] == 1
+        # every point of the bounds marks that cell
+        assert x0 <= x < x1 and y0 <= y < y1
+        for px in (x0, math.nextafter(x1, 0.0) if x1 < math.inf else width):
+            for py in (y0, math.nextafter(y1, 0.0) if y1 < math.inf else height):
+                if px <= width and py <= height:
+                    assert grid.cell(px, py)[0] == i
+                    probe = OccupancyGrid(width, height)
+                    probe.mark(px, py, 1.0)
+                    assert probe.dwell[i] == 1.0
+        # and a point past a bounded side marks another
+        if x1 <= width:
+            assert grid.cell(x1, y)[0] != i
+        if y1 <= height:
+            assert grid.cell(x, y1)[0] != i
+
+
+@given(_rooms_and_points(), st.lists(st.tuples(st.integers(0, 40),
+                                               st.sampled_from([0.02, 0.1, 1 / 60, 0.3, 1.0])),
+                                     min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_deposit_equals_that_many_marks(room, runs):
+    width, height, points = room
+    marked, deposited = OccupancyGrid(width, height), OccupancyGrid(width, height)
+    for (x, y), (n, dt) in zip(points * len(runs), runs):
+        for _ in range(n):
+            marked.mark(x, y, dt)
+        deposited.deposit(deposited.cell(x, y)[0], dt, n)
+    # bit for bit: the same additions in the same order
+    assert [v.hex() for v in deposited.dwell] == [v.hex() for v in marked.dwell]
+    assert deposited._visited == marked._visited
+    assert deposited.ticks == marked.ticks
+    assert deposited.coverage() == marked.coverage()
 
 
 class TestHeatmapArtifacts:
