@@ -289,14 +289,14 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
             if x_lo <= xq < x_hi and y_lo <= yq < y_hi:
                 run += 1
             else:  # a new cell: deposit the run that ends
-                deposit(i_cell, dt, run)
+                deposit(i_cell, (dt,) * run)
                 i_cell, x_lo, x_hi, y_lo, y_hi = cell(xq, yq)
                 run = 1
         emit("".join(rows))
         if len(rows) < _LOG_CHUNK:
             break
 
-    deposit(i_cell, dt, run)
+    deposit(i_cell, (dt,) * run)
     elapsed = ticks * dt
     emit(f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n")
     return Flight(grid, collision, int.from_bytes(hasher.digest(), "big"), elapsed, seen)

@@ -4,11 +4,11 @@ The grid divides the room into square 0.5 m cells (the default room
 yields 13 x 11 = 143 cells).  Each control tick deposits its dt
 into the cell containing the drone's center, so total dwell equals
 elapsed flight time.  Coverage is visited cells over total cells.
-A replay marks each sample as it comes (:meth:`OccupancyGrid.mark`);
-a flight stays in one cell for tens of ticks, so it finds a cell and its
-bounds once (:meth:`OccupancyGrid.cell`) and deposits the ticks of a run
-of them in that cell together (:meth:`OccupancyGrid.deposit`), with the
-same float sums.
+A flight or a log replay stays in one cell for tens of samples, so it
+finds a cell and its bounds once (:meth:`OccupancyGrid.cell`) and
+deposits the time gaps of a run of samples in that cell together
+(:meth:`OccupancyGrid.deposit`), with the same float sums as marking
+each sample in turn (:meth:`OccupancyGrid.mark`).
 
 Heatmaps export as a CSV dwell matrix (row 0 = north) and a binary PGM
 with one 32 x 32 pixel block per cell, intensity linear in dwell up to a
@@ -18,6 +18,8 @@ saturation time (18 s default), black for unvisited cells.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 from .errors import SimError
 from .kinds import Model
@@ -42,8 +44,9 @@ class OccupancyGrid:
         point on the far edge of the room lands in the edge cell.
 
         Not checked here: (x, y) must lie in the closed room and dt be
-        > 0.  A flight marks six-decimal free-space states and a clamped
-        crash state; a replay checks the room and that ``t`` increases.
+        > 0.  A flight deposits at six-decimal free-space states and a
+        clamped crash state; a replay checks the room and that ``t``
+        increases.
         """
         cols = self.cols
         c = int(x / DEFAULT_CELL_SIZE)
@@ -82,20 +85,18 @@ class OccupancyGrid:
             y1 = (r + 1) * size
         return r * self.cols + c, c * size, x1, r * size, y1
 
-    def deposit(self, i: int, dt: float, n: int) -> None:
-        """Deposit dt seconds of dwell ``n`` times into cell ``i``: one
-        addition at a time, never ``n * dt``, so the cell holds the same
-        float sum as after ``n`` calls of :meth:`mark` there.  ``n`` may be 0."""
-        if n < 1:
+    def deposit(self, i: int, gaps) -> None:
+        """Deposit each time gap of the sequence ``gaps`` into cell ``i``: one
+        addition at a time, in order, so the cell holds bit for bit the float
+        sum that a call of :meth:`mark` there per gap leaves.  The gaps must
+        be > 0, as for :meth:`mark`; ``gaps`` may be empty."""
+        if not gaps:
             return
         dwell = self.dwell
-        total = dwell[i]
-        if total == 0.0:
+        if dwell[i] == 0.0:
             self._visited += 1
-        for _ in range(n):
-            total += dt
-        dwell[i] = total
-        self.ticks[i] += n
+        dwell[i] = reduce(add, gaps, dwell[i])
+        self.ticks[i] += len(gaps)
 
     @property
     def total_cells(self) -> int:

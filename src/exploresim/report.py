@@ -2,14 +2,17 @@
 
 All numeric output uses fixed decimal formatting so artifacts are byte
 stable across platforms and reruns, which the golden-file and
-determinism tests rely on.  Artifacts are parsed a line at a time, as
-they are read; an error names the first bad line in file order.
+determinism tests rely on.  Artifacts are parsed as they are read: a
+trajectory log a block of lines at a time, with each check made on
+whole columns of the block, and the other tables a line at a time.  An
+error names the first bad line in file order.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import isfinite
+from itertools import count, islice, repeat
+from math import inf, isfinite
+from operator import sub
 
 from .arena import Arena
 from .errors import SimError
@@ -107,59 +110,142 @@ def parse_trajectory(lines):
     return _parse_lines(lines, TRAJECTORY_HEADER, _sample)
 
 
+def _block_columns(lines, last_t: float, width: float, height: float, final: bool):
+    """The ``t``, ``x`` and ``y`` columns and the ``t`` gaps of the samples of
+    ``lines``, a block of log lines that follows a sample at ``last_t``, each
+    check made once for the whole block; ``None`` if a line fails one.  When
+    no line follows the block (``final``), its last sample is clamped into
+    the room first: only a crash state may lie outside it."""
+    if list(map(str.count, lines, repeat(","))).count(_TRAJECTORY_FIELDS - 1) != len(lines):
+        return None
+    try:  # float() ignores the "\n" that each line's last field keeps
+        row = list(map(float, ",".join(lines).split(",")))
+    except ValueError:
+        return None
+    # a finite sum means finite fields; finite fields may still overflow it
+    if not (isfinite(sum(row)) or all(map(isfinite, row))):
+        return None
+    ts, xs, ys = row[0::_TRAJECTORY_FIELDS], row[1::_TRAJECTORY_FIELDS], row[2::_TRAJECTORY_FIELDS]
+    gaps = list(map(sub, ts, [last_t, *ts[:-1]]))
+    if final:
+        xs[-1], ys[-1] = min(max(xs[-1], 0.0), width), min(max(ys[-1], 0.0), height)
+    if (min(gaps) > 0.0 and 0.0 <= min(xs) and max(xs) <= width
+            and 0.0 <= min(ys) and max(ys) <= height):
+        return ts, xs, ys, gaps
+    return None
+
+
+def _first_fault(lines, n: int, last_t: float, width: float, height: float,
+                 final: bool) -> SimError:
+    """The error of the first bad line of a block of log lines that
+    :func:`_block_columns` rejects, line by line: ``n`` is the number of the
+    block's first line, and the other arguments are as there."""
+    last = n + len(lines) - 1
+    for n, line in enumerate(lines, n):
+        try:
+            t, x, y, _, _, _ = _sample(line.rstrip("\n"))
+        except ValueError as exc:
+            return SimError(f"line {n}: {exc}")
+        if not t - last_t > 0.0:
+            return SimError(f"line {n}: t does not increase")
+        if not (0.0 <= x <= width and 0.0 <= y <= height) and not (final and n == last):
+            return SimError(f"line {n}: ({x}, {y}) lies outside the {width} x {height} m room")
+        last_t = t
+    raise AssertionError("a block that fails a check holds no bad line")
+
+
+class _Rows:
+    """Rows of text after the line ``header`` to the open text file ``out``,
+    written at most ``_LOG_CHUNK`` lines at a time."""
+
+    def __init__(self, out, header: str):
+        self.out, self.pieces, self.count = out, [header + "\n"], 1
+
+    def add(self, row: str, values) -> None:
+        """The rows ``row % v`` of the values ``v`` of the sequence ``values``."""
+        a, end = 0, len(values)
+        while a < end:
+            b = min(end, a + _LOG_CHUNK - self.count)
+            self.pieces.append(row * (b - a) % tuple(values[a:b]))
+            self.count += b - a
+            a = b
+            if self.count == _LOG_CHUNK:
+                self.flush()
+
+    def flush(self) -> None:
+        self.out.write("".join(self.pieces))
+        self.pieces, self.count = [], 0
+
+
 def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
     """Replay the trajectory log ``log``, an open text file, into ``grid``,
     a fresh occupancy grid of the room, as it is read; write the coverage
     over time to the open text file ``out``, at most ``_LOG_CHUNK`` rows per
     write, and return the final coverage as written.
 
-    The log is read and hashed into ``hasher`` a block of lines at a time:
-    blake2b streams, so the digest equals the flight's (``harness.fly_logged``).
-    Each sample after the start is marked with the time gap to its
-    predecessor at its log-quantized coordinates, as the run loop marks
-    them, so the final grid matches the run's cell for cell.  Only the
-    final sample may lie outside the room (a collision's crash state); it
-    is clamped into it.  The first bad line in file order raises
-    :class:`SimError` naming it: a malformed row, a ``t`` that does not
-    increase, or a sample outside the room that another line follows.
+    The log is read, hashed into ``hasher`` and replayed a block of lines
+    at a time: blake2b streams, so the digest equals the flight's
+    (``harness.fly_logged``).  Each block's lines are split and parsed
+    together, and its checks are made on whole columns; a block that fails
+    one is walked line by line to name its first bad line.  Each sample
+    after the start deposits the time gap to its predecessor at its
+    log-quantized coordinates, a run of samples in one cell at a time, as
+    the run loop does, so the final grid matches the run's bit for bit.
+    Only the final sample may lie outside the room (a collision's crash
+    state), so a block is replayed once the next one is read; the final
+    sample is clamped into the room.  The first bad line in file order
+    raises :class:`SimError` naming it: a malformed row, a ``t`` that does
+    not increase, or a sample outside the room that another line follows.
     """
-    def blocks():
+    def hashed_blocks():
         for block in iter(lambda: log.readlines(_BLOCK_CHARS), []):
             hasher.update("".join(block).encode("ascii"))
             yield block
 
-    lines = chain.from_iterable(blocks())
-    if next(lines, "").rstrip("\n") != TRAJECTORY_HEADER:
+    blocks = hashed_blocks()
+    lines = next(blocks, [""])
+    if lines[0].rstrip("\n") != TRAJECTORY_HEADER:
         raise SimError(f"line 1: expected the header {TRAJECTORY_HEADER!r}")
-    width, height = grid.width, grid.height
-    mark, cells = grid.mark, grid.total_cells
-    rows = [SERIES_CSV_HEADER + "\n"]
-    visited = last_t = None
-    for n, line in enumerate(lines, 2):
-        try:
-            t, x, y, _, _, _ = _sample(line.rstrip("\n"))
-        except ValueError as exc:
-            raise SimError(f"line {n}: {exc}") from None
-        if last_t is not None and not t - last_t > 0.0:
-            raise SimError(f"line {n}: t does not increase")
-        if not (0.0 <= x <= width and 0.0 <= y <= height):
-            if next(lines, None) is not None:
-                raise SimError(f"line {n}: ({x}, {y}) lies outside the {width} x {height} m room")
-            x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
-        if last_t is not None:
-            mark(x, y, t - last_t)
-        last_t = t
-        if grid._visited != visited:  # most samples visit no new cell
-            visited = grid._visited
-            coverage = f"{visited / cells:.6f}"
-        rows.append(f"{t:.6f},{coverage}\n")
-        if len(rows) == _LOG_CHUNK:
-            out.write("".join(rows))
-            rows = []
-    if last_t is None:
+    # a block holds more than the header line unless the log ends there
+    del lines[0]
+    if not lines:
         raise SimError("trajectory log has no samples")
-    out.write("".join(rows))
-    return coverage
+    width, height = grid.width, grid.height
+    cell, deposit, coverage = grid.cell, grid.deposit, grid.coverage
+    series = _Rows(out, SERIES_CSV_HEADER)
+    shown = coverage()
+    row = f"%.6f,{shown:.6f}\n"
+    last_t, n, first = -inf, 2, 1  # the start sample deposits nothing
+    # the dwell cell of the current run of samples and its bounds
+    i_cell, x_lo, x_hi, y_lo, y_hi = 0, 0.0, 0.0, 0.0, 0.0
+    while lines:
+        try:
+            ahead, fault = next(blocks, []), None
+        except ValueError as exc:  # text that does not decode: after this block's faults
+            ahead, fault = [], exc
+        columns = _block_columns(lines, last_t, width, height, not ahead)
+        if columns is None:
+            raise _first_fault(lines, n, last_t, width, height, not ahead)
+        ts, xs, ys, gaps = columns
+        # (sample, cell) where each run of samples in one cell starts
+        runs = [(first, i_cell)]
+        for j, x, y in zip(count(first), islice(xs, first, None), islice(ys, first, None)):
+            if not (x_lo <= x < x_hi and y_lo <= y < y_hi):
+                i_cell, x_lo, x_hi, y_lo, y_hi = cell(x, y)
+                runs.append((j, i_cell))
+        span = 0  # the samples from here on share the coverage ``shown``
+        for (a, i), (b, _) in zip(runs, runs[1:] + [(len(ts), None)]):
+            deposit(i, gaps[a:b])
+            if coverage() != shown:
+                series.add(row, ts[span:a])
+                shown, span = coverage(), a
+                row = f"%.6f,{shown:.6f}\n"
+        series.add(row, ts[span:])
+        if fault is not None:
+            raise fault
+        last_t, n, first, lines = ts[-1], n + len(lines), 0, ahead
+    series.flush()
+    return f"{shown:.6f}"
 
 
 def check_heatmap_csv(text: str, grid: OccupancyGrid) -> None:

@@ -511,10 +511,15 @@ class TestReport:
         ({3: "0.020000,1000000.000000,1,0,0,0", 4: "0.040000"}, "line 3: "),
         # line 5 lies outside the room and is not the last; line 7 repeats line 6
         ({5: "0.060000,3.250000,-1.000000,0,0,0", 7: 6}, "line 5: "),
+        # past the first block of the log: line 1200 repeats line 1199, line
+        # 1300 does not parse
+        ({1200: 1199, 1300: "0.100000,x,1,0,0,0"}, "line 1200: t does not increase"),
     ])
     def test_first_bad_line_in_file_order_is_named(self, tmp_path, capsys, edits, message):
         src, out = tmp_path / "mission", tmp_path / "report"
-        assert run_cli("run", "--duration", "1", "--out", str(src)) == 0
+        # a run of 50 rows a second, long enough for every edited line
+        duration = "1" if max(edits) < 50 else "30"
+        assert run_cli("run", "--duration", duration, "--out", str(src)) == 0
         path = src / "trajectory.csv"
         lines = path.read_text().splitlines()
         for line_no, text in edits.items():

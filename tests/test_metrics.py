@@ -109,17 +109,21 @@ def test_cell_agrees_with_mark_on_every_point(room):
             assert grid.cell(x, y1)[0] != i
 
 
-@given(_rooms_and_points(), st.lists(st.tuples(st.integers(0, 40),
-                                               st.sampled_from([0.02, 0.1, 1 / 60, 0.3, 1.0])),
-                                     min_size=1, max_size=30))
+# a flight deposits runs of its dt, a replay runs of six-decimal time gaps
+_GAPS = st.sampled_from([0.02, 0.1, 1 / 60, 0.3, 1.0, 0.016666, 0.016667, 0.020001])
+
+
+@given(_rooms_and_points(), st.lists(st.one_of(
+    st.tuples(st.integers(0, 40), _GAPS).map(lambda n_dt: (n_dt[1],) * n_dt[0]),
+    st.lists(_GAPS, max_size=40)), min_size=1, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_deposit_equals_that_many_marks(room, runs):
     width, height, points = room
     marked, deposited = OccupancyGrid(width, height), OccupancyGrid(width, height)
-    for (x, y), (n, dt) in zip(points * len(runs), runs):
-        for _ in range(n):
+    for (x, y), gaps in zip(points * len(runs), runs):
+        for dt in gaps:
             marked.mark(x, y, dt)
-        deposited.deposit(deposited.cell(x, y)[0], dt, n)
+        deposited.deposit(deposited.cell(x, y)[0], gaps)
     # bit for bit: the same additions in the same order
     assert [v.hex() for v in deposited.dwell] == [v.hex() for v in marked.dwell]
     assert deposited._visited == marked._visited
