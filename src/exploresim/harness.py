@@ -20,9 +20,9 @@ perturbs the trajectory.  The trajectory log is written and hashed into
 a 64-bit digest (blake2b) a chunk of rows at a time, as it is flown.
 Dwell goes to the cell of the log-quantized coordinates (six decimals),
 so that replaying the emitted log reconstructs the grid's cells; it is
-deposited a cell-run at a time: each run of ticks that stays in one cell
-adds its ticks' dt there together, one addition per tick, as marking
-each tick would.
+deposited a log chunk of ticks at a time, through the grid's one kernel
+for runs of points in one cell (:meth:`OccupancyGrid.deposit`), with
+one addition per tick, as marking each tick would.
 
 A flight depends on the seed only through the policy stream, if the
 policy draws from it, and the noise stream, if the ranging is noisy
@@ -222,14 +222,12 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     detector at one of ``frame_rates`` (frames per second) samples.  The
     log goes to ``log``, an open text file or ``None``, a chunk at a time.
     The grid gets each tick's dt at the tick's quantized position (clamped
-    into the room on a crash tick): the ticks of a run in one cell are
-    deposited when the position leaves the cell, and the last run at the
-    end (:meth:`OccupancyGrid.deposit`)."""
+    into the room on a crash tick), a log chunk of ticks at a time
+    (:meth:`OccupancyGrid.deposit`)."""
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
     dt = cfg.control_dt
     grid = OccupancyGrid(arena.width, arena.height)
-    cell, deposit = grid.cell, grid.deposit
     collision = CollisionRecord()
     seen: dict[int, VehicleState] = {}
     dues = heapq.merge(*(_frame_ticks(fps, dt) for fps in set(frame_rates)))
@@ -250,9 +248,6 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     hs = f"{h0:.6f}"
     xq = float(xs)
     yq = float(ys)
-    # the dwell cell of the current run of ticks, its bounds and the run's
-    # length: the first tick starts a run, as the bounds hold no point
-    i_cell, run, x_lo, x_hi, y_lo, y_hi = 0, 0, 0.0, 0.0, 0.0, 0.0
 
     # time is the tick count times dt, never a running sum; a coordinate's
     # text is formatted again only when it changes (a zero may change sign),
@@ -260,7 +255,8 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     flight = fly(cfg)
     last_sp = None
     for first in count(0, _LOG_CHUNK):
-        rows = []
+        rows, xqs, yqs = [], [], []  # the chunk's log rows and dwell positions
+        add_x, add_y = xqs.append, yqs.append
         for t_text, ticks, (_, _, _, _, sp, state, blocked) in zip(
                 _tick_column(dt, first).split(" "), count(first + 1), flight):
             if sp is not last_sp:
@@ -286,17 +282,13 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
                 while frame_due == ticks:
                     seen[ticks] = state
                     frame_due = next(dues)[0]
-            if x_lo <= xq < x_hi and y_lo <= yq < y_hi:
-                run += 1
-            else:  # a new cell: deposit the run that ends
-                deposit(i_cell, (dt,) * run)
-                i_cell, x_lo, x_hi, y_lo, y_hi = cell(xq, yq)
-                run = 1
+            add_x(xq)
+            add_y(yq)
         emit("".join(rows))
+        grid.deposit(xqs, yqs, (dt,) * len(rows))
         if len(rows) < _LOG_CHUNK:
             break
 
-    deposit(i_cell, (dt,) * run)
     elapsed = ticks * dt
     emit(f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n")
     return Flight(grid, collision, int.from_bytes(hasher.digest(), "big"), elapsed, seen)
@@ -421,6 +413,17 @@ class SweepSpec(Model):
     KINDS = {"policies": list_of(POLICY_NAME), "speeds": list_of(SPEED),
              "detectors": list_of(DETECTOR_NAME, nonempty=False),
              "runs_per_config": COUNT, "base_seed": SEED, "duration": POSITIVE}
+
+    def __post_init__(self):
+        check_fields(self)
+        # a configuration is one row of aggregate.csv, one heatmap and one
+        # label of run seeds, and runs.csv shows its speed to three decimals
+        for name, shown in (("policies", repr), ("detectors", repr), ("speeds", "{:.3f}".format)):
+            texts = list(map(shown, getattr(self, name)))
+            for j, text in enumerate(texts):
+                if text in texts[:j]:
+                    raise ValidationError(f"sweep.{name}", f"repeats {text}" + (
+                        " at the three decimals of runs.csv" if name == "speeds" else ""))
 
     def configurations(self):
         for policy in self.policies:

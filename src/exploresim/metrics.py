@@ -4,11 +4,11 @@ The grid divides the room into square 0.5 m cells (the default room
 yields 13 x 11 = 143 cells).  Each control tick deposits its dt
 into the cell containing the drone's center, so total dwell equals
 elapsed flight time.  Coverage is visited cells over total cells.
-A flight or a log replay stays in one cell for tens of samples, so it
-finds a cell and its bounds once (:meth:`OccupancyGrid.cell`) and
-deposits the time gaps of a run of samples in that cell together
-(:meth:`OccupancyGrid.deposit`), with the same float sums as marking
-each sample in turn (:meth:`OccupancyGrid.mark`).
+A flight or a log replay stays in one cell for tens of samples: it
+deposits a path of samples at a time (:meth:`OccupancyGrid.deposit`),
+which finds each run of samples in one cell and adds their time gaps
+there together, with the same float sums as marking each sample in turn
+(:meth:`OccupancyGrid.mark`).
 
 Heatmaps export as a CSV dwell matrix (row 0 = north) and a binary PGM
 with one 32 x 32 pixel block per cell, intensity linear in dwell up to a
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from itertools import count
 from operator import add
 
 from .errors import SimError
@@ -62,41 +63,38 @@ class OccupancyGrid:
         dwell[i] += dt
         self.ticks[i] += 1
 
-    def cell(self, x: float, y: float) -> tuple[int, float, float, float, float]:
-        """``(i, x0, x1, y0, y1)``: the index of the cell that ``mark(x, y, dt)``
-        deposits into, and the bounds ``x0 <= x < x1``, ``y0 <= y < y1`` of
-        the points that :meth:`mark` sends to it; the far edge cells are
-        unbounded above.  Exact: ``x / 0.5`` is exact in binary, so
-        ``int(x / 0.5) == c`` holds exactly when ``c * 0.5 <= x < (c + 1) * 0.5``.
-        (x, y) must lie in the closed room, as for :meth:`mark`.
-        """
-        size = DEFAULT_CELL_SIZE
-        c = int(x / size)
-        if c >= self.cols - 1:
-            c = self.cols - 1
-            x1 = math.inf
-        else:
-            x1 = (c + 1) * size
-        r = int(y / size)
-        if r >= self.rows - 1:
-            r = self.rows - 1
-            y1 = math.inf
-        else:
-            y1 = (r + 1) * size
-        return r * self.cols + c, c * size, x1, r * size, y1
-
-    def deposit(self, i: int, gaps) -> None:
-        """Deposit each time gap of the sequence ``gaps`` into cell ``i``: one
-        addition at a time, in order, so the cell holds bit for bit the float
-        sum that a call of :meth:`mark` there per gap leaves.  The gaps must
-        be > 0, as for :meth:`mark`; ``gaps`` may be empty."""
-        if not gaps:
-            return
-        dwell = self.dwell
-        if dwell[i] == 0.0:
-            self._visited += 1
-        dwell[i] = reduce(add, gaps, dwell[i])
-        self.ticks[i] += len(gaps)
+    def deposit(self, xs, ys, gaps) -> list[int]:
+        """Deposit each time gap of the sequence ``gaps`` at the point
+        ``(xs[j], ys[j])`` of the same index ``j``, as :meth:`mark` would, and
+        return the indices at which a cell is first visited, in order.  Each
+        run of points in one cell adds its gaps there one at a time, in
+        order, so the grid holds bit for bit the sums of a :meth:`mark` per
+        point, however a path is split between calls.  A run ends at the
+        first point outside its cell's bounds ``c * 0.5 <= x < (c + 1) * 0.5``
+        (so for y; the far edge cells are unbounded above): ``x / 0.5`` is
+        exact in binary, so ``int(x / 0.5) == c`` holds exactly within them."""
+        size, cols, rows = DEFAULT_CELL_SIZE, self.cols, self.rows
+        # the first point and the cell of each run; the bounds of no cell
+        # hold a point before the first
+        starts, cells = [], []
+        x0 = x1 = y0 = y1 = 0.0
+        for j, x, y in zip(count(), xs, ys):
+            if x0 <= x < x1 and y0 <= y < y1:
+                continue
+            c, r = min(int(x / size), cols - 1), min(int(y / size), rows - 1)
+            x0, x1 = c * size, (c + 1) * size if c < cols - 1 else math.inf
+            y0, y1 = r * size, (r + 1) * size if r < rows - 1 else math.inf
+            starts.append(j)
+            cells.append(r * cols + c)
+        dwell, ticks = self.dwell, self.ticks
+        firsts = []
+        for a, b, i in zip(starts, [*starts[1:], len(gaps)], cells):
+            if dwell[i] == 0.0:
+                self._visited += 1
+                firsts.append(a)
+            dwell[i] = reduce(add, gaps[a:b], dwell[i])
+            ticks[i] += b - a
+        return firsts
 
     @property
     def total_cells(self) -> int:

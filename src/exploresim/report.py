@@ -10,7 +10,7 @@ error names the first bad line in file order.
 
 from __future__ import annotations
 
-from itertools import count, islice, repeat
+from itertools import repeat
 from math import inf, isfinite
 from operator import sub
 
@@ -189,11 +189,13 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
     together, and its checks are made on whole columns; a block that fails
     one is walked line by line to name its first bad line.  Each sample
     after the start deposits the time gap to its predecessor at its
-    log-quantized coordinates, a run of samples in one cell at a time, as
-    the run loop does, so the final grid matches the run's bit for bit.
-    Only the final sample may lie outside the room (a collision's crash
-    state), so a block is replayed once the next one is read; the final
-    sample is clamped into the room.  The first bad line in file order
+    log-quantized coordinates, a block at a time through
+    :meth:`OccupancyGrid.deposit`, as the run loop deposits a chunk, so the
+    final grid's cells and tick counts match the run's; a new coverage row
+    starts at each sample that visits a cell first.  Only the final sample
+    may lie outside the room (a collision's crash state), so a block is
+    replayed once the next one is read; the final sample is clamped into
+    the room.  The first bad line in file order
     raises :class:`SimError` naming it: a malformed row, a ``t`` that does
     not increase, or a sample outside the room that another line follows.
     """
@@ -211,13 +213,10 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
     if not lines:
         raise SimError("trajectory log has no samples")
     width, height = grid.width, grid.height
-    cell, deposit, coverage = grid.cell, grid.deposit, grid.coverage
     series = _Rows(out, SERIES_CSV_HEADER)
-    shown = coverage()
+    visited, shown = 0, 0.0  # cells visited and coverage so far: the grid is fresh
     row = f"%.6f,{shown:.6f}\n"
     last_t, n, first = -inf, 2, 1  # the start sample deposits nothing
-    # the dwell cell of the current run of samples and its bounds
-    i_cell, x_lo, x_hi, y_lo, y_hi = 0, 0.0, 0.0, 0.0, 0.0
     while lines:
         try:
             ahead, fault = next(blocks, []), None
@@ -227,19 +226,12 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
         if columns is None:
             raise _first_fault(lines, n, last_t, width, height, not ahead)
         ts, xs, ys, gaps = columns
-        # (sample, cell) where each run of samples in one cell starts
-        runs = [(first, i_cell)]
-        for j, x, y in zip(count(first), islice(xs, first, None), islice(ys, first, None)):
-            if not (x_lo <= x < x_hi and y_lo <= y < y_hi):
-                i_cell, x_lo, x_hi, y_lo, y_hi = cell(x, y)
-                runs.append((j, i_cell))
         span = 0  # the samples from here on share the coverage ``shown``
-        for (a, i), (b, _) in zip(runs, runs[1:] + [(len(ts), None)]):
-            deposit(i, gaps[a:b])
-            if coverage() != shown:
-                series.add(row, ts[span:a])
-                shown, span = coverage(), a
-                row = f"%.6f,{shown:.6f}\n"
+        for a in grid.deposit(xs[first:], ys[first:], gaps[first:]):
+            series.add(row, ts[span:first + a])
+            visited += 1
+            shown, span = visited / grid.total_cells, first + a
+            row = f"%.6f,{shown:.6f}\n"
         series.add(row, ts[span:])
         if fault is not None:
             raise fault

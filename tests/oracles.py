@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's analytic code paths: the ray
 oracle advances in 1 mm steps with numpy point tests, the motion oracle
-re-integrates set-points at a much finer step, and the replay oracle
-passes a trajectory log through the row parser a line at a time.
+re-integrates set-points at a much finer step, the replay oracle
+passes a trajectory log through the row parser a line at a time, and
+the flight-grid oracle marks the dwell of a flight a tick at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from exploresim.errors import SimError
+from exploresim.harness import fly
 from exploresim.metrics import OccupancyGrid
 from exploresim.report import parse_trajectory
 
@@ -95,3 +97,17 @@ def coverage_series(lines, width, height):
     for t, grid in replay_log(lines, width, height):
         rows.append(f"{t:.6f},{grid.coverage():.6f}\n")
     return "".join(rows), grid
+
+
+def flight_grid(cfg):
+    """The dwell grid of the flight of ``cfg``, one ``mark`` per tick: its
+    ``dt`` at the six-decimal position of the state ``fly`` moves to, which
+    is clamped into the room on the blocked tick."""
+    width, height = cfg.arena.width, cfg.arena.height
+    grid = OccupancyGrid(width, height)
+    for *_, state, blocked in fly(cfg):
+        x, y = float(f"{state.x:.6f}"), float(f"{state.y:.6f}")
+        if blocked:
+            x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
+        grid.mark(x, y, cfg.control_dt)
+    return grid

@@ -325,6 +325,14 @@ class TestSweep:
         (["--set", "detector.model=ssd-1.0"], "config error: detector.model: "),
         (["--set", "detector.p_detect=0.0", "--set", "detector.fps=50",
           "--set", 'sweep.detectors=["ssd-1.0"]'], "config error: detector.model: "),
+        # a repeated configuration would be listed, aggregated and seeded twice
+        (["--set", "sweep.speeds=[0.5,0.5]"], "config error: sweep.speeds: "),
+        (["--set", 'sweep.policies=["spiral","spiral"]'], "config error: sweep.policies: "),
+        (["--set", 'sweep.detectors=["ssd-1.0","ssd-1.0"]'], "config error: sweep.detectors: "),
+        (["--set", "sweep.detectors=[null,null]"], "config error: sweep.detectors: "),
+        # runs.csv shows a speed to three decimals, the run seeds' label to six
+        (["--set", "sweep.speeds=[0.5,0.5000001]"], "config error: sweep.speeds: "),
+        (["--set", "sweep.speeds=[0.5,0.5004]"], "config error: sweep.speeds: "),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
         assert run_cli("sweep", "--out", str(tmp_path / "o"), *argv) == 2

@@ -25,7 +25,7 @@ from exploresim.report import (check_heatmap_csv, coverage_series_csv,
 from exploresim.seeding import derive_seed
 from exploresim.sensing import MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
-from oracles import coverage_series, dense_ray_distance
+from oracles import coverage_series, dense_ray_distance, flight_grid
 
 
 def make_cfg(**kw):
@@ -595,7 +595,7 @@ def grazes(arena, x, y, heading):
 
 @given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),
        side=st.sampled_from(["left", "right"]), noise=st.sampled_from([0.0, 0.02]),
-       n_ticks=st.integers(1, 500), seed=st.integers(0, 3))
+       n_ticks=st.integers(1, 1200), seed=st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, side, noise,
                                                          n_ticks, seed):
@@ -606,6 +606,12 @@ def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, si
                     seed=seed)
     res = run_single(cfg)
     assert abs(res.grid.total_dwell() - res.elapsed) <= 1e-9
+    # bit for bit a mark per tick, though a flight past 500 ticks deposits
+    # the runs of its log chunks in parts
+    marked = flight_grid(cfg)
+    assert [v.hex() for v in res.grid.dwell] == [v.hex() for v in marked.dwell]
+    assert res.grid.ticks == marked.ticks
+    assert res.grid.coverage() == marked.coverage()
     for t, seen, frame, _, _, last, _ in fly(cfg):
         if frame.t == t:  # refreshed on this tick, from this state
             sensed = seen, frame

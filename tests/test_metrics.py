@@ -90,45 +90,73 @@ def test_cell_agrees_with_mark_on_every_point(room):
     width, height, points = room
     for x, y in points:
         grid = OccupancyGrid(width, height)
-        i, x0, x1, y0, y1 = grid.cell(x, y)
         grid.mark(x, y, 1.0)
-        assert grid.dwell[i] == 1.0 and grid.ticks[i] == 1
-        # every point of the bounds marks that cell
+        (i,) = [j for j, v in enumerate(grid.dwell) if v]
+        c, r = i % grid.cols, i // grid.cols
+        x0, x1 = c * 0.5, (c + 1) * 0.5 if c < grid.cols - 1 else math.inf
+        y0, y1 = r * 0.5, (r + 1) * 0.5 if r < grid.rows - 1 else math.inf
         assert x0 <= x < x1 and y0 <= y < y1
+
+        def run_starts(px, py):
+            # deposit starts a new run at (px, py) unless it lies in the
+            # cell of (x, y); either way the grid is a mark per point
+            probe, marked = OccupancyGrid(width, height), OccupancyGrid(width, height)
+            starts = probe.deposit([x, px], [y, py], [1.0, 1.0])
+            marked.mark(x, y, 1.0)
+            marked.mark(px, py, 1.0)
+            assert probe.dwell == marked.dwell and probe.ticks == marked.ticks
+            return starts
+
+        # every point of the bounds marks that cell, and deposit keeps it in the run
         for px in (x0, math.nextafter(x1, 0.0) if x1 < math.inf else width):
             for py in (y0, math.nextafter(y1, 0.0) if y1 < math.inf else height):
                 if px <= width and py <= height:
-                    assert grid.cell(px, py)[0] == i
                     probe = OccupancyGrid(width, height)
                     probe.mark(px, py, 1.0)
                     assert probe.dwell[i] == 1.0
-        # and a point past a bounded side marks another
+                    assert run_starts(px, py) == [0]
+        # and a point past a bounded side marks another cell, in a new run
         if x1 <= width:
-            assert grid.cell(x1, y)[0] != i
+            assert run_starts(x1, y) == [0, 1]
         if y1 <= height:
-            assert grid.cell(x, y1)[0] != i
+            assert run_starts(x, y1) == [0, 1]
 
 
 # a flight deposits runs of its dt, a replay runs of six-decimal time gaps
 _GAPS = st.sampled_from([0.02, 0.1, 1 / 60, 0.3, 1.0, 0.016666, 0.016667, 0.020001])
 
 
-@given(_rooms_and_points(), st.lists(st.one_of(
-    st.tuples(st.integers(0, 40), _GAPS).map(lambda n_dt: (n_dt[1],) * n_dt[0]),
-    st.lists(_GAPS, max_size=40)), min_size=1, max_size=30))
-@settings(max_examples=100, deadline=None)
-def test_deposit_equals_that_many_marks(room, runs):
+@given(_rooms_and_points(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_deposit_equals_that_many_marks(room, data):
     width, height, points = room
+    # a walk over the grid of the points' coordinates, which lie on cell
+    # bounds, just below them and on the far edges: each step stays, or moves
+    # to a neighbouring coordinate along x, y or both, often across a bound
+    xs, ys = (sorted(set(c)) for c in zip(*points))
+    i, k = data.draw(st.integers(0, len(xs) - 1)), data.draw(st.integers(0, len(ys) - 1))
+    path = []
+    for di, dk, gap in data.draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1),
+                                                    _GAPS), max_size=60), label="steps"):
+        i, k = min(max(i + di, 0), len(xs) - 1), min(max(k + dk, 0), len(ys) - 1)
+        path.append((xs[i], ys[k], gap))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(path)), max_size=4), label="cuts"))
     marked, deposited = OccupancyGrid(width, height), OccupancyGrid(width, height)
-    for (x, y), gaps in zip(points * len(runs), runs):
-        for dt in gaps:
-            marked.mark(x, y, dt)
-        deposited.deposit(deposited.cell(x, y)[0], gaps)
-    # bit for bit: the same additions in the same order
+    rises = []
+    for j, (x, y, gap) in enumerate(path):
+        before = marked.coverage()
+        marked.mark(x, y, gap)
+        if marked.coverage() != before:
+            rises.append(j)
+    firsts = []
+    for a, b in zip([0, *cuts], [*cuts, len(path)]):
+        xs, ys, gaps = zip(*path[a:b]) if a < b else ((), (), ())
+        firsts += [a + j for j in deposited.deposit(xs, ys, gaps)]
+    # bit for bit: the same additions in the same order, however the path is cut
     assert [v.hex() for v in deposited.dwell] == [v.hex() for v in marked.dwell]
-    assert deposited._visited == marked._visited
     assert deposited.ticks == marked.ticks
-    assert deposited.coverage() == marked.coverage()
+    assert deposited._visited == marked._visited
+    assert firsts == rises
 
 
 class TestHeatmapArtifacts:
