@@ -4,16 +4,16 @@ One run interleaves two clocked tasks on a single timeline:
 
 * the control task, :func:`fly`, every ``control_dt`` (50 Hz default):
   refresh the ranging frame if its slower clock is due, step the policy,
-  integrate the vehicle, check collision; :func:`fly_logged` consumes it
-  into the flight: the log, digest, dwell grid and collision record;
-* the detection task, :func:`detection_task`, at the detector's own frame
-  rate: each frame has an exact instant k/fps and is evaluated against
-  the first vehicle state timestamped at or after it (at 50 Hz that is
-  within one tick of the instant); the ledger records the exact instant.
-  The flight keeps the states at those ticks, so the detection task runs
-  after it.
+  integrate the vehicle, check collision;
+* the detection task at the detector's own frame rate: each frame has an
+  exact instant k/fps and is evaluated against the first vehicle state
+  timestamped at or after it (at 50 Hz that is within one tick of the
+  instant); the ledger records the exact instant.
 
-:func:`run_single` is the two in turn.  Runs are reproducible bit for
+:func:`fly_logged` runs both as the ticks go: it consumes :func:`fly`
+into the log, digest, dwell grid and collision record, and fires each
+frame at the tick that samples it.  :func:`run_single` is
+:func:`fly_logged` of one mission.  Runs are reproducible bit for
 bit: a run seed expands into independent sub-streams for the policy, the
 detector, and sensor noise, so enabling or swapping the detector never
 perturbs the trajectory.  The trajectory log is written and hashed into
@@ -27,8 +27,8 @@ one addition per tick, as marking each tick would.
 A flight depends on the seed only through the policy stream, if the
 policy draws from it, and the noise stream, if the ranging is noisy
 (:func:`flight_key`).  :func:`run_batch`, which the sweep uses, flies
-each distinct flight of a batch once and runs every mission's detection
-task over it.
+each distinct flight of a batch once, with the detection tasks of all
+its missions.
 
 A collision truncates the run: the crash tick still deposits its dwell
 (position clamped into the room), metrics cover the elapsed time, and
@@ -137,19 +137,6 @@ class RunResult(NamedTuple):
     elapsed: float
 
 
-class Flight(NamedTuple):
-    """What a mission's seed reaches only through the policy and noise
-    streams: the trajectory digest, dwell grid, collision record and
-    elapsed time, plus the vehicle state after each tick that a detector
-    frame samples."""
-
-    grid: OccupancyGrid
-    collision: CollisionRecord
-    digest: int
-    elapsed: float
-    seen: dict[int, VehicleState]  # tick index -> state after that tick
-
-
 def fly(cfg: RunConfig):
     """The control task of one mission (``cfg`` was checked when made):
     per tick refresh the ranging frame if due, step the policy, integrate
@@ -192,46 +179,67 @@ def fly(cfg: RunConfig):
                        "that its flight key leaves out")
 
 
-def _frame_ticks(fps: float, dt: float):
-    """``(tick, instant)`` of detector frames k = 1, 2, ...: frame k's exact
-    instant k/fps is sampled by the first tick at or after it."""
+def _frame_ticks(fps: float, dt: float, j: int):
+    """``(tick, instant, j)`` of the detector frames k = 1, 2, ... of mission
+    ``j``: frame k's exact instant k/fps is sampled by the first tick at or
+    after it.  ``j`` is an argument, bound when the stream is made."""
     k = 1
     while True:
         t = k / fps
         tick = t / dt - _EPS
         # no mission reaches a frame after MAX_TICKS; ceil(inf) would raise
-        yield (math.ceil(tick) if tick <= MAX_TICKS else MAX_TICKS + 1), t
+        yield (math.ceil(tick) if tick <= MAX_TICKS else MAX_TICKS + 1), t, j
         k += 1
 
 
 # ticks per chunk of log rows: the rows of a chunk are hashed as one string
 _LOG_CHUNK = 500
+# the `t` columns kept: the chunks of the first 10 000 ticks at a dt, which
+# every flight at that dt starts with, in about 100 kB
+_KEPT_TICKS = 10_000
 
 
-@functools.lru_cache(maxsize=20)  # 10 000 ticks in about 100 kB
 def _tick_column(dt: float, first: int) -> str:
     """The `t` column of the log rows of the chunk of ticks from ``first``,
-    ``f"{i * dt:.6f}"`` each, space-separated: built once for every
-    flight at ``dt``, and kept as one string to keep it small."""
+    ``f"{i * dt:.6f}"`` each, space-separated: one string, to keep it small."""
     return " ".join(f"{i * dt:.6f}" for i in range(first, first + _LOG_CHUNK))
 
 
-def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
-    """The flight of one mission: :func:`fly` plus the log, digest, grid and
-    collision record, keeping the state after every tick that a frame of a
-    detector at one of ``frame_rates`` (frames per second) samples.  The
-    log goes to ``log``, an open text file or ``None``, a chunk at a time.
-    The grid gets each tick's dt at the tick's quantized position (clamped
-    into the room on a crash tick), a log chunk of ticks at a time
-    (:meth:`OccupancyGrid.deposit`)."""
+@functools.lru_cache(maxsize=_KEPT_TICKS // _LOG_CHUNK)
+def _kept_column(dt: float, first: int) -> str:
+    """:func:`_tick_column` of a chunk before tick :data:`_KEPT_TICKS`, built
+    once for every flight at ``dt``: a longer flight formats its later
+    chunks each time, and so evicts none of these."""
+    return _tick_column(dt, first)
+
+
+def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
+    """The missions of ``cfgs``, which share one :func:`flight_key`, flown
+    once: :func:`fly` of the first, with the log, digest, grid and collision
+    record, and each detector's frames as the flight reaches them.  One
+    result per config, in order.
+
+    The log goes to ``log``, an open text file or ``None``, a chunk at a
+    time.  The grid gets each tick's dt at the tick's quantized position
+    (clamped into the room on a crash tick), a log chunk of ticks at a time
+    (:meth:`OccupancyGrid.deposit`).  A mission's frame due at a tick
+    evaluates the camera at the state after that tick and draws from the
+    mission's own ``detect`` stream; its ledger records the frame's exact
+    instant.  No frame fires on the crash tick or after the last tick."""
+    cfg = cfgs[0]
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
     dt = cfg.control_dt
     grid = OccupancyGrid(arena.width, arena.height)
     collision = CollisionRecord()
-    seen: dict[int, VehicleState] = {}
-    dues = heapq.merge(*(_frame_ticks(fps, dt) for fps in set(frame_rates)))
-    frame_due = next(dues, (-1,))[0]
+    # per mission: its detector, camera, ledger and detect stream, or None
+    detectors = [(c.detector, c.camera, DetectionLedger(),
+                  random.Random(derive_seed(c.seed, "detect"))) if c.detector else None
+                 for c in cfgs]
+    dues = heapq.merge(*(_frame_ticks(d[0].fps, dt, j)
+                         for j, d in enumerate(detectors) if d))
+    frame = next(dues, (-1,))
+    frame_due = frame[0]
 
     # blake2b streams: hashing a chunk of rows at once equals hashing each row
     hasher = hashlib.blake2b(digest_size=8)
@@ -254,11 +262,12 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
     # and a set-point's only when it is not the object of the last tick
     flight = fly(cfg)
     last_sp = None
-    for first in count(0, _LOG_CHUNK):
+    for first in range(0, cfg.n_ticks(), _LOG_CHUNK):
         rows, xqs, yqs = [], [], []  # the chunk's log rows and dwell positions
         add_x, add_y = xqs.append, yqs.append
+        column = (_kept_column if first < _KEPT_TICKS else _tick_column)(dt, first)
         for t_text, ticks, (_, _, _, _, sp, state, blocked) in zip(
-                _tick_column(dt, first).split(" "), count(first + 1), flight):
+                column.split(" "), count(first + 1), flight):
             if sp is not last_sp:
                 last_sp = sp
                 sp_text = f"{sp[0]:.6f},{sp[1]:.6f}\n"
@@ -280,64 +289,38 @@ def fly_logged(cfg: RunConfig, frame_rates=(), log=None) -> Flight:
                 yq = min(max(yq, 0.0), arena.height)
             else:
                 while frame_due == ticks:
-                    seen[ticks] = state
-                    frame_due = next(dues)[0]
+                    _, t, j = frame
+                    det, camera, ledger, rng = detectors[j]
+                    attempt_detection(det, objects_in_fov(arena, state, camera), ledger, t, rng)
+                    frame = next(dues)
+                    frame_due = frame[0]
             add_x(xq)
             add_y(yq)
         emit("".join(rows))
         grid.deposit(xqs, yqs, (dt,) * len(rows))
-        if len(rows) < _LOG_CHUNK:
+        if collision.occurred:
             break
+    next(flight, None)  # past its last tick: fly checks its streams
 
     elapsed = ticks * dt
     emit(f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n")
-    return Flight(grid, collision, int.from_bytes(hasher.digest(), "big"), elapsed, seen)
-
-
-def detection_task(cfg: RunConfig, seen: dict[int, VehicleState]) -> DetectionLedger | None:
-    """The detection task of one mission over its flight's ``seen`` states:
-    every frame whose tick the flight reached (the crash tick excluded)
-    evaluates the camera at that tick's state and draws from the
-    ``detect`` stream; the ledger records the frame's exact instant."""
-    det = cfg.detector
-    if det is None:
-        return None
-    rng = random.Random(derive_seed(cfg.seed, "detect"))
-    ledger = DetectionLedger()
-    for tick, t in _frame_ticks(det.fps, cfg.control_dt):
-        state = seen.get(tick)
-        if state is None:
-            return ledger
-        attempt_detection(det, objects_in_fov(cfg.arena, state, cfg.camera), ledger, t, rng)
-
-
-def _result(cfg: RunConfig, flight: Flight) -> RunResult:
-    ledger = detection_task(cfg, flight.seen)
-    rate = None
-    if ledger is not None and len(cfg.arena.objects) > 0:
-        rate = detection_rate(ledger, len(cfg.arena.objects))
-    return RunResult(
-        coverage=flight.grid.coverage(),
-        grid=flight.grid,
-        ledger=ledger,
-        detection_rate=rate,
-        collision=flight.collision,
-        digest=flight.digest,
-        energy=mission_energy(EnergyModel(), flight.elapsed),
-        elapsed=flight.elapsed,
-    )
+    digest = int.from_bytes(hasher.digest(), "big")
+    coverage, n_objects = grid.coverage(), len(arena.objects)
+    ledgers = [d and d[2] for d in detectors]
+    return [RunResult(coverage, grid, ledger,
+                      detection_rate(ledger, n_objects) if ledger and n_objects else None,
+                      collision, digest, mission_energy(EnergyModel(), elapsed), elapsed)
+            for ledger in ledgers]
 
 
 def run_single(cfg: RunConfig, log=None) -> RunResult:
-    """Execute one mission deterministically: its flight, with its log
-    to ``log`` (see :func:`fly_logged`), then its detection task over the
-    flight's states.
+    """Execute one mission deterministically, with its log to ``log``
+    (see :func:`fly_logged`).
 
     Identical configs (seed included) produce identical results and
     trajectory digests, regardless of process or platform.
     """
-    rates = (cfg.detector.fps,) if cfg.detector is not None else ()
-    return _result(cfg, fly_logged(cfg, rates, log))
+    return fly_logged([cfg], log)[0]
 
 
 _NOT_FLOWN = ("seed", "detector", "camera")
@@ -361,8 +344,7 @@ def _sweep_task(cfgs: list[RunConfig]) -> list[RunResult]:
     """One task of a batch: the missions of one flight key, which share
     one flight; one result per config, in order."""
     try:
-        flight = fly_logged(cfgs[0], [cfg.detector.fps for cfg in cfgs if cfg.detector])
-        return [_result(cfg, flight) for cfg in cfgs]
+        return fly_logged(cfgs)
     except SimError as exc:
         cfg = cfgs[0]
         det = cfg.detector.name if cfg.detector else "none"
@@ -373,11 +355,11 @@ def _sweep_task(cfgs: list[RunConfig]) -> list[RunResult]:
 def run_batch(cfgs: list[RunConfig], jobs: int = 1) -> list[RunResult]:
     """The missions of ``cfgs``, equal to :func:`run_single` of each, in
     input order; each was checked when made.  The configs of one
-    :func:`flight_key` share one flight, flown once, and each runs its own
-    detection task over it.  With more than one worker (``jobs``, capped
-    at the distinct flights and the CPUs) each distinct flight is one task
-    of a process pool, which is imported only then, so a batch flown in
-    this process loads none of the pool's modules.  A worker process that
+    :func:`flight_key` share one flight, flown once with the detection
+    task of each (:func:`fly_logged`).  With more than one worker
+    (``jobs``, capped at the distinct flights and the CPUs) each distinct
+    flight is one task of a process pool, which is imported only then, so
+    a batch flown in this process loads none of the pool's modules.  A worker process that
     dies raises :class:`SimError`.  Nothing is kept after the call returns."""
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):

@@ -16,7 +16,7 @@ from operator import sub
 
 from .arena import Arena
 from .errors import SimError
-from .harness import _LOG_CHUNK, AggregateRow, SweepRow, TRAJECTORY_HEADER, RunResult
+from .harness import AggregateRow, SweepRow, TRAJECTORY_HEADER, RunResult
 from .metrics import OccupancyGrid, dwell_matrix_csv, parse_dwell_csv
 
 RUNS_CSV_HEADER = "policy,speed,detector,run,seed,coverage,detection_rate,collision,energy_j,digest"
@@ -154,34 +154,11 @@ def _first_fault(lines, n: int, last_t: float, width: float, height: float,
     raise AssertionError("a block that fails a check holds no bad line")
 
 
-class _Rows:
-    """Rows of text after the line ``header`` to the open text file ``out``,
-    written at most ``_LOG_CHUNK`` lines at a time."""
-
-    def __init__(self, out, header: str):
-        self.out, self.pieces, self.count = out, [header + "\n"], 1
-
-    def add(self, row: str, values) -> None:
-        """The rows ``row % v`` of the values ``v`` of the sequence ``values``."""
-        a, end = 0, len(values)
-        while a < end:
-            b = min(end, a + _LOG_CHUNK - self.count)
-            self.pieces.append(row * (b - a) % tuple(values[a:b]))
-            self.count += b - a
-            a = b
-            if self.count == _LOG_CHUNK:
-                self.flush()
-
-    def flush(self) -> None:
-        self.out.write("".join(self.pieces))
-        self.pieces, self.count = [], 0
-
-
 def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
     """Replay the trajectory log ``log``, an open text file, into ``grid``,
     a fresh occupancy grid of the room, as it is read; write the coverage
-    over time to the open text file ``out``, at most ``_LOG_CHUNK`` rows per
-    write, and return the final coverage as written.
+    over time to the open text file ``out``, one write per block of the
+    log, and return the final coverage as written.
 
     The log is read, hashed into ``hasher`` and replayed a block of lines
     at a time: blake2b streams, so the digest equals the flight's
@@ -213,7 +190,7 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
     if not lines:
         raise SimError("trajectory log has no samples")
     width, height = grid.width, grid.height
-    series = _Rows(out, SERIES_CSV_HEADER)
+    series = [SERIES_CSV_HEADER + "\n"]  # the rows of a block, then written
     visited, shown = 0, 0.0  # cells visited and coverage so far: the grid is fresh
     row = f"%.6f,{shown:.6f}\n"
     last_t, n, first = -inf, 2, 1  # the start sample deposits nothing
@@ -228,15 +205,16 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
         ts, xs, ys, gaps = columns
         span = 0  # the samples from here on share the coverage ``shown``
         for a in grid.deposit(xs[first:], ys[first:], gaps[first:]):
-            series.add(row, ts[span:first + a])
+            series.append(row * (first + a - span) % tuple(ts[span:first + a]))
             visited += 1
             shown, span = visited / grid.total_cells, first + a
             row = f"%.6f,{shown:.6f}\n"
-        series.add(row, ts[span:])
+        series.append(row * (len(ts) - span) % tuple(ts[span:]))
+        out.write("".join(series))
+        series = []
         if fault is not None:
             raise fault
         last_t, n, first, lines = ts[-1], n + len(lines), 0, ahead
-    series.flush()
     return f"{shown:.6f}"
 
 

@@ -3,20 +3,26 @@
 These deliberately avoid the library's analytic code paths: the ray
 oracle advances in 1 mm steps with numpy point tests, the motion oracle
 re-integrates set-points at a much finer step, the replay oracle
-passes a trajectory log through the row parser a line at a time, and
-the flight-grid oracle marks the dwell of a flight a tick at a time.
+passes a trajectory log through the row parser a line at a time, the
+flight-grid oracle marks the dwell of a flight a tick at a time, and the
+detection oracle runs one mission's detector over its flight's states
+after the flight.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
+from exploresim.detection import DetectionLedger, attempt_detection
 from exploresim.errors import SimError
 from exploresim.harness import fly
 from exploresim.metrics import OccupancyGrid
 from exploresim.report import parse_trajectory
+from exploresim.seeding import derive_seed
+from exploresim.sensing import objects_in_fov
 
 
 def dense_ray_distance(width, height, boxes, ox, oy, heading, step=0.001):
@@ -111,3 +117,25 @@ def flight_grid(cfg):
             x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
         grid.mark(x, y, cfg.control_dt)
     return grid
+
+
+def detection_ledger(cfg):
+    """The ledger of the detector of ``cfg``, ``None`` without one, built
+    after its flight from the states that ``fly`` moves to: the state after
+    tick i, at time i * dt, takes each frame k whose instant k / fps no
+    earlier tick reached (within 1e-9 of a tick), in order, and evaluates
+    the camera there with a draw from the mission's ``detect`` stream.  The
+    blocked tick fires no frame, nor does any tick after the last."""
+    det = cfg.detector
+    if det is None:
+        return None
+    states = [state for *_, state, blocked in fly(cfg) if not blocked]
+    rng = random.Random(derive_seed(cfg.seed, "detect"))
+    ledger = DetectionLedger()
+    k = 1
+    for i, state in enumerate(states, 1):
+        while k / det.fps / cfg.control_dt - 1e-9 <= i:
+            attempt_detection(det, objects_in_fov(cfg.arena, state, cfg.camera), ledger,
+                              k / det.fps, rng)
+            k += 1
+    return ledger

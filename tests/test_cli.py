@@ -285,10 +285,10 @@ class TestSweep:
             from exploresim import cli, harness
             fly_logged = harness.fly_logged
 
-            def dying(cfg, *args, **kw):
-                if cfg.policy == "spiral":
+            def dying(cfgs, *args, **kw):
+                if cfgs[0].policy == "spiral":
                     os._exit(3)
-                return fly_logged(cfg, *args, **kw)
+                return fly_logged(cfgs, *args, **kw)
 
             multiprocessing.set_start_method("fork")
             harness.fly_logged = dying

@@ -25,7 +25,7 @@ from exploresim.report import (check_heatmap_csv, coverage_series_csv,
 from exploresim.seeding import derive_seed
 from exploresim.sensing import MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
-from oracles import coverage_series, dense_ray_distance, flight_grid
+from oracles import coverage_series, dense_ray_distance, detection_ledger, flight_grid
 
 
 def make_cfg(**kw):
@@ -579,6 +579,52 @@ def batches(draw):
 def test_a_random_batch_equals_its_single_runs(cfgs):
     for got, cfg in zip(run_batch(cfgs), cfgs, strict=True):
         same_mission(got, run_single(cfg))
+
+
+@st.composite
+def shared_flights(draw):
+    """1-4 missions of one flight in a random room with 0-3 objects, each
+    with its own detector (or none) and camera: a policy that draws no
+    random numbers, without ranging noise, under 1-4 seeds, or any policy
+    under one seed.  A trigger distance below the airframe radius lets a
+    flight crash."""
+    room = draw(boxed_rooms())
+    spots = [(u * room.width, v * room.height) for u, v in draw(st.lists(fractions, max_size=3))]
+    arena = Arena(room.width, room.height, room.obstacles,
+                  [TargetObject(i, "bottle", Vec2(x, y)) for i, (x, y) in enumerate(spots)
+                   if room.in_free_space(x, y)])
+    (x, y), heading = draw(free_starts(arena)), draw(st.floats(-math.pi, math.pi))
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # one seed
+        policy = draw(st.sampled_from(POLICY_KINDS))
+        noise, seeds = draw(st.sampled_from([0.0, 0.02])), [draw(st.integers(0, 3))] * n
+    else:
+        policy = draw(st.sampled_from([p for p in POLICY_KINDS if not policy_draws(p)]))
+        noise, seeds = 0.0, draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    dt = draw(st.sampled_from([0.02, 0.05]))
+    base = RunConfig(arena=arena, policy=policy,
+                     policy_cfg=PolicyConfig(cruise_speed=draw(st.sampled_from([0.5, 1.0])),
+                                             trigger_dist=draw(st.sampled_from([0.011, 0.3]))),
+                     tof=TofConfig(noise_sigma=noise), control_dt=dt,
+                     duration=draw(st.integers(1, round(20.0 / dt))) * dt,
+                     start=(x, y, heading))
+    return [base.replace(seed=seed, detector=draw(detectors), camera=draw(cameras))
+            for seed in seeds]
+
+
+@given(cfgs=shared_flights())
+@settings(max_examples=40, deadline=None)
+def test_each_mission_of_a_shared_flight_detects_as_after_its_own_flight(cfgs):
+    # each mission's frames draw from its own stream, at its own frame ticks
+    assert len(set(map(flight_key, cfgs))) == 1
+    for got, cfg in zip(harness.fly_logged(cfgs), cfgs, strict=True):
+        want = detection_ledger(cfg)
+        if want is None:
+            assert got.ledger is None
+        else:
+            assert (got.ledger.first_seen, got.ledger.frames_fired,
+                    got.ledger.frames_with_target) == \
+                (want.first_seen, want.frames_fired, want.frames_with_target)
 
 
 def grazes(arena, x, y, heading):

@@ -1,6 +1,7 @@
 """The flight's trajectory log equals the plain log of its control ticks.
 
-``harness.fly_logged`` takes the `t` column from cached per-chunk tables,
+``harness.fly_logged`` takes the `t` column from per-chunk tables, cached for
+a flight's first 10 000 ticks,
 formats a set-point again only when it is a new object and a coordinate
 only when it changes, and hashes a chunk of rows at a time.  The reference
 here formats every field of every tick from ``harness.fly``'s yields with
@@ -57,7 +58,7 @@ def digest(rows: list[str]) -> int:
 
 def test_colliding_start_collides_in_the_boxed_room():
     cfg = RunConfig(arena=BOXED, policy="pseudo-random", start=COLLIDING, duration=2.0)
-    flight = fly_logged(cfg)
+    flight = fly_logged([cfg])[0]
     assert flight.collision.occurred and flight.elapsed < 1.0
 
 
@@ -72,7 +73,7 @@ def test_fast_log_equals_plain_log(policy, dt, n_ticks, boxed, start, seed):
     cfg = RunConfig(arena=BOXED if boxed else default_arena(), policy=policy,
                     control_dt=dt, duration=n_ticks * dt, start=start, seed=seed)
     log = io.StringIO()
-    flight = fly_logged(cfg, log=log)
+    flight = fly_logged([cfg], log=log)[0]
     expected = plain_log(cfg)
     assert log.getvalue().splitlines(keepends=True) == expected
     assert flight.digest == digest(expected)
@@ -94,7 +95,7 @@ def test_signed_zero_set_points_keep_their_sign(monkeypatch):
     cfg = RunConfig(arena=default_arena(), policy="wall-following", duration=n_ticks * 0.02,
                     start=(3.25, 2.75, -0.0))
     log = io.StringIO()
-    flight = fly_logged(cfg, log=log)
+    flight = fly_logged([cfg], log=log)[0]
     ticks = log.getvalue().splitlines(keepends=True)[1:-1]
     assert len(ticks) == n_ticks
     for i, row in enumerate(ticks):
@@ -102,6 +103,26 @@ def test_signed_zero_set_points_keep_their_sign(monkeypatch):
         assert row.endswith("," + tail), (i, row)
     calls.clear()
     assert flight.digest == digest(plain_log(cfg))
+
+
+def test_a_repeated_flight_formats_no_t_column_of_its_first_10000_ticks(monkeypatch):
+    # the kept columns are the chunks every flight at a dt starts with: a
+    # longer flight formats its later chunks each time and evicts none
+    formatted = []
+    tick_column = harness._tick_column
+
+    def counting(dt, first):
+        formatted.append(first)
+        return tick_column(dt, first)
+
+    monkeypatch.setattr(harness, "_tick_column", counting)
+    for duration, fresh in ((200.0, []), (300.0, list(range(10_000, 15_000, CHUNK))),
+                            (200.0, [])):
+        cfg = RunConfig(arena=default_arena(), policy="spiral", duration=duration)
+        fly_logged([cfg])
+        formatted.clear()
+        assert fly_logged([cfg])[0].elapsed == duration
+        assert formatted == fresh, duration
 
 
 class RecordingSink:
@@ -115,7 +136,7 @@ class RecordingSink:
 def test_log_is_written_a_chunk_at_a_time():
     cfg = RunConfig(arena=default_arena(), policy="spiral", duration=(3 * CHUNK + 7) * 0.02)
     sink = RecordingSink()
-    fly_logged(cfg, log=sink)
+    fly_logged([cfg], log=sink)
     assert len(sink.writes) >= 4
     assert max(text.count("\n") for text in sink.writes) <= CHUNK
     assert "".join(sink.writes) == "".join(plain_log(cfg))
@@ -124,13 +145,18 @@ def test_log_is_written_a_chunk_at_a_time():
 def test_series_is_written_a_chunk_at_a_time():
     cfg = RunConfig(arena=default_arena(), policy="spiral", duration=(3 * CHUNK + 7) * 0.02)
     log = io.StringIO()
-    flight = fly_logged(cfg, log=log)
+    flight = fly_logged([cfg], log=log)[0]
     sink = RecordingSink()
     hasher = hashlib.blake2b(digest_size=8)
     final = coverage_series_csv(io.StringIO(log.getvalue()), OccupancyGrid(6.5, 5.5), sink,
                                 hasher)
-    assert len(sink.writes) >= 4
-    assert max(text.count("\n") for text in sink.writes) <= CHUNK
+    # a write per block, and a block holds at most one line past _BLOCK_CHARS characters
+    f = io.StringIO(log.getvalue())
+    blocks = list(iter(lambda: f.readlines(report._BLOCK_CHARS), []))
+    assert len(sink.writes) == len(blocks) >= 3
+    shortest = min(len(line) for block in blocks for line in block)
+    assert max(text.count("\n") for text in sink.writes) <= \
+        report._BLOCK_CHARS // shortest + 1
     want, _ = coverage_series(log.getvalue().splitlines(keepends=True), 6.5, 5.5)
     assert "".join(sink.writes) == want
     assert final == want.rsplit(",", 1)[1].rstrip("\n")
@@ -153,7 +179,7 @@ class CountingLog:
 def test_series_is_written_before_the_log_is_read():
     cfg = RunConfig(arena=default_arena(), policy="spiral", duration=60.0)
     text = io.StringIO()
-    fly_logged(cfg, log=text)
+    fly_logged([cfg], log=text)
     lines = text.getvalue().splitlines(keepends=True)
     log = CountingLog(text.getvalue())
     read_at_write = []
@@ -194,7 +220,7 @@ def block_log(k: int) -> tuple[str, list[int]]:
     """The log of ``BLOCK_LOGS[k]`` and the number of the first line of each
     block that ``report`` reads it in, counted from 0 at the header."""
     text = io.StringIO()
-    fly_logged(BLOCK_LOGS[k], log=text)
+    fly_logged([BLOCK_LOGS[k]], log=text)
     starts, n = [], 0
     for block in iter(lambda f=io.StringIO(text.getvalue()): f.readlines(report._BLOCK_CHARS), []):
         starts.append(n)
@@ -207,7 +233,7 @@ def test_crash_sample_is_the_first_line_of_a_block():
     lines = text.splitlines()
     assert starts == [0, len(lines) - 1]
     assert float(lines[-1].split(",")[1]) < 0.0  # outside the room: clamped
-    assert fly_logged(CORRIDOR_CRASH).collision.occurred
+    assert fly_logged([CORRIDOR_CRASH])[0].collision.occurred
 
 
 def _edit_line(line: str, before: str, after: str, kind: str, field: int, width: float) -> str:
