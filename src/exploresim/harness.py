@@ -194,23 +194,14 @@ def _frame_ticks(fps: float, dt: float, j: int):
 
 # ticks per chunk of log rows: the rows of a chunk are hashed as one string
 _LOG_CHUNK = 500
-# the `t` columns kept: the chunks of the first 10 000 ticks at a dt, which
-# every flight at that dt starts with, in about 100 kB
-_KEPT_TICKS = 10_000
 
 
+@functools.lru_cache(maxsize=20)  # 10 000 ticks in about 100 kB
 def _tick_column(dt: float, first: int) -> str:
     """The `t` column of the log rows of the chunk of ticks from ``first``,
-    ``f"{i * dt:.6f}"`` each, space-separated: one string, to keep it small."""
+    ``f"{i * dt:.6f}"`` each, space-separated: built once for every
+    flight at ``dt``, and kept as one string to keep it small."""
     return " ".join(f"{i * dt:.6f}" for i in range(first, first + _LOG_CHUNK))
-
-
-@functools.lru_cache(maxsize=_KEPT_TICKS // _LOG_CHUNK)
-def _kept_column(dt: float, first: int) -> str:
-    """:func:`_tick_column` of a chunk before tick :data:`_KEPT_TICKS`, built
-    once for every flight at ``dt``: a longer flight formats its later
-    chunks each time, and so evicts none of these."""
-    return _tick_column(dt, first)
 
 
 def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
@@ -265,9 +256,8 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     for first in range(0, cfg.n_ticks(), _LOG_CHUNK):
         rows, xqs, yqs = [], [], []  # the chunk's log rows and dwell positions
         add_x, add_y = xqs.append, yqs.append
-        column = (_kept_column if first < _KEPT_TICKS else _tick_column)(dt, first)
         for t_text, ticks, (_, _, _, _, sp, state, blocked) in zip(
-                column.split(" "), count(first + 1), flight):
+                _tick_column(dt, first).split(" "), count(first + 1), flight):
             if sp is not last_sp:
                 last_sp = sp
                 sp_text = f"{sp[0]:.6f},{sp[1]:.6f}\n"

@@ -1,7 +1,6 @@
 """The flight's trajectory log equals the plain log of its control ticks.
 
-``harness.fly_logged`` takes the `t` column from per-chunk tables, cached for
-a flight's first 10 000 ticks,
+``harness.fly_logged`` takes the `t` column from cached per-chunk tables,
 formats a set-point again only when it is a new object and a coordinate
 only when it changes, and hashes a chunk of rows at a time.  The reference
 here formats every field of every tick from ``harness.fly``'s yields with
@@ -105,24 +104,16 @@ def test_signed_zero_set_points_keep_their_sign(monkeypatch):
     assert flight.digest == digest(plain_log(cfg))
 
 
-def test_a_repeated_flight_formats_no_t_column_of_its_first_10000_ticks(monkeypatch):
-    # the kept columns are the chunks every flight at a dt starts with: a
-    # longer flight formats its later chunks each time and evicts none
-    formatted = []
-    tick_column = harness._tick_column
-
-    def counting(dt, first):
-        formatted.append(first)
-        return tick_column(dt, first)
-
-    monkeypatch.setattr(harness, "_tick_column", counting)
-    for duration, fresh in ((200.0, []), (300.0, list(range(10_000, 15_000, CHUNK))),
-                            (200.0, [])):
-        cfg = RunConfig(arena=default_arena(), policy="spiral", duration=duration)
-        fly_logged([cfg])
-        formatted.clear()
-        assert fly_logged([cfg])[0].elapsed == duration
-        assert formatted == fresh, duration
+def test_a_repeated_200s_flight_formats_no_t_column():
+    # a flight looks up the column of each chunk that holds one of its
+    # ticks and no other, so the 20 chunks of a 200 s flight fit the cache
+    cfg = RunConfig(arena=default_arena(), policy="spiral", duration=200.0)
+    harness._tick_column.cache_clear()
+    fly_logged([cfg])
+    assert harness._tick_column.cache_info().misses == 20
+    assert fly_logged([cfg])[0].elapsed == 200.0
+    info = harness._tick_column.cache_info()
+    assert (info.hits, info.misses) == (20, 20)
 
 
 class RecordingSink:
