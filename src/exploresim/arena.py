@@ -4,8 +4,9 @@ The room is an axis-aligned rectangle with its origin at the south-west
 corner, x east, y north, headings counter-clockwise from +x.  Obstacles
 are axis-aligned boxes; walls are the room boundary itself.  Target
 objects are small discs that range sensing ignores and the camera model
-looks for.  An :class:`Arena` is immutable after construction and safe
-to share across concurrently executing runs.
+looks for.  :class:`Arena` and :class:`TargetObject` are config models
+(:class:`~exploresim.kinds.Model`): checked when made, holding what their
+kinds return, frozen after, so safe to share across concurrent runs.
 
 The geometric primitives of every control tick are methods of
 :class:`Arena`: ray casting (slab method) and disc collision; the
@@ -19,7 +20,8 @@ import math
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .kinds import INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, Model, choice
+from .kinds import (BOX, INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, Kind, Model, check_fields,
+                    choice, instance_of, list_of)
 
 OBJECT_CLASSES = ("bottle", "tin_can")
 DEFAULT_OBJECT_RADIUS = 0.05
@@ -44,10 +46,13 @@ DEFAULT_ARENA_DOC = {
 
 
 class Vec2(NamedTuple):
-    """Planar position in meters; a tuple, so the ``POINT`` kind checks it."""
+    """Planar position in meters; the ``POSITION`` kind makes one from ``[x, y]``."""
 
     x: float
     y: float
+
+
+POSITION = Kind(POINT.text, lambda v: Vec2._make(POINT.convert(v)), POINT.test)
 
 
 class TargetObject(Model):
@@ -58,49 +63,34 @@ class TargetObject(Model):
     pos: Vec2
     radius: float = DEFAULT_OBJECT_RADIUS
 
-    KINDS = {"id": INTEGER, "cls": choice(OBJECT_CLASSES), "pos": POINT, "radius": POSITIVE}
+    KINDS = {"id": INTEGER, "cls": choice(OBJECT_CLASSES), "pos": POSITION, "radius": POSITIVE}
 
 
-class Arena:
-    """Validated, immutable room with obstacles and target objects."""
+class Arena(Model):
+    """A checked, immutable room with obstacle boxes and target objects."""
 
-    def __init__(self, width, height, obstacles=(), objects=()):
-        self.width = ROOM_SIDE(width, "width")
-        self.height = ROOM_SIDE(height, "height")
-        boxes = []
-        for i, box in enumerate(obstacles):
-            x0, y0, x1, y1 = (float(v) for v in box)
+    width: float
+    height: float
+    obstacles: tuple[tuple[float, float, float, float], ...] = ()  # (x0, y0, x1, y1)
+    objects: tuple[TargetObject, ...] = ()
+
+    KINDS = {"width": ROOM_SIDE, "height": ROOM_SIDE, "obstacles": list_of(BOX, nonempty=False),
+             "objects": list_of(instance_of(TargetObject), nonempty=False)}
+
+    def __post_init__(self):
+        check_fields(self)
+        for i, (x0, y0, x1, y1) in enumerate(self.obstacles):
             if not (x0 < x1 and y0 < y1):
                 raise ValidationError(f"obstacles[{i}]", "min corner must be < max corner per axis")
             if x0 < 0.0 or y0 < 0.0 or x1 > self.width or y1 > self.height:
                 raise ValidationError(f"obstacles[{i}]", "must lie within the room")
-            boxes.append((x0, y0, x1, y1))
-        self.obstacles = tuple(boxes)
-        objs = tuple(objects)
         seen_ids = set()
-        for i, obj in enumerate(objs):
+        for i, obj in enumerate(self.objects):
             if obj.id in seen_ids:
                 raise ValidationError(f"objects[{i}].id", f"duplicate id {obj.id}")
             seen_ids.add(obj.id)
             if not self.in_free_space(obj.pos.x, obj.pos.y):
                 raise ValidationError(f"objects[{i}].pos", "must lie in free space")
-        self.objects = objs
-
-    def _value(self) -> tuple:
-        return self.width, self.height, self.obstacles, self.objects
-
-    def __eq__(self, other) -> bool:
-        """Rooms are equal by value: size, obstacle boxes and objects."""
-        if not isinstance(other, Arena):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
-
-    def __repr__(self) -> str:
-        return (f"Arena({self.width!r}, {self.height!r}, obstacles={self.obstacles!r}, "
-                f"objects={self.objects!r})")
 
     def raycast(self, ox: float, oy: float, heading: float) -> float:
         """Exact distance to the first obstacle face or room wall.
@@ -240,7 +230,7 @@ def load_arena(document) -> Arena:
         _entry(entry, path, ("id", "class", "pos"), ("radius",))
         values = {field: TargetObject.KINDS[field](entry[key], f"{path}.{key}")
                   for key, field in _OBJECT_FIELDS.items() if key in entry}
-        objects.append(TargetObject(**dict(values, pos=Vec2(*values["pos"]))))
+        objects.append(TargetObject(**values))
     return Arena(doc["width"], doc["height"], obstacles, objects)
 
 

@@ -51,7 +51,7 @@ from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detec
                         detection_rate)
 from .errors import SimError, ValidationError
 from .kinds import (COUNT, POSE, POSITIVE, RADIUS, SEED, SPEED, TIME_STEP, Model,
-                    check_fields, choice, list_of, nullable)
+                    check_fields, choice, instance_of, list_of, nullable)
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_draws, policy_step
 from .seeding import derive_seed
@@ -95,8 +95,11 @@ class RunConfig(Model):
     control_dt: float = DEFAULT_CONTROL_DT
     drone_radius: float = DEFAULT_DRONE_RADIUS
 
-    KINDS = {"policy": POLICY_NAME, "duration": POSITIVE, "seed": SEED,
-             "start": nullable(POSE), "control_dt": TIME_STEP, "drone_radius": RADIUS}
+    KINDS = {"arena": instance_of(Arena), "policy": POLICY_NAME,
+             "policy_cfg": instance_of(PolicyConfig), "tof": instance_of(TofConfig),
+             "camera": instance_of(CameraModel), "detector": nullable(instance_of(DetectorModel)),
+             "duration": POSITIVE, "seed": SEED, "start": nullable(POSE),
+             "control_dt": TIME_STEP, "drone_radius": RADIUS}
 
     def __post_init__(self):
         check_fields(self)

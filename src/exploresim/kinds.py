@@ -1,9 +1,10 @@
 """Value kinds: the conversion and the range of one config value or model
-field, and :class:`Model`, the base of the config models.  A model names
-the kind of each checked field in its ``KINDS`` class attribute and
-checks them with :func:`check_fields` when it is made; the config table
-(:mod:`exploresim.config`) reads the same declarations, so each bound is
-written once.
+field, and :class:`Model`, the base of the config models and the room.
+A model names the kind of each checked field in its ``KINDS`` class
+attribute; :func:`check_fields` checks them when it is made and keeps
+what each kind returns, so a field given a list holds a tuple and one
+given an int holds a float.  The config table (:mod:`exploresim.config`)
+reads the same declarations, so each bound is written once.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ def _finite_tuple(text: str, size: int) -> Kind:
 
 POSE = _finite_tuple("[x, y, heading_rad], three finite numbers", 3)
 POINT = _finite_tuple("[x, y], two finite numbers", 2)
+BOX = _finite_tuple("[x0, y0, x1, y1], four finite numbers", 4)
 ARENA = Kind("null, an arena file path or an arena object", lambda v: v,
              lambda v: v is None or isinstance(v, (str, dict)))
 
@@ -119,6 +121,12 @@ def list_of(kind: Kind, nonempty: bool = True) -> Kind:
                 lambda items: (bool(items) or not nonempty) and all(map(kind.test, items)))
 
 
+def instance_of(cls: type) -> Kind:
+    """A value that is already a ``cls``, e.g. a model that a model holds."""
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    return Kind(f"{article} {cls.__name__}", lambda v: v, lambda v: isinstance(v, cls))
+
+
 def in_degrees(kind: Kind) -> Kind:
     """``kind`` of a field in radians, for a value given in degrees."""
     return Kind(f"{kind.text} once converted from degrees to radians",
@@ -126,10 +134,11 @@ def in_degrees(kind: Kind) -> Kind:
 
 
 def check_fields(obj) -> None:
-    """Check each field named in ``obj.KINDS``; the error's path is the
-    field name.  :class:`ValidationError` is a ``ValueError``."""
+    """Check each field named in ``obj.KINDS`` and keep the value its kind
+    returns; the error's path is the field name.  :class:`ValidationError`
+    is a ``ValueError``."""
     for name, kind in obj.KINDS.items():
-        kind(getattr(obj, name), name)
+        object.__setattr__(obj, name, kind(getattr(obj, name), name))
 
 
 class Fieldwise:

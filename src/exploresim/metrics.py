@@ -23,7 +23,7 @@ from itertools import count
 from operator import add
 
 from .errors import SimError
-from .kinds import Model
+from .kinds import NON_NEGATIVE, POSITIVE, Model, check_fields
 
 DEFAULT_CELL_SIZE = 0.5
 HEATMAP_SATURATION_S = 18.0
@@ -193,10 +193,12 @@ class EnergyModel(Model):
     p_multiranger: float = 0.286
     p_total: float = 8.02
 
+    KINDS = {**dict.fromkeys(("p_motors", "p_cf", "p_aideck", "p_multiranger"), NON_NEGATIVE),
+             "p_total": POSITIVE}
+
     def __post_init__(self):
+        check_fields(self)
         parts = self.p_motors + self.p_cf + self.p_aideck + self.p_multiranger
-        if min(self.p_motors, self.p_cf, self.p_aideck, self.p_multiranger) < 0.0:
-            raise ValueError("component powers must be >= 0")
         if abs(parts - self.p_total) > 0.005:
             raise ValueError(f"component powers sum to {parts:.4f}, not {self.p_total}")
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from exploresim.arena import (DEFAULT_ARENA_DOC, Arena, TargetObject, Vec2,
                               default_arena, load_arena)
-from exploresim.errors import ValidationError
+from exploresim.errors import FrozenError, ValidationError
 
 from oracles import dense_ray_distance
 
@@ -175,3 +175,30 @@ def test_raycast_finite_and_positive(x, y, h):
 def test_object_invariants():
     with pytest.raises(ValidationError):
         Arena(4.0, 4.0, objects=[TargetObject(1, "bottle", Vec2(1.0, 1.0), radius=0.0)])
+
+
+def test_a_room_is_frozen():
+    room = default_arena()
+    with pytest.raises(FrozenError, match="cannot assign to field 'width'"):
+        room.width = 1e300
+    assert room == default_arena()
+
+
+@pytest.mark.parametrize("box", [(1, 2, 3), None, ("1", 1, 2, 2), (True, 1, 2, 2),
+                                 (1.0, 1.0, math.nan, 2.0)])
+def test_a_malformed_box_names_obstacles(box):
+    with pytest.raises(ValidationError) as err:
+        Arena(6.5, 5.5, obstacles=[box])
+    assert err.value.path == "obstacles"
+    assert err.value.message.startswith("must be a list, each [x0, y0, x1, y1], four finite")
+
+
+def test_an_object_given_a_plain_point_sits_in_a_room():
+    room = Arena(6.5, 5.5, objects=[TargetObject(1, "bottle", (2, 2.5))])
+    pos = room.objects[0].pos
+    assert type(pos) is Vec2 and (pos.x, pos.y) == (2.0, 2.5)
+    assert room == Arena(6.5, 5.5, objects=(TargetObject(1, "bottle", Vec2(2.0, 2.5)),))
+    with pytest.raises(ValidationError) as err:
+        Arena(6.5, 5.5, objects=[(1, "bottle", (2, 2.5))])
+    assert (err.value.path, err.value.message) == (
+        "objects", "must be a list, each a TargetObject, got [(1, 'bottle', (2, 2.5))]")

@@ -77,6 +77,20 @@ class TestRunConfig:
         with pytest.raises(FrozenError):
             cfg.seed = 1
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("arena", None, "must be an Arena, got None"),
+        ("policy_cfg", {"cruise_speed": 0.5}, "must be a PolicyConfig, got {'cruise_speed': 0.5}"),
+        ("tof", None, "must be a TofConfig, got None"),
+        ("camera", None, "must be a CameraModel, got None"),
+        ("detector", "ssd-1.0", "must be null or a DetectorModel, got 'ssd-1.0'"),
+    ])
+    def test_validation(self, field, value, message):
+        # a field that holds a model is checked when the config is made, not
+        # when the flight first reads it
+        with pytest.raises(ValidationError) as err:
+            make_cfg(**{field: value, "duration": 1.0})
+        assert (err.value.path, err.value.message) == (field, message)
+
 
 class TestRunSingle:
     def test_deterministic_digest(self):
@@ -413,7 +427,7 @@ class TestFlights:
         # flight_key groups flights by these texts: a change to how a model
         # shows itself fails here by name, not as moved flight keys
         assert repr(RunConfig(arena=default_arena(), detector=DETECTORS["ssd-1.0"])) == (
-            "RunConfig(arena=Arena(6.5, 5.5, obstacles=(), objects=("
+            "RunConfig(arena=Arena(width=6.5, height=5.5, obstacles=(), objects=("
             "TargetObject(id=1, cls='bottle', pos=Vec2(x=2.9, y=2.75), radius=0.05), "
             "TargetObject(id=2, cls='tin_can', pos=Vec2(x=3.6, y=2.75), radius=0.05), "
             "TargetObject(id=3, cls='bottle', pos=Vec2(x=0.8, y=0.8), radius=0.05), "
@@ -447,6 +461,14 @@ class TestFlights:
             flight_key(cfg.replace(start=(1.0, 5.0, -0.0)))
         assert flight_key(make_cfg(policy="spiral", arena=load_arena(BOXED_ROOM))) != \
             flight_key(cfg)
+
+    def test_an_int_and_a_float_speed_are_one_flight(self):
+        # a model keeps its kinds' values, so cruise_speed=1 holds 1.0
+        cfgs = [make_cfg(policy_cfg=PolicyConfig(cruise_speed=speed), duration=2.0)
+                for speed in (1, 1.0)]
+        assert cfgs[0] == cfgs[1] and flight_key(cfgs[0]) == flight_key(cfgs[1])
+        a, b = run_batch(cfgs)
+        assert a.grid is b.grid and a.digest == b.digest
 
     @pytest.fixture(scope="class")
     def boxed_missions(self):

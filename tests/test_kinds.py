@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from exploresim.arena import TargetObject, Vec2, default_arena
+from exploresim.arena import Arena, TargetObject, Vec2, default_arena
 from exploresim.detection import DETECTORS, DetectorModel
 from exploresim.errors import FrozenError, ValidationError
 from exploresim.harness import RunConfig, SweepSpec
@@ -25,6 +25,7 @@ MODELS = [
     (SweepSpec(), "runs_per_config", 0),
     (TargetObject(1, "bottle", Vec2(1.0, 1.0)), "cls", "cup"),
     (EnergyModel(), "p_motors", 5.0),
+    (Arena(6.5, 5.5, obstacles=[(1.0, 1.0, 2.0, 2.0)], objects=ROOM.objects), "width", 0.0),
 ]
 IDS = [model.__class__.__name__ for model, *_ in MODELS]
 
@@ -112,6 +113,41 @@ def test_equality_and_hash_go_by_value(model, field, bad):
     twin = model.__class__(**{f: getattr(model, f) for f in model.FIELDS})
     assert twin == model and hash(twin) == hash(model) and len({twin, model}) == 1
     assert model != (*(getattr(model, f) for f in model.FIELDS),)
+
+
+# each model made from lists and ints, and from the tuples and floats its
+# kinds turn them into
+LOOSE_AND_STRICT = [
+    (RunConfig, dict(arena=ROOM, start=[1, 1, 0], duration=60),
+     dict(arena=ROOM, start=(1.0, 1.0, 0.0), duration=60.0)),
+    (PolicyConfig, dict(cruise_speed=1, trigger_dist=2), dict(cruise_speed=1.0, trigger_dist=2.0)),
+    (TofConfig, dict(max_range=3, rate_hz=10, noise_sigma=0),
+     dict(max_range=3.0, rate_hz=10.0, noise_sigma=0.0)),
+    (CameraModel, dict(fov=1, max_detect_range=3), dict(fov=1.0, max_detect_range=3.0)),
+    (DetectorModel, dict(name="x", fps=2, p_detect=1), dict(name="x", fps=2.0, p_detect=1.0)),
+    (SweepSpec, dict(policies=["spiral"], speeds=[1], detectors=["ssd-1.0", None], duration=60),
+     dict(policies=("spiral",), speeds=(1.0,), detectors=("ssd-1.0", None), duration=60.0)),
+    (TargetObject, dict(id=1, cls="bottle", pos=[1, 4], radius=1),
+     dict(id=1, cls="bottle", pos=Vec2(1.0, 4.0), radius=1.0)),
+    (EnergyModel, dict(p_motors=7, p_cf=1, p_aideck=0, p_multiranger=0, p_total=8),
+     dict(p_motors=7.0, p_cf=1.0, p_aideck=0.0, p_multiranger=0.0, p_total=8.0)),
+    (Arena, dict(width=6, height=5, obstacles=[[4, 1, 5, 2]],
+                 objects=[TargetObject(1, "bottle", [1, 4])]),
+     dict(width=6.0, height=5.0, obstacles=((4.0, 1.0, 5.0, 2.0),),
+          objects=(TargetObject(1, "bottle", Vec2(1.0, 4.0)),))),
+]
+
+
+def test_every_model_has_a_loose_and_a_strict_form():
+    assert [cls for cls, *_ in LOOSE_AND_STRICT] == [model.__class__ for model, *_ in MODELS]
+
+
+@pytest.mark.parametrize("cls, loose, strict", LOOSE_AND_STRICT, ids=IDS)
+def test_a_model_keeps_what_its_kinds_return(cls, loose, strict):
+    a, b = cls(**loose), cls(**strict)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1 and repr(a) == repr(b)
+    for name in cls.FIELDS:
+        assert type(getattr(a, name)) is type(getattr(b, name)), name
 
 
 def test_models_of_different_classes_are_unequal():
