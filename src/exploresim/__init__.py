@@ -16,7 +16,7 @@ from .harness import RunConfig, RunResult, SweepSpec, run_batch, run_single, run
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig
 from .sensing import CameraModel, TofConfig
-from .vehicle import Setpoint, VehicleState
+from .vehicle import Setpoint
 
 __all__ = [
     "__version__",
@@ -27,5 +27,5 @@ __all__ = [
     "EnergyModel", "OccupancyGrid", "mission_energy",
     "POLICY_KINDS", "PolicyConfig",
     "CameraModel", "TofConfig",
-    "Setpoint", "VehicleState",
+    "Setpoint",
 ]

@@ -6,7 +6,7 @@ One run interleaves two clocked tasks on a single timeline:
   refresh the ranging frame if its slower clock is due, step the policy,
   integrate the vehicle, check collision;
 * the detection task at the detector's own frame rate: each frame has an
-  exact instant k/fps and is evaluated against the first vehicle state
+  exact instant k/fps and is evaluated against the first vehicle pose
   timestamped at or after it (at 50 Hz that is within one tick of the
   instant); the ledger records the exact instant.
 
@@ -23,6 +23,10 @@ so that replaying the emitted log reconstructs the grid's cells; it is
 deposited a log chunk of ticks at a time, through the grid's one kernel
 for runs of points in one cell (:meth:`OccupancyGrid.deposit`), with
 one addition per tick, as marking each tick would.
+
+The vehicle's pose is three floats, ``x, y, heading``, from the start
+pose to the crash check: :func:`fly` keeps them as locals and yields
+each tick's pose as one tuple ``(x, y, heading)``.
 
 A flight depends on the seed only through the policy stream, if the
 policy draws from it, and the noise stream, if the ranging is noisy
@@ -56,7 +60,7 @@ from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_draws, policy_step
 from .seeding import derive_seed
 from .sensing import CameraModel, TofBank, TofConfig, objects_in_fov
-from .vehicle import DEFAULT_DRONE_RADIUS, CollisionRecord, VehicleState, step
+from .vehicle import DEFAULT_DRONE_RADIUS, CollisionRecord, step
 
 TRAJECTORY_HEADER = "t,x,y,heading,v_cmd,omega_cmd"
 POLICY_NAME = choice(POLICY_KINDS)
@@ -143,14 +147,17 @@ class RunResult(NamedTuple):
 def fly(cfg: RunConfig):
     """The control task of one mission (``cfg`` was checked when made):
     per tick refresh the ranging frame if due, step the policy, integrate
-    the vehicle and test the airframe disc at the new state for a collision.
-    Each state it senses from, the start or one the disc cleared, is in
+    the vehicle and test the airframe disc at the new pose for a collision.
+    Each pose it senses from, the start or one the disc cleared, is in
     free space (see :data:`kinds.RADIUS`).
 
-    Yields ``(t, state_seen, frame, ps, sp, next_state, blocked)`` per
-    tick; stops after the last tick or the first blocked one.  Once run
-    to its end it raises :class:`SimError` if it drew from a stream that
-    :func:`_streams` declares undrawn: that would be a program error.
+    Yields ``(t, seen, frame, ps, sp, pose, blocked)`` per tick, where
+    ``seen`` is the pose sensed from and ``pose`` the pose the tick moves
+    to, each an ``(x, y, heading)`` tuple; a tick's ``seen`` is the
+    previous tick's ``pose`` object.  It stops after the last tick or the
+    first blocked one.  Once run to its end it raises :class:`SimError` if
+    it drew from a stream that :func:`_streams` declares undrawn: that
+    would be a program error.
     """
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
@@ -160,7 +167,7 @@ def fly(cfg: RunConfig):
     policy_rng, noise_rng = rngs["policy"], rngs["noise"]
     unused = [rngs[name] for name, drawn in streams if not drawn]
     before = [rng.getstate() for rng in unused]
-    state = VehicleState(x0, y0, h0)
+    x, y, heading = seen = (x0, y0, h0)
     kind, policy_cfg, radius = cfg.policy, cfg.policy_cfg, cfg.drone_radius
     ps = initial_state(kind, policy_cfg, h0, arena, radius)
     bank = TofBank(cfg.tof)
@@ -169,14 +176,15 @@ def fly(cfg: RunConfig):
     for i in range(cfg.n_ticks()):
         t_i = i * dt
         if t_i >= bank.due:  # else the held frame is still valid
-            frame = sample(arena, state, noise_rng, t_i)
-        ps, sp = policy_step(kind, ps, frame, state.heading, dt, policy_cfg, policy_rng)
-        nxt = step(state, sp, dt)
-        blocked = disc_blocked(nxt.x, nxt.y, radius)
-        yield t_i, state, frame, ps, sp, nxt, blocked
+            frame = sample(arena, x, y, heading, noise_rng, t_i)
+        ps, sp = policy_step(kind, ps, frame, heading, dt, policy_cfg, policy_rng)
+        pose = step(x, y, heading, sp, dt)
+        x, y, heading = pose
+        blocked = disc_blocked(x, y, radius)
+        yield t_i, seen, frame, ps, sp, pose, blocked
         if blocked:
             break
-        state = nxt
+        seen = pose
     if [rng.getstate() for rng in unused] != before:
         raise SimError(f"program error: a {cfg.policy} flight drew from a random stream "
                        "that its flight key leaves out")
@@ -217,9 +225,11 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     time.  The grid gets each tick's dt at the tick's quantized position
     (clamped into the room on a crash tick), a log chunk of ticks at a time
     (:meth:`OccupancyGrid.deposit`).  A mission's frame due at a tick
-    evaluates the camera at the state after that tick and draws from the
+    evaluates the camera at the pose after that tick and draws from the
     mission's own ``detect`` stream; its ledger records the frame's exact
-    instant.  No frame fires on the crash tick or after the last tick."""
+    instant.  No frame fires on the crash tick or after the last tick.
+    A coordinate or set-point is formatted as ``"%.6f" % v``, the text of
+    ``f"{v:.6f}"``."""
     cfg = cfgs[0]
     arena = cfg.arena
     x0, y0, h0 = cfg.start_pose()
@@ -245,9 +255,9 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
 
     emit(TRAJECTORY_HEADER + "\n")
     x, y, heading = x0, y0, h0
-    xs = f"{x0:.6f}"
-    ys = f"{y0:.6f}"
-    hs = f"{h0:.6f}"
+    xs = "%.6f" % x0
+    ys = "%.6f" % y0
+    hs = "%.6f" % h0
     xq = float(xs)
     yq = float(ys)
 
@@ -259,32 +269,34 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     for first in range(0, cfg.n_ticks(), _LOG_CHUNK):
         rows, xqs, yqs = [], [], []  # the chunk's log rows and dwell positions
         add_x, add_y = xqs.append, yqs.append
-        for t_text, ticks, (_, _, _, _, sp, state, blocked) in zip(
+        for t_text, ticks, (_, _, _, _, sp, pose, blocked) in zip(
                 _tick_column(dt, first).split(" "), count(first + 1), flight):
             if sp is not last_sp:
                 last_sp = sp
-                sp_text = f"{sp[0]:.6f},{sp[1]:.6f}\n"
+                sp_text = "%.6f,%.6f\n" % sp
             rows.append(f"{t_text},{xs},{ys},{hs},{sp_text}")
-            if state.x != x or not x:
-                x = state.x
-                xs = f"{x:.6f}"
+            px, py, ph = pose
+            if px != x or not x:
+                x = px
+                xs = "%.6f" % x
                 xq = float(xs)
-            if state.y != y or not y:
-                y = state.y
-                ys = f"{y:.6f}"
+            if py != y or not y:
+                y = py
+                ys = "%.6f" % y
                 yq = float(ys)
-            if state.heading != heading or not heading:
-                heading = state.heading
-                hs = f"{heading:.6f}"
-            if blocked:  # the last tick: fly stops after it, at a clamped state
-                collision = CollisionRecord(True, ticks * dt, state.x, state.y)
+            if ph != heading or not heading:
+                heading = ph
+                hs = "%.6f" % heading
+            if blocked:  # the last tick: fly stops after it, at a clamped pose
+                collision = CollisionRecord(True, ticks * dt, px, py)
                 xq = min(max(xq, 0.0), arena.width)
                 yq = min(max(yq, 0.0), arena.height)
             else:
                 while frame_due == ticks:
                     _, t, j = frame
                     det, camera, ledger, rng = detectors[j]
-                    attempt_detection(det, objects_in_fov(arena, state, camera), ledger, t, rng)
+                    visible = objects_in_fov(arena, px, py, ph, camera)
+                    attempt_detection(det, visible, ledger, t, rng)
                     frame = next(dues)
                     frame_due = frame[0]
             add_x(xq)

@@ -8,6 +8,9 @@ samples it only on the ticks where its ``due`` time has come.
 
 The camera model is a forward cone used to decide which target objects
 an inference frame can possibly see; it synthesizes no images.
+
+Both sense from the vehicle's pose, given as the three floats ``x, y,
+heading`` (see :mod:`exploresim.vehicle`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 from .arena import Arena
 from .kinds import FOV, NON_NEGATIVE, POSITIVE, RATE, Model
-from .vehicle import VehicleState, normalize_heading
+from .vehicle import normalize_heading
 
 # beam mount angles relative to body heading: front, left, right, back
 MOUNT_ANGLES = (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
@@ -66,18 +69,19 @@ class TofBank:
         self._frame: TofFrame | None = None
         self.due = -math.inf
 
-    def sample(self, arena: Arena, state: VehicleState, rng, t: float) -> TofFrame:
-        """Return the frame valid at time t, refreshing it when due.
+    def sample(self, arena: Arena, x: float, y: float, heading: float, rng,
+               t: float) -> TofFrame:
+        """Return the frame valid at time t, refreshing it from the pose
+        ``x, y, heading`` when due.
 
         The first frame is measured at t=0; afterwards a new measurement
         happens on the first call at or after each sensor period, and
         moves ``due`` to the next one.  With ``noise_sigma`` zero the rng
-        is never touched.  ``state`` must be in free space, as every state
+        is never touched.  ``(x, y)`` must be in free space, as every pose
         a flight senses from is.
         """
         if t < self.due:
             return self._frame
-        x, y, heading = state.x, state.y, state.heading
         raycast = arena.raycast
         readings = []
         sigma = self.cfg.noise_sigma
@@ -101,8 +105,10 @@ class TofBank:
         return self._frame
 
 
-def objects_in_fov(arena: Arena, state: VehicleState, cam: CameraModel) -> list[int]:
-    """Ids of target objects inside the camera cone with clear line of sight.
+def objects_in_fov(arena: Arena, x: float, y: float, heading: float,
+                   cam: CameraModel) -> list[int]:
+    """Ids of target objects inside the camera cone, from the pose
+    ``x, y, heading``, with clear line of sight.
 
     An object counts as visible when its center is within range, its
     bearing within half the field of view of the heading (the camera
@@ -112,8 +118,8 @@ def objects_in_fov(arena: Arena, state: VehicleState, cam: CameraModel) -> list[
     out = []
     half_fov = cam.fov / 2.0
     for obj in arena.objects:
-        dx = obj.pos.x - state.x
-        dy = obj.pos.y - state.y
+        dx = obj.pos.x - x
+        dy = obj.pos.y - y
         dist = math.hypot(dx, dy)
         if dist > cam.max_detect_range:
             continue
@@ -121,8 +127,8 @@ def objects_in_fov(arena: Arena, state: VehicleState, cam: CameraModel) -> list[
             out.append(obj.id)
             continue
         bearing = math.atan2(dy, dx)
-        if abs(normalize_heading(bearing - state.heading)) > half_fov:
+        if abs(normalize_heading(bearing - heading)) > half_fov:
             continue
-        if arena.raycast(state.x, state.y, bearing) > dist - obj.radius:
+        if arena.raycast(x, y, bearing) > dist - obj.radius:
             out.append(obj.id)
     return out

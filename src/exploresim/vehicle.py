@@ -1,6 +1,10 @@
 """Planar drone kinematics: set-point integration, the collision record,
 and :class:`State`, the base of a run's mutable states.
 
+The vehicle's pose is three floats, ``x``, ``y`` (meters) and ``heading``
+(radians, in [-pi, pi)), held in no class: :func:`step` takes them and
+returns the tuple ``(x, y, heading)``.
+
 Set-points (forward speed, yaw rate) apply instantaneously; there are no
 attitude dynamics.  Integration uses the midpoint-heading rule, which is
 second-order accurate on arcs and keeps each step's displacement length
@@ -33,9 +37,9 @@ class Setpoint(NamedTuple):
 
 
 class State(Fieldwise):
-    """Base of a mutable state held in ``__slots__``: the vehicle's, a
-    policy's, the detection ledger.  Its fields are the slots along the
-    MRO, a subclass's after its base's (``FIELDS``), in the order of its
+    """Base of a mutable state held in ``__slots__``: a policy's, the
+    detection ledger.  Its fields are the slots along the MRO, a
+    subclass's after its base's (``FIELDS``), in the order of its
     positional ``__init__``.  Equality and ``repr`` go by those fields
     (:class:`~exploresim.kinds.Fieldwise`).  A state takes no other
     attribute."""
@@ -48,15 +52,6 @@ class State(Fieldwise):
                            for name in c.__dict__.get("__slots__", ()))
 
 
-class VehicleState(State):
-    __slots__ = ("x", "y", "heading")
-
-    def __init__(self, x: float, y: float, heading: float):
-        self.x = x
-        self.y = y
-        self.heading = heading
-
-
 class CollisionRecord(NamedTuple):
     occurred: bool = False
     time: float = 0.0
@@ -64,19 +59,20 @@ class CollisionRecord(NamedTuple):
     y: float = 0.0
 
 
-def step(state: VehicleState, sp: Setpoint, dt: float) -> VehicleState:
-    """Advance one control tick under a set-point (midpoint-heading rule).
-    A turn in place (``v == 0``) keeps the position without any trig: a
-    flight's positions are never zero, so adding ``0.0 * cos`` changes none.
-    The new heading is :func:`normalize_heading`'s expression, inline."""
+def step(x: float, y: float, heading: float, sp: Setpoint,
+         dt: float) -> tuple[float, float, float]:
+    """The pose ``(x, y, heading)`` one control tick after the pose
+    ``x, y, heading`` under a set-point (midpoint-heading rule).  A turn in
+    place (``v == 0``) keeps the position without any trig: a flight's
+    positions are never zero, so adding ``0.0 * cos`` changes none.  The
+    new heading is :func:`normalize_heading`'s expression, inline."""
     v, omega = sp
-    heading = state.heading
     if not v:
-        return VehicleState(state.x, state.y, (heading + omega * dt + pi) % TWO_PI - pi)
+        return x, y, (heading + omega * dt + pi) % TWO_PI - pi
     mid = heading + omega * dt * 0.5
-    return VehicleState(
-        state.x + v * dt * cos(mid),
-        state.y + v * dt * sin(mid),
+    return (
+        x + v * dt * cos(mid),
+        y + v * dt * sin(mid),
         (heading + omega * dt + pi) % TWO_PI - pi,
     )
 

@@ -107,12 +107,12 @@ def coverage_series(lines, width, height):
 
 def flight_grid(cfg):
     """The dwell grid of the flight of ``cfg``, one ``mark`` per tick: its
-    ``dt`` at the six-decimal position of the state ``fly`` moves to, which
+    ``dt`` at the six-decimal position of the pose ``fly`` moves to, which
     is clamped into the room on the blocked tick."""
     width, height = cfg.arena.width, cfg.arena.height
     grid = OccupancyGrid(width, height)
-    for *_, state, blocked in fly(cfg):
-        x, y = float(f"{state.x:.6f}"), float(f"{state.y:.6f}")
+    for *_, (x, y, _), blocked in fly(cfg):
+        x, y = float(f"{x:.6f}"), float(f"{y:.6f}")
         if blocked:
             x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
         grid.mark(x, y, cfg.control_dt)
@@ -121,7 +121,7 @@ def flight_grid(cfg):
 
 def detection_ledger(cfg):
     """The ledger of the detector of ``cfg``, ``None`` without one, built
-    after its flight from the states that ``fly`` moves to: the state after
+    after its flight from the poses that ``fly`` moves to: the pose after
     tick i, at time i * dt, takes each frame k whose instant k / fps no
     earlier tick reached (within 1e-9 of a tick), in order, and evaluates
     the camera there with a draw from the mission's ``detect`` stream.  The
@@ -129,13 +129,13 @@ def detection_ledger(cfg):
     det = cfg.detector
     if det is None:
         return None
-    states = [state for *_, state, blocked in fly(cfg) if not blocked]
+    poses = [pose for *_, pose, blocked in fly(cfg) if not blocked]
     rng = random.Random(derive_seed(cfg.seed, "detect"))
     ledger = DetectionLedger()
     k = 1
-    for i, state in enumerate(states, 1):
+    for i, pose in enumerate(poses, 1):
         while k / det.fps / cfg.control_dt - 1e-9 <= i:
-            attempt_detection(det, objects_in_fov(cfg.arena, state, cfg.camera), ledger,
+            attempt_detection(det, objects_in_fov(cfg.arena, *pose, cfg.camera), ledger,
                               k / det.fps, rng)
             k += 1
     return ledger

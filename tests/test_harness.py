@@ -50,9 +50,9 @@ def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
         calls = []
         sample = TofBank.sample
 
-        def counted(bank, arena, state, rng, t):
+        def counted(bank, arena, x, y, heading, rng, t):
             calls.append(t)
-            return sample(bank, arena, state, rng, t)
+            return sample(bank, arena, x, y, heading, rng, t)
 
         monkeypatch.setattr(TofBank, "sample", counted)
         ticks = list(fly(cfg))
@@ -60,7 +60,7 @@ def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
         assert len(ticks) == 9000 and len(calls) == 3600
         bank, rng = TofBank(tof), random.Random(derive_seed(cfg.seed, "noise"))
         assert [frame for _, _, frame, *_ in ticks] == \
-            [bank.sample(cfg.arena, state, rng, t) for t, state, *_ in ticks]
+            [bank.sample(cfg.arena, *seen, rng, t) for t, seen, *_ in ticks]
 
 
 class TestRunConfig:
@@ -132,7 +132,7 @@ class TestRunSingle:
         ticks = list(fly(cfg))
         assert len(ticks) == len(rows) - 1
         for row, (t, seen, _, _, sp, _, _) in zip(rows, ticks):
-            values = (t, seen.x, seen.y, seen.heading, sp.v, sp.omega)
+            values = (t, *seen, sp.v, sp.omega)
             assert row == tuple(float(f"{v:.6f}") for v in values)
 
     def test_wall_following_stays_out_of_the_core(self):
@@ -537,11 +537,11 @@ def test_every_state_a_flight_senses_from_is_in_free_space(arena, policy, at, ra
     cfg = RunConfig(arena=arena, policy=policy, policy_cfg=PolicyConfig(cruise_speed=speed),
                     tof=TofConfig(noise_sigma=noise), duration=n_ticks * 0.02,
                     start=(x, y, at[2]), drone_radius=radius, seed=seed)
-    for _, seen, _, _, _, nxt, blocked in fly(cfg):
-        for state in (seen,) if blocked else (seen, nxt):
-            assert arena.in_free_space(state.x, state.y), state
-            xq, yq = float(f"{state.x:.6f}"), float(f"{state.y:.6f}")
-            assert 0.0 <= xq <= arena.width and 0.0 <= yq <= arena.height, state
+    for _, seen, _, _, _, pose, blocked in fly(cfg):
+        for x, y, heading in (seen,) if blocked else (seen, pose):
+            assert arena.in_free_space(x, y), (x, y, heading)
+            xq, yq = float(f"{x:.6f}"), float(f"{y:.6f}")
+            assert 0.0 <= xq <= arena.width and 0.0 <= yq <= arena.height, (x, y, heading)
 
 
 fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -681,18 +681,18 @@ def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, si
     assert res.grid.ticks == marked.ticks
     assert res.grid.coverage() == marked.coverage()
     for t, seen, frame, _, _, last, _ in fly(cfg):
-        if frame.t == t:  # refreshed on this tick, from this state
+        if frame.t == t:  # refreshed on this tick, from this pose
             sensed = seen, frame
-    assert res.collision.occurred == arena.disc_blocked(last.x, last.y, cfg.drone_radius)
+    assert res.collision.occurred == arena.disc_blocked(last[0], last[1], cfg.drone_radius)
     if not res.collision.occurred:
         assert res.elapsed == cfg.duration
     if noise == 0.0:
-        (state, frame), max_range = sensed, cfg.tof.max_range
+        ((x, y, heading), frame), max_range = sensed, cfg.tof.max_range
         for mount, reading in zip(MOUNT_ANGLES, frame[:4]):
-            if grazes(arena, state.x, state.y, state.heading + mount):
+            if grazes(arena, x, y, heading + mount):
                 continue
             want = min(dense_ray_distance(arena.width, arena.height, arena.obstacles,
-                                          state.x, state.y, state.heading + mount), max_range)
+                                          x, y, heading + mount), max_range)
             assert abs(reading - want) <= 0.001 + 1e-9, (mount, reading, want)
 
 

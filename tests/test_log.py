@@ -25,6 +25,7 @@ from exploresim.harness import TRAJECTORY_HEADER, RunConfig, fly, fly_logged
 from exploresim.metrics import OccupancyGrid
 from exploresim.policies import POLICY_KINDS
 from exploresim.report import coverage_series_csv
+from exploresim.sensing import TofConfig
 from exploresim.vehicle import Setpoint
 from oracles import coverage_series
 
@@ -43,10 +44,9 @@ def plain_log(cfg: RunConfig) -> list[str]:
 
     ticks = list(fly(cfg))
     rows = [TRAJECTORY_HEADER + "\n"]
-    rows += [row(t, seen.x, seen.y, seen.heading, sp.v, sp.omega)
-             for t, seen, _, _, sp, _, _ in ticks]
+    rows += [row(t, *seen, sp.v, sp.omega) for t, seen, _, _, sp, _, _ in ticks]
     end = ticks[-1][5]
-    rows.append(row(len(ticks) * cfg.control_dt, end.x, end.y, end.heading, 0.0, 0.0))
+    rows.append(row(len(ticks) * cfg.control_dt, *end, 0.0, 0.0))
     return rows
 
 
@@ -66,11 +66,13 @@ def test_colliding_start_collides_in_the_boxed_room():
        n_ticks=st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]),
        boxed=st.booleans(),
        start=st.sampled_from([None, COLLIDING, (5.9, 4.9, -2.5), (3.0, 2.0, -0.0)]),
+       noise=st.sampled_from([0.0, 0.02]),
        seed=st.integers(0, 2**64 - 1))
 @settings(max_examples=40, deadline=None)
-def test_fast_log_equals_plain_log(policy, dt, n_ticks, boxed, start, seed):
+def test_fast_log_equals_plain_log(policy, dt, n_ticks, boxed, start, noise, seed):
     cfg = RunConfig(arena=BOXED if boxed else default_arena(), policy=policy,
-                    control_dt=dt, duration=n_ticks * dt, start=start, seed=seed)
+                    tof=TofConfig(noise_sigma=noise), control_dt=dt, duration=n_ticks * dt,
+                    start=start, seed=seed)
     log = io.StringIO()
     flight = fly_logged([cfg], log=log)[0]
     expected = plain_log(cfg)

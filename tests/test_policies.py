@@ -17,7 +17,7 @@ from exploresim.vehicle import normalize_heading
 
 CFG = PolicyConfig()
 
-Tick = namedtuple("Tick", "t state frame ps sp next_state blocked")
+Tick = namedtuple("Tick", "t seen frame ps sp pose blocked")
 
 
 def drive(arena, kind, cfg, start, duration, seed=0):
@@ -25,8 +25,8 @@ def drive(arena, kind, cfg, start, duration, seed=0):
     run = RunConfig(arena=arena, policy=kind, policy_cfg=cfg, start=start,
                     duration=duration, seed=seed)
     trace = [Tick(*tick) for tick in fly(run)]
-    end = trace[-1].next_state
-    assert not trace[-1].blocked, f"collision at t={trace[-1].t:.2f} ({end.x:.2f}, {end.y:.2f})"
+    x, y, _ = trace[-1].pose
+    assert not trace[-1].blocked, f"collision at t={trace[-1].t:.2f} ({x:.2f}, {y:.2f})"
     return trace
 
 
@@ -125,8 +125,8 @@ class TestWallFollowing:
     def test_stays_near_walls_from_track_start(self, room):
         trace = drive(room, "wall-following", CFG, (1.0, 5.0, 0.0), 180.0)
         for tick in trace:
-            s = tick.state
-            wall_dist = min(s.x, s.y, room.width - s.x, room.height - s.y)
+            x, y, _ = tick.seen
+            wall_dist = min(x, y, room.width - x, room.height - y)
             assert wall_dist < 1.0, f"left the perimeter band at t={tick.t:.2f}"
 
 
@@ -304,8 +304,7 @@ class TestDispatchAndInvariants:
         a = drive(room, kind, CFG, start, 30.0, seed=9)
         b = drive(room, kind, CFG, start, 30.0, seed=9)
         assert [(t.sp.v, t.sp.omega) for t in a] == [(t.sp.v, t.sp.omega) for t in b]
-        assert [(t.state.x, t.state.y, t.state.heading) for t in a] == \
-               [(t.state.x, t.state.y, t.state.heading) for t in b]
+        assert [t.seen for t in a] == [t.seen for t in b]
 
 
 class TestStates:

@@ -7,7 +7,6 @@ import pytest
 from exploresim.arena import Arena, TargetObject, Vec2
 from exploresim.sensing import (CameraModel, TofBank, TofConfig, TofFrame,
                                 objects_in_fov)
-from exploresim.vehicle import VehicleState
 
 from oracles import sight_line_blocked
 
@@ -18,37 +17,37 @@ def _bank():
 
 class TestTofSampling:
     def test_saturation_and_lateral(self, room):
-        frame = _bank().sample(room, VehicleState(1.0, 2.75, 0.0), None, 0.0)
+        frame = _bank().sample(room, 1.0, 2.75, 0.0, None, 0.0)
         assert frame.front == 4.0  # true 5.5, saturated
         assert frame.left == pytest.approx(2.75, abs=1e-12)
         assert frame.right == pytest.approx(2.75, abs=1e-12)
         assert frame.back == pytest.approx(1.0, abs=1e-12)
 
     def test_near_wall(self, room):
-        frame = _bank().sample(room, VehicleState(6.0, 2.75, 0.0), None, 0.0)
+        frame = _bank().sample(room, 6.0, 2.75, 0.0, None, 0.0)
         assert frame.front == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_order_hold(self, room):
         bank = _bank()
-        f0 = bank.sample(room, VehicleState(1.0, 2.75, 0.0), None, 0.0)
+        f0 = bank.sample(room, 1.0, 2.75, 0.0, None, 0.0)
         # drone moves but the register holds until the next 20 Hz instant
-        f1 = bank.sample(room, VehicleState(1.5, 2.75, 0.0), None, 0.02)
-        f2 = bank.sample(room, VehicleState(2.0, 2.75, 0.0), None, 0.04)
+        f1 = bank.sample(room, 1.5, 2.75, 0.0, None, 0.02)
+        f2 = bank.sample(room, 2.0, 2.75, 0.0, None, 0.04)
         assert f0 is f1 is f2
-        f3 = bank.sample(room, VehicleState(2.0, 2.75, 0.0), None, 0.06)
+        f3 = bank.sample(room, 2.0, 2.75, 0.0, None, 0.06)
         assert f3 is not f0 and f3.t == 0.06
 
     def test_refresh_cadence_over_mission(self, room):
         bank = _bank()
         stamps = set()
         for i in range(9000):
-            frame = bank.sample(room, VehicleState(1.0, 2.75, 0.0), None, i * 0.02)
+            frame = bank.sample(room, 1.0, 2.75, 0.0, None, i * 0.02)
             stamps.add(frame.t)
         assert len(stamps) == 3600  # 20 Hz over 180 s
 
     def test_deterministic_without_noise(self, room):
-        a = _bank().sample(room, VehicleState(2.0, 2.0, 0.7), None, 0.0)
-        b = _bank().sample(room, VehicleState(2.0, 2.0, 0.7), None, 0.0)
+        a = _bank().sample(room, 2.0, 2.0, 0.7, None, 0.0)
+        b = _bank().sample(room, 2.0, 2.0, 0.7, None, 0.0)
         assert a == b
 
     def test_noise_statistics(self):
@@ -56,9 +55,9 @@ class TestTofSampling:
         arena = Arena(6.5, 5.5)
         bank = TofBank(TofConfig(noise_sigma=0.02))
         rng = random.Random(123)
-        state = VehicleState(4.5, 2.75, 0.0)
+        pose = (4.5, 2.75, 0.0)
         period = 1.0 / 20.0
-        vals = [bank.sample(arena, state, rng, k * period).front for k in range(100_000)]
+        vals = [bank.sample(arena, *pose, rng, k * period).front for k in range(100_000)]
         assert statistics.fmean(vals) == pytest.approx(2.0, abs=1e-3)
         assert statistics.pstdev(vals) == pytest.approx(0.02, rel=0.1)
 
@@ -68,13 +67,13 @@ class TestTofSampling:
         for k in range(200):
             x = rng.uniform(0.2, 6.3)
             y = rng.uniform(0.2, 5.3)
-            f = noisy.sample(room, VehicleState(x, y, rng.uniform(-3, 3)), rng, k * 0.05)
+            f = noisy.sample(room, x, y, rng.uniform(-3, 3), rng, k * 0.05)
             assert all(0.001 <= v <= 4.0 for v in (f.front, f.left, f.right, f.back))
 
     def test_saturated_reading_stays_saturated_farther_out(self):
         big = Arena(20.0, 20.0)
-        f1 = _bank().sample(big, VehicleState(10.0, 10.0, 0.0), None, 0.0)
-        f2 = _bank().sample(big, VehicleState(9.0, 10.0, 0.0), None, 0.0)
+        f1 = _bank().sample(big, 10.0, 10.0, 0.0, None, 0.0)
+        f2 = _bank().sample(big, 9.0, 10.0, 0.0, None, 0.0)
         assert f1.front == 4.0 and f2.front == 4.0
 
 
@@ -85,43 +84,43 @@ def _arena_with(objects, obstacles=()):
 class TestObjectsInFov:
     def test_object_dead_ahead(self):
         arena = _arena_with([TargetObject(1, "bottle", Vec2(3.0, 2.0))])
-        seen = objects_in_fov(arena, VehicleState(2.0, 2.0, 0.0), CameraModel())
+        seen = objects_in_fov(arena, 2.0, 2.0, 0.0, CameraModel())
         assert seen == [1]
 
     def test_object_behind(self):
         arena = _arena_with([TargetObject(1, "bottle", Vec2(1.0, 2.0))])
-        assert objects_in_fov(arena, VehicleState(2.0, 2.0, 0.0), CameraModel()) == []
+        assert objects_in_fov(arena, 2.0, 2.0, 0.0, CameraModel()) == []
 
     def test_object_out_of_range(self):
         arena = _arena_with([TargetObject(1, "bottle", Vec2(5.0, 2.0))])
-        assert objects_in_fov(arena, VehicleState(2.0, 2.0, 0.0), CameraModel()) == []
+        assert objects_in_fov(arena, 2.0, 2.0, 0.0, CameraModel()) == []
 
     def test_object_outside_cone(self):
         arena = _arena_with([TargetObject(1, "bottle", Vec2(3.0, 3.5))])
         # bearing 56.3 deg > fov/2 = 31.5 deg
-        assert objects_in_fov(arena, VehicleState(2.0, 2.0, 0.0), CameraModel()) == []
+        assert objects_in_fov(arena, 2.0, 2.0, 0.0, CameraModel()) == []
 
     def test_occluded_by_slab(self):
         obstacles = [(2.6, 1.8, 2.8, 2.2)]
         arena = _arena_with([TargetObject(1, "bottle", Vec2(3.4, 2.0))], obstacles)
-        state = VehicleState(2.0, 2.0, 0.0)
-        assert objects_in_fov(arena, state, CameraModel()) == []
+        pose = (2.0, 2.0, 0.0)
+        assert objects_in_fov(arena, *pose, CameraModel()) == []
         assert sight_line_blocked(6.5, 5.5, obstacles, 2.0, 2.0, 3.4, 2.0)
 
     def test_unoccluded_matches_oracle(self):
         obstacles = [(2.6, 2.3, 2.8, 2.7)]  # slab above the sight line
         arena = _arena_with([TargetObject(1, "bottle", Vec2(3.4, 2.0))], obstacles)
-        state = VehicleState(2.0, 2.0, 0.0)
-        assert objects_in_fov(arena, state, CameraModel()) == [1]
+        pose = (2.0, 2.0, 0.0)
+        assert objects_in_fov(arena, *pose, CameraModel()) == [1]
         assert not sight_line_blocked(6.5, 5.5, obstacles, 2.0, 2.0, 3.4, 2.0)
 
     def test_invariant_under_out_of_cone_additions(self):
         base = [TargetObject(1, "bottle", Vec2(3.0, 2.0))]
         extra = base + [TargetObject(2, "tin_can", Vec2(1.0, 4.5)),
                         TargetObject(3, "tin_can", Vec2(6.0, 5.0))]
-        state = VehicleState(2.0, 2.0, 0.0)
-        assert (objects_in_fov(_arena_with(base), state, CameraModel())
-                == objects_in_fov(_arena_with(extra), state, CameraModel()))
+        pose = (2.0, 2.0, 0.0)
+        assert (objects_in_fov(_arena_with(base), *pose, CameraModel())
+                == objects_in_fov(_arena_with(extra), *pose, CameraModel()))
 
 
 def test_tof_frame_fields_order():

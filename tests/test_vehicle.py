@@ -1,63 +1,75 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exploresim.arena import Arena
-from exploresim.vehicle import Setpoint, VehicleState, normalize_heading, step
+from exploresim.arena import Arena, default_arena
+from exploresim.harness import RunConfig, fly
+from exploresim.policies import POLICY_KINDS
+from exploresim.vehicle import Setpoint, normalize_heading, step
 
 from oracles import fine_integrate
 
 
 class TestStep:
     def test_straight_line(self):
-        s = step(VehicleState(1.0, 1.0, 0.0), Setpoint(0.5, 0.0), 0.02)
-        assert s.x == pytest.approx(1.01, abs=1e-12)
-        assert s.y == pytest.approx(1.0, abs=1e-12)
+        x, y, _ = step(1.0, 1.0, 0.0, Setpoint(0.5, 0.0), 0.02)
+        assert x == pytest.approx(1.01, abs=1e-12)
+        assert y == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_rotation_half_turn(self):
-        s = step(VehicleState(2.0, 2.0, 0.0), Setpoint(0.0, math.pi), 1.0)
-        assert s.heading == pytest.approx(-math.pi)
-        assert (s.x, s.y) == (2.0, 2.0)
+        x, y, heading = step(2.0, 2.0, 0.0, Setpoint(0.0, math.pi), 1.0)
+        assert heading == pytest.approx(-math.pi)
+        assert (x, y) == (2.0, 2.0)
 
     def test_arc_against_fine_integration(self):
-        s = VehicleState(1.0, 1.0, 0.3)
+        x, y, heading = 1.0, 1.0, 0.3
         sp = Setpoint(0.5, 1.0)
         for _ in range(100):
-            s = step(s, sp, 0.02)
+            x, y, heading = step(x, y, heading, sp, 0.02)
         fx, fy, fh = fine_integrate(1.0, 1.0, 0.3, 0.5, 1.0, 2.0, 1000)
-        assert math.hypot(s.x - fx, s.y - fy) < 1e-3
-        assert abs(normalize_heading(s.heading - fh)) < 1e-9
+        assert math.hypot(x - fx, y - fy) < 1e-3
+        assert abs(normalize_heading(heading - fh)) < 1e-9
 
     def test_arc_length_is_commanded_distance(self):
-        s = VehicleState(3.0, 3.0, 0.0)
+        s = (3.0, 3.0, 0.0)
         total = 0.0
         length = 0.0
         for i in range(500):
             sp = Setpoint(0.4 + 0.001 * (i % 7), 0.8)
             prev = s
-            s = step(s, sp, 0.02)
-            length += math.hypot(s.x - prev.x, s.y - prev.y)
+            s = step(*s, sp, 0.02)
+            length += math.hypot(s[0] - prev[0], s[1] - prev[1])
             total += abs(sp.v) * 0.02
         assert length == pytest.approx(total, rel=1e-9)
 
-    def test_state_takes_no_attribute_beyond_its_three_fields(self):
-        s = VehicleState(1.0, 2.0, 0.5)
-        with pytest.raises(AttributeError):
-            s.z = 0.0
-        assert (s.x, s.y, s.heading) == (1.0, 2.0, 0.5)
-        assert s == VehicleState(1.0, 2.0, 0.5) != VehicleState(1.0, 2.0, -0.5)
-        assert repr(s) == "VehicleState(x=1.0, y=2.0, heading=0.5)"
+    def test_each_tick_senses_from_the_pose_the_last_tick_moved_to(self):
+        # fly carries the pose as one (x, y, heading) tuple from tick to tick
+        for policy in POLICY_KINDS:
+            cfg = RunConfig(arena=default_arena(), policy=policy, duration=10.0, seed=7)
+            ticks = list(fly(cfg))
+            assert ticks[0][1] == cfg.start_pose()
+            for (*_, pose, _), (_, seen, *_) in zip(ticks, ticks[1:]):
+                assert seen is pose and type(pose) is tuple and len(pose) == 3
 
 
 @given(st.floats(-math.pi, math.pi - 1e-9), st.floats(-2.0, 2.0))
 @settings(max_examples=200, deadline=None)
 def test_rotation_reversible(h0, omega):
-    s = VehicleState(1.0, 1.0, h0)
-    s = step(s, Setpoint(0.0, omega), 0.02)
-    s = step(s, Setpoint(0.0, -omega), 0.02)
-    assert abs(normalize_heading(s.heading - h0)) < 1e-12
+    _, _, heading = step(1.0, 1.0, h0, Setpoint(0.0, omega), 0.02)
+    _, _, heading = step(1.0, 1.0, heading, Setpoint(0.0, -omega), 0.02)
+    assert abs(normalize_heading(heading - h0)) < 1e-12
+
+
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False), st.floats(-math.pi, math.pi),
+       st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+@example(-0.0, -0.0, 0.0, 0.0, 0.0)
+@settings(max_examples=200, deadline=None)
+def test_a_turn_in_place_keeps_the_position_bit_for_bit(x, y, heading, v, omega):
+    # no 0.0 * cos(mid) is added: it would turn a -0.0 into 0.0
+    x1, y1, _ = step(x, y, heading, Setpoint(v, omega), 0.02)
+    assert (x1.hex(), y1.hex()) == (x.hex(), y.hex())
 
 
 @given(st.floats(-50.0, 50.0, allow_nan=False))
