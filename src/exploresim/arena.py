@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .kinds import (BOX, INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, Kind, Model, check_fields,
+from .kinds import (BOX, INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, Kind, Model,
                     choice, instance_of, list_of)
 
 OBJECT_CLASSES = ("bottle", "tin_can")
@@ -78,7 +78,6 @@ class Arena(Model):
              "objects": list_of(instance_of(TargetObject), nonempty=False)}
 
     def __post_init__(self):
-        check_fields(self)
         for i, (x0, y0, x1, y1) in enumerate(self.obstacles):
             if not (x0 < x1 and y0 < y1):
                 raise ValidationError(f"obstacles[{i}]", "min corner must be < max corner per axis")

@@ -174,8 +174,8 @@ def cmd_sweep(args) -> int:
 
 
 def _read(path: Path, parse, **mode):
-    """``parse`` of the artifact at ``path``, open for reading in text ``mode``;
-    an error names the file."""
+    """``parse`` of the artifact at ``path``, open for reading in ``mode``
+    (text unless it says otherwise); an error names the file."""
     if not path.exists():
         raise SimError(f"missing artifact: {path}")
     try:
@@ -211,9 +211,10 @@ def cmd_report(args) -> int:
         hasher = hashlib.blake2b(digest_size=8)
         grid = OccupancyGrid(width, height)
         with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as series:
-            # as written, untranslated: the digest is of the log's bytes
+            # the log's bytes, as written: they are hashed, and a byte
+            # outside ASCII is named by its line, in file order
             final = _read(trajectory, lambda f: rep.coverage_series_csv(
-                f, grid, series, hasher), encoding="ascii", newline="\n")
+                f, grid, series, hasher), mode="rb")
             # the run's own record: a log edited or swapped since is not reported
             for field, replayed, recorded in (("digest", hasher.hexdigest(), digest),
                                               ("coverage", float(final), coverage)):

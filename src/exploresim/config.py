@@ -15,7 +15,7 @@ from .arena import Arena, default_arena, load_arena, load_arena_file
 from .detection import DETECTORS, DetectorModel
 from .errors import ValidationError
 from .harness import DETECTOR_NAME, RunConfig, SweepSpec
-from .kinds import ARENA, POSITIVE, Kind, in_degrees, nullable
+from .kinds import ARENA, INTEGER, POSITIVE, Kind, in_degrees, nullable
 from .metrics import HEATMAP_SATURATION_S
 from .policies import POLICY_KINDS, PolicyConfig
 from .sensing import CameraModel, TofConfig
@@ -136,7 +136,7 @@ def load_config(path=None) -> dict:
         raise ValidationError(str(path), f"not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ValidationError(str(path), "top level must be an object")
-    version = user.pop("schema_version", SCHEMA_VERSION)
+    version = INTEGER(user.pop("schema_version", SCHEMA_VERSION), "schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError("schema_version", f"unsupported version {version}")
     for key, value in user.items():

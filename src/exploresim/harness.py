@@ -55,7 +55,7 @@ from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detec
                         detection_rate)
 from .errors import SimError, ValidationError
 from .kinds import (COUNT, POSE, POSITIVE, RADIUS, SEED, SPEED, TIME_STEP, Model,
-                    check_fields, choice, instance_of, list_of, nullable)
+                    choice, instance_of, list_of, nullable)
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_draws, policy_step
 from .seeding import derive_seed
@@ -106,7 +106,6 @@ class RunConfig(Model):
              "control_dt": TIME_STEP, "drone_radius": RADIUS}
 
     def __post_init__(self):
-        check_fields(self)
         self.n_ticks()
         if self.policy_cfg.trigger_dist > self.tof.max_range + _EPS:
             raise ValidationError("policy.trigger_dist", "exceeds tof.max_range")
@@ -402,7 +401,6 @@ class SweepSpec(Model):
              "runs_per_config": COUNT, "base_seed": SEED, "duration": POSITIVE}
 
     def __post_init__(self):
-        check_fields(self)
         # a configuration is one row of aggregate.csv, one heatmap and one
         # label of run seeds, and runs.csv shows its speed to three decimals
         for name, shown in (("policies", repr), ("detectors", repr), ("speeds", "{:.3f}".format)):

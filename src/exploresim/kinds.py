@@ -1,9 +1,9 @@
 """Value kinds: the conversion and the range of one config value or model
 field, and :class:`Model`, the base of the config models and the room.
 A model names the kind of each checked field in its ``KINDS`` class
-attribute; :func:`check_fields` checks them when it is made and keeps
-what each kind returns, so a field given a list holds a tuple and one
-given an int holds a float.  The config table (:mod:`exploresim.config`)
+attribute; :class:`Model` checks them when it is made and keeps what
+each kind returns, so a field given a list holds a tuple and one given
+an int holds a float.  The config table (:mod:`exploresim.config`)
 reads the same declarations, so each bound is written once.
 """
 
@@ -133,14 +133,6 @@ def in_degrees(kind: Kind) -> Kind:
                 lambda v: kind.convert(math.radians(_real(v))), kind.test)
 
 
-def check_fields(obj) -> None:
-    """Check each field named in ``obj.KINDS`` and keep the value its kind
-    returns; the error's path is the field name.  :class:`ValidationError`
-    is a ``ValueError``."""
-    for name, kind in obj.KINDS.items():
-        object.__setattr__(obj, name, kind(getattr(obj, name), name))
-
-
 class Fieldwise:
     """Equality and ``repr`` by the values of ``FIELDS``, as for a
     dataclass: equal only to an instance of the same class, and shown as
@@ -168,9 +160,12 @@ class Model(Fieldwise):
 
     Its fields (``FIELDS``) are the names its class annotates, a base's
     first; a class attribute of the same name is the field's default.  It
-    is made from field values by position or keyword, then checked by
-    ``__post_init__`` (:func:`check_fields` unless a model says otherwise),
-    and takes no assignment after.  Equality, hash and ``repr`` go by the
+    is made from field values by position or keyword.  Each field named
+    in ``KINDS`` is checked, in ``KINDS`` order, and keeps the value its
+    kind returns; the error's path is the field name
+    (:class:`ValidationError` is a ``ValueError``).  Only then does
+    ``__post_init__`` make the checks across fields.  It takes no
+    assignment after.  Equality, hash and ``repr`` go by the
     field values, as a frozen dataclass's do; :meth:`replace` makes a
     changed, checked copy.  Nothing is generated at import.
     """
@@ -198,13 +193,16 @@ class Model(Fieldwise):
         for name, value in values.items():
             if value is _MISSING:
                 raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        for name, kind in cls.KINDS.items():
+            values[name] = kind(values[name], name)
+        for name, value in values.items():
             # not self.__dict__[name]: a dict made from the instance's inline
             # values makes every later read of a field about four times slower
             object.__setattr__(self, name, value)
         self.__post_init__()
 
     def __post_init__(self):
-        check_fields(self)
+        """The checks across fields, made once each field is checked."""
 
     def __setattr__(self, name, value):
         raise FrozenError(f"cannot assign to field {name!r}")

@@ -23,7 +23,7 @@ from itertools import count
 from operator import add
 
 from .errors import SimError
-from .kinds import NON_NEGATIVE, POSITIVE, Model, check_fields
+from .kinds import NON_NEGATIVE, POSITIVE, Model
 
 DEFAULT_CELL_SIZE = 0.5
 HEATMAP_SATURATION_S = 18.0
@@ -197,7 +197,6 @@ class EnergyModel(Model):
              "p_total": POSITIVE}
 
     def __post_init__(self):
-        check_fields(self)
         parts = self.p_motors + self.p_cf + self.p_aideck + self.p_multiranger
         if abs(parts - self.p_total) > 0.005:
             raise ValueError(f"component powers sum to {parts:.4f}, not {self.p_total}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from operator import attrgetter
 
-from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, Model, check_fields, choice
+from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, Model, choice
 from .sensing import TofFrame
 from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, State, normalize_heading
 
@@ -70,7 +70,6 @@ class PolicyConfig(Model):
         "follow_side": choice(("left", "right"))}
 
     def __post_init__(self):
-        check_fields(self)
         # values read on most ticks, made once per config: plain attributes
         # outside FIELDS, so out of eq, hash and repr, and set here rather
         # than cached on first read, which would give the instance a dict
@@ -186,8 +185,7 @@ def pseudo_random_step(ps: PseudoRandomState, tof: TofFrame, heading: float,
     return ps, cfg.cruise
 
 
-def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
-                         cfg: PolicyConfig, standoff: float):
+def _boundary_track_step(ps, tof: TofFrame, heading: float, cfg: PolicyConfig, standoff: float):
     """Shared engine for wall-following and spiral.
 
     Returns (state, setpoint, corner_completed) where corner_completed
@@ -210,7 +208,7 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
         ps = _copy(ps)
         ps.mode = "follow"
         ps.acquired = True
-        ps, sp, _ = _boundary_track_step(ps, tof, heading, dt, cfg, standoff)
+        ps, sp, _ = _boundary_track_step(ps, tof, heading, cfg, standoff)
         return ps, sp, was_acquired
     if ps.mode == "acquire":
         if tof.front > standoff + cfg.corner_margin:
@@ -247,22 +245,16 @@ def _boundary_track_step(ps, tof: TofFrame, heading: float, dt: float,
             ps.deriv = 0.0
         return ps, cfg.cruise, False
     prev = ps.prev_frame
-    made = True  # whether ps is a state this step made, which it may hold on
-    if prev is None:
-        ps = _copy(ps)
-    elif tof.t > prev.t:
+    ps = _copy(ps)
+    if prev is not None and tof.t > prev.t:
         last = prev.left if side_is_left else prev.right
-        ps = _copy(ps)
         ps.deriv = (side_reading - last) / (tof.t - prev.t)
-    else:
-        made = False
     omega = cfg.k_wall * (side_reading - standoff) + cfg.kd_wall * ps.deriv
     if not side_is_left:
         omega = -omega
     sp = Setpoint(cfg.cruise_speed, _clamp(omega, cfg.turn_rate))
-    if made:
-        ps.prev_frame = tof
-        ps.held_sp = sp
+    ps.prev_frame = tof
+    ps.held_sp = sp
     return ps, sp, False
 
 
@@ -271,7 +263,7 @@ def wall_following_step(ps: WallFollowState, tof: TofFrame, heading: float,
     """Hold the configured standoff from the wall on the followed side."""
     if ps.prev_frame is tof and ps.held_sp is not None:
         return ps, ps.held_sp
-    ps, sp, _ = _boundary_track_step(ps, tof, heading, dt, cfg, cfg.wall_standoff)
+    ps, sp, _ = _boundary_track_step(ps, tof, heading, cfg, cfg.wall_standoff)
     return ps, sp
 
 
@@ -286,7 +278,7 @@ def spiral_step(ps: SpiralState, tof: TofFrame, heading: float,
     """
     if ps.prev_frame is tof and ps.held_sp is not None:
         return ps, ps.held_sp
-    ps, sp, corner_done = _boundary_track_step(ps, tof, heading, dt, cfg, ps.ring_offset)
+    ps, sp, corner_done = _boundary_track_step(ps, tof, heading, cfg, ps.ring_offset)
     if corner_done:
         corners = ps.corners_done + 1
         ps = _copy(ps)

@@ -3,9 +3,10 @@
 All numeric output uses fixed decimal formatting so artifacts are byte
 stable across platforms and reruns, which the golden-file and
 determinism tests rely on.  Artifacts are parsed as they are read: a
-trajectory log a block of lines at a time, with each check made on
-whole columns of the block, and the other tables a line at a time.  An
-error names the first bad line in file order.
+trajectory log as bytes, a block of lines at a time, with each check
+made on whole columns of the block, and the other tables as text, a
+line at a time.  An error names the first bad line in file order; in a
+trajectory log, a byte outside ASCII makes its line a malformed one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ AGGREGATE_CSV_HEADER = ("policy,speed,detector,runs,coverage_mean,coverage_var,"
 DETECTIONS_CSV_HEADER = "object_id,class,t_first_seen"
 SERIES_CSV_HEADER = "t,coverage"
 _TRAJECTORY_FIELDS = TRAJECTORY_HEADER.count(",") + 1
-_BLOCK_CHARS = 1 << 15  # a trajectory log is read and hashed in blocks of lines this long
+_BLOCK_CHARS = 1 << 15  # bytes of a trajectory log read and hashed as one block of lines
 
 
 def _opt(value: float | None, fmt: str) -> str:
@@ -112,14 +113,15 @@ def parse_trajectory(lines):
 
 def _block_columns(lines, last_t: float, width: float, height: float, final: bool):
     """The ``t``, ``x`` and ``y`` columns and the ``t`` gaps of the samples of
-    ``lines``, a block of log lines that follows a sample at ``last_t``, each
-    check made once for the whole block; ``None`` if a line fails one.  When
-    no line follows the block (``final``), its last sample is clamped into
-    the room first: only a crash state may lie outside it."""
-    if list(map(str.count, lines, repeat(","))).count(_TRAJECTORY_FIELDS - 1) != len(lines):
+    ``lines``, a block of log lines as bytes that follows a sample at
+    ``last_t``, each check made once for the whole block; ``None`` if a line
+    fails one.  ``float()`` parses bytes, and refuses any byte outside ASCII.
+    When no line follows the block (``final``), its last sample is clamped
+    into the room first: only a crash state may lie outside it."""
+    if list(map(bytes.count, lines, repeat(b","))).count(_TRAJECTORY_FIELDS - 1) != len(lines):
         return None
     try:  # float() ignores the "\n" that each line's last field keeps
-        row = list(map(float, ",".join(lines).split(",")))
+        row = list(map(float, b",".join(lines).split(b",")))
     except ValueError:
         return None
     # a finite sum means finite fields; finite fields may still overflow it
@@ -139,11 +141,13 @@ def _first_fault(lines, n: int, last_t: float, width: float, height: float,
                  final: bool) -> SimError:
     """The error of the first bad line of a block of log lines that
     :func:`_block_columns` rejects, line by line: ``n`` is the number of the
-    block's first line, and the other arguments are as there."""
+    block's first line, and the other arguments are as there.  A line is
+    decoded only to be named: one that holds a byte outside ASCII is
+    malformed."""
     last = n + len(lines) - 1
     for n, line in enumerate(lines, n):
         try:
-            t, x, y, _, _, _ = _sample(line.rstrip("\n"))
+            t, x, y, _, _, _ = _sample(line.decode("ascii").rstrip("\n"))
         except ValueError as exc:
             return SimError(f"line {n}: {exc}")
         if not t - last_t > 0.0:
@@ -155,13 +159,13 @@ def _first_fault(lines, n: int, last_t: float, width: float, height: float,
 
 
 def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
-    """Replay the trajectory log ``log``, an open text file, into ``grid``,
+    """Replay the trajectory log ``log``, an open binary file, into ``grid``,
     a fresh occupancy grid of the room, as it is read; write the coverage
     over time to the open text file ``out``, one write per block of the
     log, and return the final coverage as written.
 
-    The log is read, hashed into ``hasher`` and replayed a block of lines
-    at a time: blake2b streams, so the digest equals the flight's
+    The log's bytes are read, hashed into ``hasher`` and replayed a block
+    of lines at a time: blake2b streams, so the digest equals the flight's
     (``harness.fly_logged``).  Each block's lines are split and parsed
     together, and its checks are made on whole columns; a block that fails
     one is walked line by line to name its first bad line.  Each sample
@@ -173,17 +177,18 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
     may lie outside the room (a collision's crash state), so a block is
     replayed once the next one is read; the final sample is clamped into
     the room.  The first bad line in file order
-    raises :class:`SimError` naming it: a malformed row, a ``t`` that does
-    not increase, or a sample outside the room that another line follows.
+    raises :class:`SimError` naming it: a malformed row (a byte outside
+    ASCII makes one), a ``t`` that does not increase, or a sample outside
+    the room that another line follows.
     """
     def hashed_blocks():
         for block in iter(lambda: log.readlines(_BLOCK_CHARS), []):
-            hasher.update("".join(block).encode("ascii"))
+            hasher.update(b"".join(block))
             yield block
 
     blocks = hashed_blocks()
-    lines = next(blocks, [""])
-    if lines[0].rstrip("\n") != TRAJECTORY_HEADER:
+    lines = next(blocks, [b""])
+    if lines[0].rstrip(b"\n") != TRAJECTORY_HEADER.encode("ascii"):
         raise SimError(f"line 1: expected the header {TRAJECTORY_HEADER!r}")
     # a block holds more than the header line unless the log ends there
     del lines[0]
@@ -195,10 +200,7 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
     row = f"%.6f,{shown:.6f}\n"
     last_t, n, first = -inf, 2, 1  # the start sample deposits nothing
     while lines:
-        try:
-            ahead, fault = next(blocks, []), None
-        except ValueError as exc:  # text that does not decode: after this block's faults
-            ahead, fault = [], exc
+        ahead = next(blocks, [])
         columns = _block_columns(lines, last_t, width, height, not ahead)
         if columns is None:
             raise _first_fault(lines, n, last_t, width, height, not ahead)
@@ -212,8 +214,6 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
         series.append(row * (len(ts) - span) % tuple(ts[span:]))
         out.write("".join(series))
         series = []
-        if fault is not None:
-            raise fault
         last_t, n, first, lines = ts[-1], n + len(lines), 0, ahead
     return f"{shown:.6f}"
 

@@ -522,17 +522,25 @@ class TestReport:
         # past the first block of the log: line 1200 repeats line 1199, line
         # 1300 does not parse
         ({1200: 1199, 1300: "0.100000,x,1,0,0,0"}, "line 1200: t does not increase"),
+        # a byte outside ASCII (é, 0xe9 in Latin-1) is a malformed line: line
+        # 11 repeats line 10, and line 50 holds the byte, in the same 8 KB
+        ({11: 10, 50: "0.960000,é"}, "line 11: t does not increase"),
+        # line 11 lies outside the room, line 646 holds the byte
+        ({11: "0.180000,-5.000000,2.750000,0,0,0", 646: "12.900000,é"},
+         "line 11: (-5.0, 2.75) lies outside the 6.5 x 5.5 m room"),
+        # a lone byte, past the first block
+        ({2000: "39.960000,é"}, "line 2000: 'ascii' codec can't decode byte 0xe9 in position 10: "),
     ])
     def test_first_bad_line_in_file_order_is_named(self, tmp_path, capsys, edits, message):
         src, out = tmp_path / "mission", tmp_path / "report"
         # a run of 50 rows a second, long enough for every edited line
-        duration = "1" if max(edits) < 50 else "30"
+        duration = "1" if max(edits) < 50 else "60"
         assert run_cli("run", "--duration", duration, "--out", str(src)) == 0
         path = src / "trajectory.csv"
         lines = path.read_text().splitlines()
         for line_no, text in edits.items():
             lines[line_no - 1] = lines[text - 1] if isinstance(text, int) else text
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="latin-1")
         assert run_cli("report", "--in", str(src), "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not out.exists()

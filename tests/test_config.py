@@ -43,9 +43,14 @@ def test_unknown_file_key_rejected(tmp_path):
 
 def test_schema_version_checked(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"schema_version": 99}))
-    with pytest.raises(ValidationError):
-        load_config(path)
+    # JSON true and 1.0 equal 1 in Python, but the version is the integer 1
+    for version, message in ((99, "unsupported version 99"),
+                             (True, "must be an integer, got True"),
+                             (1.0, "must be an integer, got 1.0")):
+        path.write_text(json.dumps({"schema_version": version}))
+        with pytest.raises(ValidationError) as err:
+            load_config(path)
+        assert str(err.value) == f"schema_version: {message}"
 
 
 def test_overrides_parse_json_values():

@@ -712,7 +712,7 @@ def test_the_series_of_a_random_mission_replays_its_flight(data, arena, policy, 
     res, lines = logged(cfg)
     series, hasher = io.StringIO(), hashlib.blake2b(digest_size=8)
     grid = OccupancyGrid(arena.width, arena.height)
-    final = coverage_series_csv(io.StringIO("".join(lines)), grid, series, hasher)
+    final = coverage_series_csv(io.BytesIO("".join(lines).encode("ascii")), grid, series, hasher)
     want, replay = coverage_series(lines, arena.width, arena.height)
     assert series.getvalue() == want
     assert final == f"{replay.coverage():.6f}" == f"{res.coverage:.6f}"

@@ -8,7 +8,7 @@ from exploresim.arena import Arena, TargetObject, Vec2, default_arena
 from exploresim.detection import DETECTORS, DetectorModel
 from exploresim.errors import FrozenError, ValidationError
 from exploresim.harness import RunConfig, SweepSpec
-from exploresim.kinds import Model
+from exploresim.kinds import POINT, Model
 from exploresim.metrics import EnergyModel
 from exploresim.policies import PolicyConfig
 from exploresim.sensing import CameraModel, TofConfig
@@ -148,6 +148,30 @@ def test_a_model_keeps_what_its_kinds_return(cls, loose, strict):
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1 and repr(a) == repr(b)
     for name in cls.FIELDS:
         assert type(getattr(a, name)) is type(getattr(b, name)), name
+
+
+def test_a_model_checks_its_fields_before_its_own_checks():
+    class Bare(TofConfig):
+        origin: tuple[float, float] = (0.0, 0.0)
+
+        KINDS = {**TofConfig.KINDS, "origin": POINT}
+
+        def __post_init__(self):
+            pass  # no check of its own, and no call that checks a field
+
+    # each field in KINDS order, with the field name as the error's path
+    for bad, path in ((dict(rate_hz=0.0), "rate_hz"), (dict(origin="x"), "origin"),
+                      (dict(origin="x", max_range=-1.0), "max_range")):
+        with pytest.raises(ValidationError) as err:
+            Bare(**bad)
+        assert err.value.path == path
+    moved = Bare(origin=[1, 2], max_range=3)
+    assert moved.origin == (1.0, 2.0) and type(moved.origin) is tuple
+    assert type(moved.max_range) is float and hash(moved) == hash(Bare(3.0, origin=(1.0, 2.0)))
+    # a bad field is named before a check across fields is made
+    with pytest.raises(ValidationError) as err:
+        EnergyModel(p_motors=-1.0)
+    assert err.value.path == "p_motors"
 
 
 def test_models_of_different_classes_are_unequal():

@@ -141,8 +141,8 @@ def test_series_is_written_a_chunk_at_a_time():
     flight = fly_logged([cfg], log=log)[0]
     sink = RecordingSink()
     hasher = hashlib.blake2b(digest_size=8)
-    final = coverage_series_csv(io.StringIO(log.getvalue()), OccupancyGrid(6.5, 5.5), sink,
-                                hasher)
+    final = coverage_series_csv(io.BytesIO(log.getvalue().encode("ascii")),
+                                OccupancyGrid(6.5, 5.5), sink, hasher)
     # a write per block, and a block holds at most one line past _BLOCK_CHARS characters
     f = io.StringIO(log.getvalue())
     blocks = list(iter(lambda: f.readlines(report._BLOCK_CHARS), []))
@@ -157,10 +157,10 @@ def test_series_is_written_a_chunk_at_a_time():
 
 
 class CountingLog:
-    """A text log that counts the lines it has handed out."""
+    """A binary log that counts the lines it has handed out."""
 
     def __init__(self, text):
-        self.log = io.StringIO(text)
+        self.log = io.BytesIO(text.encode("ascii"))
         self.lines_read = 0
 
     def readlines(self, hint=-1):
@@ -271,13 +271,14 @@ def test_block_replay_equals_line_replay(k, kind, where, block, field):
         want, want_grid = coverage_series(io.StringIO(edited), room.width, room.height)
     except SimError as exc:
         with pytest.raises(SimError) as got:
-            coverage_series_csv(io.StringIO(edited), OccupancyGrid(room.width, room.height),
-                                io.StringIO(), hashlib.blake2b(digest_size=8))
+            coverage_series_csv(io.BytesIO(edited.encode("ascii")),
+                                OccupancyGrid(room.width, room.height), io.StringIO(),
+                                hashlib.blake2b(digest_size=8))
         assert str(got.value) == str(exc)
         return
     grid, sink = OccupancyGrid(room.width, room.height), io.StringIO()
     hasher = hashlib.blake2b(digest_size=8)
-    final = coverage_series_csv(io.StringIO(edited), grid, sink, hasher)
+    final = coverage_series_csv(io.BytesIO(edited.encode("ascii")), grid, sink, hasher)
     assert sink.getvalue() == want
     assert final == f"{want_grid.coverage():.6f}"
     assert [v.hex() for v in grid.dwell] == [v.hex() for v in want_grid.dwell]
@@ -285,25 +286,64 @@ def test_block_replay_equals_line_replay(k, kind, where, block, field):
     assert hasher.digest() == hashlib.blake2b(edited.encode("ascii"), digest_size=8).digest()
 
 
-@pytest.mark.parametrize("edit, message", [
-    # a repeated t in the first block, undecodable text in the second
-    (lambda lines: lines.__setitem__(5, lines[4]), "line 6: t does not increase"),
-    # the first block's last sample outside the room: a line follows it, but
-    # the text that follows is the first fault in the file
-    (lambda lines: lines.__setitem__(-1, lines[-1].replace(",", ",-", 1)),
-     "'ascii' codec can't decode"),
-], ids=["bad-line-first", "undecodable-first"])
-def test_faults_before_undecodable_text_come_first(tmp_path, edit, message):
+def _with_byte(line: bytes) -> bytes:
+    """``line`` with the byte 0xe9, which is outside ASCII, after its first comma."""
+    return line.replace(b",", b",\xe9", 1)
+
+
+# edits of the lines of a log (bytes, the header at 0) whose second block
+# starts at line ``b``, each returning the error that names the first bad line
+def _bad_line_first(lines, b):
+    # a repeated t in the first block, a byte outside ASCII in the second
+    lines[5] = lines[4]
+    lines[b + 300] = _with_byte(lines[b + 300])
+    return "line 6: t does not increase"
+
+
+def _undecodable_first(lines, b):
+    # the first block's last sample outside the room: the line after it,
+    # in the second block, holds a byte outside ASCII
+    lines[b - 1] = lines[b - 1].replace(b",", b",-", 1)
+    lines[b + 300] = _with_byte(lines[b + 300])
+    x, y = map(float, lines[b - 1].split(b",")[1:3])
+    return f"line {b}: ({x}, {y}) lies outside the 6.5 x 5.5 m room"
+
+
+def _repeated_t_then_byte(lines, b):
+    # both faults early in the first block, 39 lines apart
+    lines[10] = lines[9]
+    lines[49] = _with_byte(lines[49])
+    return "line 11: t does not increase"
+
+
+def _outside_then_byte(lines, b):
+    # both faults early in the first block, 45 lines apart
+    fields = lines[10].split(b",")
+    fields[1] = b"-5.000000"
+    lines[10] = b",".join(fields)
+    lines[55] = _with_byte(lines[55])
+    return f"line 11: (-5.0, {float(fields[2])}) lies outside the 6.5 x 5.5 m room"
+
+
+def _lone_byte(lines, b):
+    # deep in the log, past its first block
+    assert b < 1199
+    lines[1199] = _with_byte(lines[1199])
+    return "line 1200: 'ascii' codec can't decode byte 0xe9 in position "
+
+
+@pytest.mark.parametrize("edit", [_bad_line_first, _undecodable_first, _repeated_t_then_byte,
+                                  _outside_then_byte, _lone_byte],
+                         ids=["bad-line-first", "undecodable-first", "repeated-t-then-byte",
+                              "outside-then-byte", "lone-byte"])
+def test_faults_before_undecodable_text_come_first(tmp_path, edit):
     text, starts = block_log(1)
-    lines = text.splitlines(keepends=True)
-    first, rest = lines[:starts[1]], lines[starts[1]:]
-    edit(first)
-    # far enough into the second block to be decoded only when it is read
-    rest[300] = rest[300].replace(",", ",é", 1)
+    lines = text.encode("ascii").splitlines(keepends=True)
+    message = edit(lines, starts[1])
     path = tmp_path / "trajectory.csv"
-    path.write_text("".join(first + rest), encoding="utf-8", newline="\n")
-    with open(path, encoding="ascii", newline="\n") as log:
-        with pytest.raises((SimError, ValueError)) as got:
+    path.write_bytes(b"".join(lines))
+    with open(path, "rb") as log:
+        with pytest.raises(SimError) as got:
             coverage_series_csv(log, OccupancyGrid(6.5, 5.5), io.StringIO(),
                                 hashlib.blake2b(digest_size=8))
     assert str(got.value).startswith(message)
