@@ -150,6 +150,12 @@ def fly(cfg: RunConfig):
     Each pose it senses from, the start or one the disc cleared, is in
     free space (see :data:`kinds.RADIUS`).
 
+    A tick adds the displacement of :func:`vehicle.step` from the origin
+    (the same floats as a step from the pose), and reuses the last one
+    while the set-point object and the heading repeat.  An in-place turn
+    runs no disc test: it keeps a position that the last tick, or the
+    start check, cleared.
+
     Yields ``(t, seen, frame, ps, sp, pose, blocked)`` per tick, where
     ``seen`` is the pose sensed from and ``pose`` the pose the tick moves
     to, each an ``(x, y, heading)`` tuple; a tick's ``seen`` is the
@@ -172,14 +178,23 @@ def fly(cfg: RunConfig):
     bank = TofBank(cfg.tof)
     sample = bank.sample
     disc_blocked = arena.disc_blocked
+    # the set-point and heading of the last step; dx, dy, turned its result
+    last_sp = last_heading = None
+    blocked = False
     for i in range(cfg.n_ticks()):
         t_i = i * dt
         if t_i >= bank.due:  # else the held frame is still valid
             frame = sample(arena, x, y, heading, noise_rng, t_i)
         ps, sp = policy_step(kind, ps, frame, heading, dt, policy_cfg, policy_rng)
-        pose = step(x, y, heading, sp, dt)
-        x, y, heading = pose
-        blocked = disc_blocked(x, y, radius)
+        if sp is not last_sp or heading != last_heading:
+            last_sp, last_heading = sp, heading
+            dx, dy, turned = step(0.0, 0.0, heading, sp, dt)
+        heading = turned
+        if dx or dy:  # an in-place turn keeps a position the last tick cleared
+            x += dx
+            y += dy
+            blocked = disc_blocked(x, y, radius)
+        pose = (x, y, heading)
         yield t_i, seen, frame, ps, sp, pose, blocked
         if blocked:
             break

@@ -24,6 +24,7 @@ from .vehicle import normalize_heading
 
 # beam mount angles relative to body heading: front, left, right, back
 MOUNT_ANGLES = (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
+_LEFT, _RIGHT, _BACK = MOUNT_ANGLES[1:]
 
 _MIN_READING = 0.001
 _TIME_EPS = 1e-9
@@ -83,20 +84,24 @@ class TofBank:
         if t < self.due:
             return self._frame
         raycast = arena.raycast
-        readings = []
-        sigma = self.cfg.noise_sigma
-        max_range = self.cfg.max_range
-        for mount in MOUNT_ANGLES:
-            r = raycast(x, y, heading + mount)
-            if r > max_range:
-                r = max_range
-            if sigma > 0.0:
-                r += rng.gauss(0.0, sigma)
-                if r < _MIN_READING:
-                    r = _MIN_READING
-                elif r > max_range:
-                    r = max_range
-            readings.append(r)
+        cfg = self.cfg
+        max_range = cfg.max_range
+        # the front beam adds its zero mount, which makes a heading of -0.0 a 0.0
+        front = raycast(x, y, heading + 0.0)
+        left = raycast(x, y, heading + _LEFT)
+        right = raycast(x, y, heading + _RIGHT)
+        back = raycast(x, y, heading + _BACK)
+        readings = [front if front <= max_range else max_range,
+                    left if left <= max_range else max_range,
+                    right if right <= max_range else max_range,
+                    back if back <= max_range else max_range]
+        sigma = cfg.noise_sigma
+        if sigma > 0.0:  # one draw per beam, in the order of the frame
+            gauss = rng.gauss
+            for i, r in enumerate(readings):
+                r += gauss(0.0, sigma)
+                readings[i] = _MIN_READING if r < _MIN_READING else (
+                    r if r <= max_range else max_range)
         readings.append(t)
         # the tuple made directly, not through the NamedTuple's Python-level __new__
         self._frame = _tuple_new(TofFrame, readings)

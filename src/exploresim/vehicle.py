@@ -65,7 +65,14 @@ def step(x: float, y: float, heading: float, sp: Setpoint,
     ``x, y, heading`` under a set-point (midpoint-heading rule).  A turn in
     place (``v == 0``) keeps the position without any trig: a flight's
     positions are never zero, so adding ``0.0 * cos`` changes none.  The
-    new heading is :func:`normalize_heading`'s expression, inline."""
+    new heading is :func:`normalize_heading`'s expression, inline.
+
+    A step from the origin returns the tick's displacement, the products
+    ``v * dt * cos(mid)`` and ``v * dt * sin(mid)`` themselves; adding it
+    to a position is the one rounded addition a step from there makes, and
+    a zero of either sign keeps a nonzero coordinate.  So
+    :func:`harness.fly` reuses a held set-point's displacement at an equal
+    heading, and an in-place turn adds none."""
     v, omega = sp
     if not v:
         return x, y, (heading + omega * dt + pi) % TWO_PI - pi

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's analytic code paths: the ray
 oracle advances in 1 mm steps with numpy point tests, the motion oracle
-re-integrates set-points at a much finer step, the replay oracle
+re-integrates set-points at a much finer step, the per-tick flight
+oracle steps the vehicle from its pose on every tick and senses a beam
+at a time, the replay oracle
 passes a trajectory log through the row parser a line at a time, the
 flight-grid oracle marks the dwell of a flight a tick at a time, and the
 detection oracle runs one mission's detector over its flight's states
@@ -16,13 +18,15 @@ import random
 
 import numpy as np
 
+from exploresim import vehicle
 from exploresim.detection import DetectionLedger, attempt_detection
 from exploresim.errors import SimError
 from exploresim.harness import fly
 from exploresim.metrics import OccupancyGrid
+from exploresim.policies import initial_state, policy_step
 from exploresim.report import parse_trajectory
 from exploresim.seeding import derive_seed
-from exploresim.sensing import objects_in_fov
+from exploresim.sensing import MOUNT_ANGLES, TofFrame, objects_in_fov
 
 
 def dense_ray_distance(width, height, boxes, ox, oy, heading, step=0.001):
@@ -66,6 +70,48 @@ def fine_integrate(x, y, heading, v, omega, total_time, substeps):
         y += v * dt * math.sin(mid)
         heading += omega * dt
     return x, y, heading
+
+
+def per_beam_frame(arena, x, y, heading, tof, rng, t):
+    """The ranging frame from the pose ``x, y, heading`` at ``t``, a beam at
+    a time in ``MOUNT_ANGLES`` order: each reading saturates at the range,
+    then, with noise, takes its own Gaussian draw and is clamped into
+    [0.001, max_range]."""
+    readings = []
+    for mount in MOUNT_ANGLES:
+        r = min(arena.raycast(x, y, heading + mount), tof.max_range)
+        if tof.noise_sigma > 0.0:
+            r += rng.gauss(0.0, tof.noise_sigma)
+            if r < 0.001:
+                r = 0.001
+            elif r > tof.max_range:
+                r = tof.max_range
+        readings.append(r)
+    return TofFrame(*readings, t)
+
+
+def per_tick_flight(cfg):
+    """The ticks of ``fly(cfg)``, flown without any memo: per tick a frame
+    from :func:`per_beam_frame` when the sensor period is due (else the held
+    one), ``policy_step``, ``vehicle.step`` from the pose and the disc test
+    at the new pose.  Yields ``(t, seen, frame, ps, sp, pose, blocked)``."""
+    arena, dt, tof = cfg.arena, cfg.control_dt, cfg.tof
+    policy_rng = random.Random(derive_seed(cfg.seed, "policy"))
+    noise_rng = random.Random(derive_seed(cfg.seed, "noise"))
+    pose = cfg.start_pose()
+    ps = initial_state(cfg.policy, cfg.policy_cfg, pose[2], arena, cfg.drone_radius)
+    period, due = 1.0 / tof.rate_hz, -math.inf
+    for i in range(cfg.n_ticks()):
+        t = i * dt
+        if t >= due:
+            frame = per_beam_frame(arena, *pose, tof, noise_rng, t)
+            due = (int(t / period + 1e-9) + 1) * period - 1e-9
+        ps, sp = policy_step(cfg.policy, ps, frame, pose[2], dt, cfg.policy_cfg, policy_rng)
+        seen, pose = pose, vehicle.step(*pose, sp, dt)
+        blocked = arena.disc_blocked(pose[0], pose[1], cfg.drone_radius)
+        yield t, seen, frame, ps, sp, pose, blocked
+        if blocked:
+            break
 
 
 def replay_log(lines, width, height):

@@ -25,7 +25,8 @@ from exploresim.report import (check_heatmap_csv, coverage_series_csv,
 from exploresim.seeding import derive_seed
 from exploresim.sensing import MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
-from oracles import coverage_series, dense_ray_distance, detection_ledger, flight_grid
+from oracles import (coverage_series, dense_ray_distance, detection_ledger, flight_grid,
+                     per_tick_flight)
 
 
 def make_cfg(**kw):
@@ -61,6 +62,26 @@ def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
         bank, rng = TofBank(tof), random.Random(derive_seed(cfg.seed, "noise"))
         assert [frame for _, _, frame, *_ in ticks] == \
             [bank.sample(cfg.arena, *seen, rng, t) for t, seen, *_ in ticks]
+
+
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_fly_steps_on_a_new_set_point_or_heading_and_tests_the_disc_on_a_move(
+        monkeypatch, policy):
+    # a tick steps the vehicle when its set-point object or its heading is
+    # not the last tick's, and tests the airframe disc when it moves
+    cfg = RunConfig(arena=default_arena(), policy=policy, seed=7)
+    calls = []
+    step, disc_blocked = harness.step, Arena.disc_blocked
+    monkeypatch.setattr(harness, "step", lambda *a: calls.append("step") or step(*a))
+    monkeypatch.setattr(Arena, "disc_blocked",
+                        lambda *a: calls.append("disc") or disc_blocked(*a))
+    last_sp = last_heading = None
+    for *_, seen, _, _, sp, pose, _ in fly(cfg):
+        want = ["step"] * (sp is not last_sp or seen[2] != last_heading) + \
+            ["disc"] * (pose[:2] != seen[:2])
+        assert calls == want
+        calls.clear()
+        last_sp, last_heading = sp, seen[2]
 
 
 class TestRunConfig:
@@ -721,3 +742,29 @@ def test_the_series_of_a_random_mission_replays_its_flight(data, arena, policy, 
     assert grid.dwell == replay.dwell and grid.ticks == res.grid.ticks
     # the report vouches for the run's heatmap.csv
     check_heatmap_csv(dwell_matrix_csv(res.grid.matrix_north_first()), grid)
+
+
+def tick_hex(tick):
+    """A tick of ``fly``, its floats by ``float.hex``: time, the pose sensed
+    from, the frame, the set-point, the pose moved to, and the blocked flag."""
+    t, seen, frame, _, sp, pose, blocked = tick
+    return (t.hex(), *(v.hex() for v in (*seen, *frame, *sp, *pose)), blocked)
+
+
+@given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),
+       side=st.sampled_from(["left", "right"]), noise=st.sampled_from([0.0, 0.02]),
+       dt=st.floats(0.001, 1.0), speed=st.sampled_from([0.1, 0.5, 1.0]),
+       heading=st.one_of(st.sampled_from([0.0, -0.0, -math.pi]), st.floats(-math.pi, math.pi)),
+       n_ticks=st.integers(1, 600), seed=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_a_flight_is_its_per_tick_oracle_bit_for_bit(data, arena, policy, side, noise, dt,
+                                                       speed, heading, n_ticks, seed):
+    # fly reuses a held set-point's displacement, runs no disc test on an
+    # in-place turn and casts the beams without a loop; the oracle does none of that
+    x, y = data.draw(free_starts(arena), label="start")
+    cfg = RunConfig(arena=arena, policy=policy,
+                    policy_cfg=PolicyConfig(cruise_speed=speed, follow_side=side),
+                    tof=TofConfig(noise_sigma=noise), control_dt=dt, duration=n_ticks * dt,
+                    start=(x, y, heading), seed=seed)
+    got, want = list(map(tick_hex, fly(cfg))), list(map(tick_hex, per_tick_flight(cfg)))
+    assert got == want

@@ -8,7 +8,7 @@ from exploresim.arena import Arena, TargetObject, Vec2
 from exploresim.sensing import (CameraModel, TofBank, TofConfig, TofFrame,
                                 objects_in_fov)
 
-from oracles import sight_line_blocked
+from oracles import per_beam_frame, sight_line_blocked
 
 
 def _bank():
@@ -69,6 +69,23 @@ class TestTofSampling:
             y = rng.uniform(0.2, 5.3)
             f = noisy.sample(room, x, y, rng.uniform(-3, 3), rng, k * 0.05)
             assert all(0.001 <= v <= 4.0 for v in (f.front, f.left, f.right, f.back))
+
+    def test_noisy_sample_is_the_per_beam_loop(self, room):
+        # four draws per refresh, front, left, right, back, each reading
+        # clamped: poses by the walls clamp at 0.001, open beams at the range
+        tof = TofConfig(noise_sigma=0.3)
+        picks = random.Random(9)
+        got_rng, want_rng = random.Random(4), random.Random(4)
+        clamped = set()
+        for k in range(400):
+            x, y = picks.uniform(0.06, 6.44), picks.uniform(0.06, 5.44)
+            heading = picks.uniform(-math.pi, math.pi)
+            got = TofBank(tof).sample(room, x, y, heading, got_rng, k * 0.05)
+            want = per_beam_frame(room, x, y, heading, tof, want_rng, k * 0.05)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (x, y, heading)
+            assert got_rng.getstate() == want_rng.getstate()
+            clamped |= {v for v in got[:4] if v in (0.001, tof.max_range)}
+        assert clamped == {0.001, tof.max_range}
 
     def test_saturated_reading_stays_saturated_farther_out(self):
         big = Arena(20.0, 20.0)
