@@ -57,7 +57,8 @@ from .errors import SimError, ValidationError
 from .kinds import (COUNT, POSE, POSITIVE, RADIUS, SEED, SPEED, TIME_STEP, Model,
                     choice, instance_of, list_of, nullable)
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
-from .policies import POLICY_KINDS, PolicyConfig, initial_state, policy_draws, policy_step
+from .policies import (POLICY_KINDS, PolicyConfig, initial_state, policy_beams, policy_draws,
+                       policy_step)
 from .seeding import derive_seed
 from .sensing import CameraModel, TofBank, TofConfig, objects_in_fov
 from .vehicle import DEFAULT_DRONE_RADIUS, CollisionRecord, step
@@ -147,6 +148,8 @@ def fly(cfg: RunConfig):
     """The control task of one mission (``cfg`` was checked when made):
     per tick refresh the ranging frame if due, step the policy, integrate
     the vehicle and test the airframe disc at the new pose for a collision.
+    A refresh casts the front beam and the beams the policy reads
+    (:func:`policies.policy_beams`); a frame casts any other when read.
     Each pose it senses from, the start or one the disc cleared, is in
     free space (see :data:`kinds.RADIUS`).
 
@@ -175,7 +178,7 @@ def fly(cfg: RunConfig):
     x, y, heading = seen = (x0, y0, h0)
     kind, policy_cfg, radius = cfg.policy, cfg.policy_cfg, cfg.drone_radius
     ps = initial_state(kind, policy_cfg, h0, arena, radius)
-    bank = TofBank(cfg.tof)
+    bank = TofBank(cfg.tof, policy_beams(kind))
     sample = bank.sample
     disc_blocked = arena.disc_blocked
     # the set-point and heading of the last step; dx, dy, turned its result

@@ -18,9 +18,12 @@ every emitted set-point respects ``cruise_speed`` and ``turn_rate``.
 Every tick of an in-place turn hands out one of the two set-points that
 its ``PolicyConfig`` holds (``turns``).
 
-A policy is one ``_POLICIES`` entry: its fresh state, its step, and
-whether the step draws from its random stream; ``POLICY_KINDS``,
-``initial_state``, ``policy_step`` and ``policy_draws`` read that table.
+A policy is one ``_POLICIES`` entry: its fresh state, its step, whether
+the step draws from its random stream, and the ranging beams its step
+reads besides ``front``; ``POLICY_KINDS``, ``initial_state``,
+``policy_step``, ``policy_draws`` and ``policy_beams`` read that table.
+A flight's refresh casts only the beams its policy reads (see
+:class:`~exploresim.sensing.TofBank`).
 Every step takes ``(ps, tof, heading, dt, cfg, rng)``; only
 pseudo-random draws from ``rng``.
 
@@ -357,15 +360,17 @@ def _spiral_state(cfg: PolicyConfig, heading: float, arena, drone_radius: float)
 
 
 # kind -> (fresh state of (cfg, heading, arena, drone_radius), step, whether
-# the step draws from its rng); the order is that of --help, the default
-# sweep and runs.csv
+# the step draws from its rng, the beams the step reads besides front); the
+# order is that of --help, the default sweep and runs.csv
 _POLICIES = {
-    "pseudo-random": (lambda cfg, h, arena, r: PseudoRandomState(), pseudo_random_step, True),
-    "wall-following": (lambda cfg, h, arena, r: WallFollowState(), wall_following_step, False),
-    "spiral": (_spiral_state, spiral_step, False),
+    "pseudo-random": (lambda cfg, h, arena, r: PseudoRandomState(), pseudo_random_step,
+                      True, ()),
+    "wall-following": (lambda cfg, h, arena, r: WallFollowState(), wall_following_step,
+                       False, ("left", "right")),
+    "spiral": (_spiral_state, spiral_step, False, ("left", "right")),
     "rotate-and-measure": (lambda cfg, h, arena, r: RotateMeasureState(scan_start=h,
                                                                        prev_heading=h),
-                           rotate_measure_step, False),
+                           rotate_measure_step, False, ()),
 }
 POLICY_KINDS = tuple(_POLICIES)
 
@@ -374,6 +379,12 @@ def policy_draws(kind: str) -> bool:
     """Whether the ``kind`` policy draws from its random stream; a flight of
     one that does not is the same under every seed (``harness.fly`` checks)."""
     return _POLICIES[kind][2]
+
+
+def policy_beams(kind: str) -> tuple[str, ...]:
+    """The ranging beams the ``kind`` policy's step reads besides ``front``:
+    the beams a refresh of its flight casts."""
+    return _POLICIES[kind][3]
 
 
 def initial_state(kind: str, cfg: PolicyConfig, heading: float, arena,

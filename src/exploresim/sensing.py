@@ -6,6 +6,12 @@ their own clock, slower than the control loop, with a zero-order hold in
 between: the run owns one :class:`TofBank` holding the last frame, and
 samples it only on the ticks where its ``due`` time has come.
 
+A refresh casts the front beam and the beams its bank was made to cast
+(all four by default; a flight's bank casts those its policy reads).  A
+beam left uncast is cast when the frame is first asked for it, from the
+pose the frame was sampled at and with the noise draw the refresh made
+for it, so every frame reads the same floats whichever beams were cast.
+
 The camera model is a forward cone used to decide which target objects
 an inference frame can possibly see; it synthesizes no images.
 
@@ -15,8 +21,8 @@ heading`` (see :mod:`exploresim.vehicle`).
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
 
 from .arena import Arena
 from .kinds import FOV, NON_NEGATIVE, POSITIVE, RATE, Model
@@ -24,11 +30,12 @@ from .vehicle import normalize_heading
 
 # beam mount angles relative to body heading: front, left, right, back
 MOUNT_ANGLES = (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
-_LEFT, _RIGHT, _BACK = MOUNT_ANGLES[1:]
+BEAMS = ("front", "left", "right", "back")
+_INDEX = {name: i for i, name in enumerate(BEAMS)}
 
 _MIN_READING = 0.001
 _TIME_EPS = 1e-9
-_tuple_new = tuple.__new__
+_new = object.__new__
 
 
 class TofConfig(Model):
@@ -39,14 +46,97 @@ class TofConfig(Model):
     KINDS = {"max_range": POSITIVE, "rate_hz": RATE, "noise_sigma": NON_NEGATIVE}
 
 
-class TofFrame(NamedTuple):
-    """One ranging measurement of the four beams, in meters, taken at ``t``."""
+def _reading(source: tuple, i: int) -> float:
+    """Beam ``i`` of a refresh from ``source``, ``(arena, x, y, heading,
+    max_range, draws)``: cast from the pose and saturated at the range;
+    with noise (``draws`` not None) its draw ``draws[i]`` added and the sum
+    clamped into [0.001, max_range]."""
+    arena, x, y, heading, max_range, draws = source
+    # the front beam adds its zero mount, which makes a heading of -0.0 a 0.0
+    r = arena.raycast(x, y, heading + MOUNT_ANGLES[i])
+    r = r if r <= max_range else max_range
+    if draws is not None:
+        r += draws[i]
+        r = _MIN_READING if r < _MIN_READING else (r if r <= max_range else max_range)
+    return r
 
-    front: float
-    left: float
-    right: float
-    back: float
-    t: float
+
+@functools.total_ordering
+class TofFrame:
+    """One ranging measurement of the four beams, in meters, taken at ``t``.
+
+    It reads by field name, and it iterates, indexes, slices, compares and
+    hashes as the tuple ``(front, left, right, back, t)``.  A frame that
+    :meth:`TofBank.sample` made without casting a beam casts it on its
+    first read, from the refresh's pose and draw, and keeps the reading.
+    """
+
+    __slots__ = ("front", "left", "right", "back", "t", "_source")
+
+    def __init__(self, front: float, left: float, right: float, back: float, t: float):
+        self.front = front
+        self.left = left
+        self.right = right
+        self.back = back
+        self.t = t
+
+    def _values(self) -> tuple:
+        return (self.front, self.left, self.right, self.back, self.t)
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __len__(self) -> int:
+        return 5
+
+    def __getitem__(self, k):
+        return self._values()[k]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __eq__(self, other):
+        if isinstance(other, TofFrame):
+            other = other._values()
+        return self._values() == other if isinstance(other, tuple) else NotImplemented
+
+    def __lt__(self, other):
+        if isinstance(other, TofFrame):
+            other = other._values()
+        return self._values() < other if isinstance(other, tuple) else NotImplemented
+
+    def __reduce__(self):  # a copy or pickle is a plain frame, every beam cast
+        return TofFrame, self._values()
+
+    def __repr__(self) -> str:
+        return "TofFrame(" + ", ".join(f"{name}={v!r}" for name, v in
+                                       zip((*BEAMS, "t"), self._values())) + ")"
+
+
+def _deferred(name: str) -> property:
+    """Beam ``name`` of a frame, cast from its refresh's ``_source`` on the
+    first read if the refresh left it uncast, and kept in its slot."""
+    i = _INDEX[name]
+    slot = TofFrame.__dict__[name]
+    get, put = slot.__get__, slot.__set__
+
+    def read(frame):
+        try:
+            return get(frame)
+        except AttributeError:  # the slot is unset: the beam is uncast
+            r = _reading(frame._source, i)
+            put(frame, r)
+            return r
+    return property(read)
+
+
+@functools.cache
+def _frame_class(uncast: tuple[str, ...]) -> type:
+    """The class of the frames of a refresh that leaves the beams ``uncast``
+    uncast: a :class:`TofFrame` whose other fields read as plain slots."""
+    if not uncast:
+        return TofFrame
+    return type("TofFrame", (TofFrame,), {"__slots__": (), **{n: _deferred(n) for n in uncast}})
 
 
 class CameraModel(Model):
@@ -62,52 +152,59 @@ class TofBank:
     ``due`` is the time from which the next refresh is due: before it,
     :meth:`sample` returns the held frame, so a caller that keeps the last
     frame itself may call :meth:`sample` only once ``t >= due``.
+
+    ``beams`` names the beams a refresh casts besides the front one; the
+    frame casts any other beam when it is first read.
     """
 
-    def __init__(self, cfg: TofConfig):
+    def __init__(self, cfg: TofConfig, beams: tuple[str, ...] = BEAMS[1:]):
         self.cfg = cfg
         self._period = 1.0 / cfg.rate_hz
+        self._cast = tuple((name, _INDEX[name]) for name in beams)
+        self._frame_class = _frame_class(tuple(n for n in BEAMS[1:] if n not in beams))
         self._frame: TofFrame | None = None
         self.due = -math.inf
 
     def sample(self, arena: Arena, x: float, y: float, heading: float, rng,
                t: float) -> TofFrame:
         """Return the frame valid at time t, refreshing it from the pose
-        ``x, y, heading`` when due.
+        ``x, y, heading`` when due: a refresh casts the front beam and the
+        bank's ``beams``, and leaves the others to the frame.
 
         The first frame is measured at t=0; afterwards a new measurement
         happens on the first call at or after each sensor period, and
         moves ``due`` to the next one.  With ``noise_sigma`` zero the rng
-        is never touched.  ``(x, y)`` must be in free space, as every pose
-        a flight senses from is.
+        is never touched; else a refresh draws one Gaussian per beam in
+        the order front, left, right, back, cast or not.  ``(x, y)`` must
+        be in free space, as every pose a flight senses from is.
         """
         if t < self.due:
             return self._frame
-        raycast = arena.raycast
         cfg = self.cfg
-        max_range = cfg.max_range
-        # the front beam adds its zero mount, which makes a heading of -0.0 a 0.0
-        front = raycast(x, y, heading + 0.0)
-        left = raycast(x, y, heading + _LEFT)
-        right = raycast(x, y, heading + _RIGHT)
-        back = raycast(x, y, heading + _BACK)
-        readings = [front if front <= max_range else max_range,
-                    left if left <= max_range else max_range,
-                    right if right <= max_range else max_range,
-                    back if back <= max_range else max_range]
         sigma = cfg.noise_sigma
-        if sigma > 0.0:  # one draw per beam, in the order of the frame
+        if sigma > 0.0:
             gauss = rng.gauss
-            for i, r in enumerate(readings):
-                r += gauss(0.0, sigma)
-                readings[i] = _MIN_READING if r < _MIN_READING else (
-                    r if r <= max_range else max_range)
-        readings.append(t)
-        # the tuple made directly, not through the NamedTuple's Python-level __new__
-        self._frame = _tuple_new(TofFrame, readings)
+            draws = (gauss(0.0, sigma), gauss(0.0, sigma), gauss(0.0, sigma),
+                     gauss(0.0, sigma))
+        else:
+            draws = None
+        max_range = cfg.max_range
+        frame = _new(self._frame_class)
+        frame._source = source = (arena, x, y, heading, max_range, draws)
+        # _reading(source, 0), inline: the one beam that every refresh casts
+        r = arena.raycast(x, y, heading + 0.0)
+        r = r if r <= max_range else max_range
+        if draws is not None:
+            r += draws[0]
+            r = _MIN_READING if r < _MIN_READING else (r if r <= max_range else max_range)
+        frame.front = r
+        for name, i in self._cast:
+            setattr(frame, name, _reading(source, i))
+        frame.t = t
+        self._frame = frame
         period = self._period
         self.due = (int(t / period + _TIME_EPS) + 1) * period - _TIME_EPS
-        return self._frame
+        return frame
 
 
 def objects_in_fov(arena: Arena, x: float, y: float, heading: float,

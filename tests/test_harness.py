@@ -23,7 +23,7 @@ from exploresim.metrics import OccupancyGrid, dwell_matrix_csv
 from exploresim.report import (check_heatmap_csv, coverage_series_csv,
                                parse_trajectory)
 from exploresim.seeding import derive_seed
-from exploresim.sensing import MOUNT_ANGLES, CameraModel, TofBank, TofConfig
+from exploresim.sensing import BEAMS, MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
 from oracles import (coverage_series, dense_ray_distance, detection_ledger, flight_grid,
                      per_tick_flight)
@@ -62,6 +62,46 @@ def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
         bank, rng = TofBank(tof), random.Random(derive_seed(cfg.seed, "noise"))
         assert [frame for _, _, frame, *_ in ticks] == \
             [bank.sample(cfg.arena, *seen, rng, t) for t, seen, *_ in ticks]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_a_refresh_casts_the_front_beam_and_the_beams_its_policy_reads(monkeypatch, policy,
+                                                                      noise):
+    # and draws four Gaussians with noise, cast or not; no beam is cast
+    # between refreshes, so the policy reads no beam it did not declare
+    beams = policies.policy_beams(policy)
+    assert beams == {"pseudo-random": (), "wall-following": ("left", "right"),
+                     "spiral": ("left", "right"), "rotate-and-measure": ()}[policy]
+    mounts = [MOUNT_ANGLES[BEAMS.index(name)] for name in ("front", *beams)]
+    boxed = default_arena().replace(obstacles=[(1.5, 1.5, 2.2, 2.2), (4.5, 3.5, 5.0, 4.2)])
+    cfg = RunConfig(arena=boxed, policy=policy, tof=TofConfig(noise_sigma=noise), duration=60.0,
+                    seed=7)
+    casts, refreshes = [], []
+    raycast, sample = Arena.raycast, TofBank.sample
+
+    def counted_raycast(arena, ox, oy, heading):
+        casts.append(heading)
+        return raycast(arena, ox, oy, heading)
+
+    def checked_sample(bank, arena, x, y, heading, rng, t):
+        drawn = random.Random()
+        drawn.setstate(rng.getstate())
+        for _ in range(4 if noise else 0):
+            drawn.gauss(0.0, noise)
+        casts.clear()
+        frame = sample(bank, arena, x, y, heading, rng, t)
+        assert frame.t == t and casts == [heading + mount for mount in mounts]
+        assert rng.getstate() == drawn.getstate()
+        refreshes.append(t)
+        casts.clear()
+        return frame
+
+    monkeypatch.setattr(Arena, "raycast", counted_raycast)
+    monkeypatch.setattr(TofBank, "sample", checked_sample)
+    for _ in fly(cfg):
+        assert casts == []
+    assert len(refreshes) == 1200
 
 
 @pytest.mark.parametrize("policy", POLICY_KINDS)
@@ -424,13 +464,14 @@ class TestFlights:
 
     def test_a_batch_task_labels_a_program_error(self, monkeypatch, tmp_path, capsys):
         # wall-following is declared not to draw: its flight key leaves the seed out
-        state, step, draws = policies._POLICIES["wall-following"]
+        state, step, *declared = policies._POLICIES["wall-following"]
 
         def drawing_step(ps, tof, heading, dt, cfg, rng):
             rng.random()
             return step(ps, tof, heading, dt, cfg, rng)
 
-        monkeypatch.setitem(policies._POLICIES, "wall-following", (state, drawing_step, draws))
+        monkeypatch.setitem(policies._POLICIES, "wall-following",
+                            (state, drawing_step, *declared))
         spec = SweepSpec(policies=("wall-following",), speeds=(0.5,), runs_per_config=2,
                          duration=1.0)
         with pytest.raises(SimError) as err:
@@ -682,17 +723,34 @@ def grazes(arena, x, y, heading):
                for x0, y0, x1, y1 in arena.obstacles)
 
 
-@given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),
-       side=st.sampled_from(["left", "right"]), noise=st.sampled_from([0.0, 0.02]),
-       n_ticks=st.integers(1, 1200), seed=st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, side, noise,
-                                                         n_ticks, seed):
-    x, y = data.draw(free_starts(arena), label="start")
-    cfg = RunConfig(arena=arena, policy=policy, policy_cfg=PolicyConfig(follow_side=side),
-                    tof=TofConfig(noise_sigma=noise), duration=n_ticks * 0.02,
-                    start=(x, y, data.draw(st.floats(-math.pi, math.pi), label="heading")),
-                    seed=seed)
+def clips(arena, x, y, heading, step=0.001):
+    """Whether a beam passes through some box along a chord shorter than
+    the oracle's step: the chord's slab interval ``tmax - tmin``, in
+    meters along the beam.  The 1 mm oracle can step over such a chord
+    and read the wall behind the box, while the exact cast hits the box.
+    A beam that touches a corner (a chord of 0) counts."""
+    dx, dy = math.cos(heading), math.sin(heading)
+    for x0, y0, x1, y1 in arena.obstacles:
+        tmin, tmax = 0.0, math.inf
+        for o, d, lo, hi in ((x, dx, x0, x1), (y, dy, y0, y1)):
+            if d == 0.0:
+                if not lo <= o <= hi:
+                    break
+                continue
+            t0, t1 = sorted(((lo - o) / d, (hi - o) / d))
+            tmin, tmax = max(tmin, t0), min(tmax, t1)
+        else:
+            if 0.0 <= tmax - tmin < step:
+                return True
+    return False
+
+
+def check_mission_accounts_for_itself(cfg):
+    """The run of ``cfg`` against its per-tick grid, its collision record
+    and duration, and, without noise, the last refresh's readings against
+    the 1 mm ray oracle: all but the beams it cannot judge (``grazes``,
+    ``clips``)."""
+    arena = cfg.arena
     res = run_single(cfg)
     assert abs(res.grid.total_dwell() - res.elapsed) <= 1e-9
     # bit for bit a mark per tick, though a flight past 500 ticks deposits
@@ -707,14 +765,46 @@ def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, si
     assert res.collision.occurred == arena.disc_blocked(last[0], last[1], cfg.drone_radius)
     if not res.collision.occurred:
         assert res.elapsed == cfg.duration
-    if noise == 0.0:
+    if cfg.tof.noise_sigma == 0.0:
         ((x, y, heading), frame), max_range = sensed, cfg.tof.max_range
         for mount, reading in zip(MOUNT_ANGLES, frame[:4]):
-            if grazes(arena, x, y, heading + mount):
+            if grazes(arena, x, y, heading + mount) or clips(arena, x, y, heading + mount):
                 continue
             want = min(dense_ray_distance(arena.width, arena.height, arena.obstacles,
                                           x, y, heading + mount), max_range)
             assert abs(reading - want) <= 0.001 + 1e-9, (mount, reading, want)
+
+
+@given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),
+       side=st.sampled_from(["left", "right"]), noise=st.sampled_from([0.0, 0.02]),
+       n_ticks=st.integers(1, 1200), seed=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_a_mission_in_a_random_arena_accounts_for_itself(data, arena, policy, side, noise,
+                                                         n_ticks, seed):
+    x, y = data.draw(free_starts(arena), label="start")
+    check_mission_accounts_for_itself(RunConfig(
+        arena=arena, policy=policy, policy_cfg=PolicyConfig(follow_side=side),
+        tof=TofConfig(noise_sigma=noise), duration=n_ticks * 0.02,
+        start=(x, y, data.draw(st.floats(-math.pi, math.pi), label="heading")), seed=seed))
+
+
+def test_a_beam_that_clips_a_box_corner_is_not_judged_by_the_1mm_oracle():
+    # the left beam of the last refresh crosses the corner of the second box
+    # along a chord of about 0.1 mm: the exact cast hits it at 0.70954, and
+    # the oracle steps over it to the wall behind, 1.839 m away
+    arena = Arena(width=6.0, height=2.2196365605715402, obstacles=(
+        (3.0, 1.526000135392934, 6.0, 1.6994092416875857),
+        (2.109375, 1.1184887356005027, 6.0, 1.2905430832522273),
+        (0.09375, 0.0, 0.83203125, 0.6936364251786064)))
+    cfg = RunConfig(arena=arena, policy="wall-following",
+                    policy_cfg=PolicyConfig(follow_side="right"), duration=251 * 0.02,
+                    start=(2.159375, 1.745709248457232, 0.3797207505620186), seed=0)
+    *_, (t, (x, y, heading), frame, *_) = (tick for tick in fly(cfg) if tick[2].t == tick[0])
+    assert clips(arena, x, y, heading + MOUNT_ANGLES[1])
+    assert abs(frame.left - 0.70954) < 1e-5
+    assert dense_ray_distance(arena.width, arena.height, arena.obstacles,
+                              x, y, heading + MOUNT_ANGLES[1]) > 1.8
+    check_mission_accounts_for_itself(cfg)
 
 
 @given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),

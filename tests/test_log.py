@@ -83,14 +83,14 @@ def test_fast_log_equals_plain_log(policy, dt, n_ticks, boxed, start, noise, see
 
 def test_signed_zero_set_points_keep_their_sign(monkeypatch):
     # -0.0 == 0.0 and both hash alike, but they log as -0.000000 and 0.000000
-    state, _, draws = policies._POLICIES["wall-following"]
+    state, _, *declared = policies._POLICIES["wall-following"]
     calls = []
 
     def step(ps, tof, heading, dt, cfg, rng):
         calls.append(None)
         return ps, Setpoint(-0.0, -0.0) if len(calls) % 2 else Setpoint(0.0, 0.0)
 
-    monkeypatch.setitem(policies._POLICIES, "wall-following", (state, step, draws))
+    monkeypatch.setitem(policies._POLICIES, "wall-following", (state, step, *declared))
     n_ticks = 2 * CHUNK + 3
     # the start heading -0.0 turns into 0.0 on the first tick
     cfg = RunConfig(arena=default_arena(), policy="wall-following", duration=n_ticks * 0.02,

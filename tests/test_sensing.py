@@ -1,11 +1,14 @@
+import copy
+import itertools
 import math
+import pickle
 import random
 import statistics
 
 import pytest
 
 from exploresim.arena import Arena, TargetObject, Vec2
-from exploresim.sensing import (CameraModel, TofBank, TofConfig, TofFrame,
+from exploresim.sensing import (BEAMS, CameraModel, TofBank, TofConfig, TofFrame,
                                 objects_in_fov)
 
 from oracles import per_beam_frame, sight_line_blocked
@@ -87,6 +90,27 @@ class TestTofSampling:
             clamped |= {v for v in got[:4] if v in (0.001, tof.max_range)}
         assert clamped == {0.001, tof.max_range}
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("beams", [c for k in range(4)
+                                       for c in itertools.combinations(BEAMS[1:], k)])
+    def test_an_uncast_beam_reads_as_cast_from_the_sampled_pose(self, room, beams, sigma):
+        # every frame is read only after the bank has moved on to later poses
+        tof = TofConfig(noise_sigma=sigma)
+        picks = random.Random(9)
+        got_rng, want_rng = random.Random(4), random.Random(4)
+        bank = TofBank(tof, beams)
+        frames = []
+        for k in range(100):
+            x, y = picks.uniform(0.06, 6.44), picks.uniform(0.06, 5.44)
+            heading = picks.uniform(-math.pi, math.pi)
+            frames.append((bank.sample(room, x, y, heading, got_rng, k * 0.05),
+                           per_beam_frame(room, x, y, heading, tof, want_rng, k * 0.05)))
+            assert got_rng.getstate() == want_rng.getstate()
+        for k, (got, want) in enumerate(frames):
+            name = BEAMS[k % 4]  # one beam read alone first, then the rest
+            assert getattr(got, name).hex() == getattr(want, name).hex()
+            assert [v.hex() for v in got] == [v.hex() for v in want], (beams, k)
+
     def test_saturated_reading_stays_saturated_farther_out(self):
         big = Arena(20.0, 20.0)
         f1 = _bank().sample(big, 10.0, 10.0, 0.0, None, 0.0)
@@ -143,6 +167,23 @@ class TestObjectsInFov:
 def test_tof_frame_fields_order():
     f = TofFrame(1.0, 2.0, 3.0, 4.0, 0.0)
     assert (f.front, f.left, f.right, f.back) == (1.0, 2.0, 3.0, 4.0)
+
+
+def test_a_frame_with_uncast_beams_is_its_5_tuple(room):
+    got = TofBank(TofConfig(), ()).sample(room, 2.0, 2.0, 0.7, None, 0.0)
+    full = TofBank(TofConfig()).sample(room, 2.0, 2.0, 0.7, None, 0.0)
+    values = (full.front, full.left, full.right, full.back, 0.0)
+    assert isinstance(got, TofFrame) and len(got) == 5
+    assert got == full == values and TofFrame(*values) == got and got != values[:4]
+    assert hash(got) == hash(values) and {got: 1}[values] == 1
+    assert got[1] == values[1] and got[-1] == 0.0 and got[1:3] == values[1:3]
+    assert tuple(got) == values and list(got) == list(values)
+    assert got < (math.inf,) and got >= values and not got > values
+    assert repr(got) == repr(TofFrame(*values))
+    for copied in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+        assert type(copied) is TofFrame and copied == values
+    with pytest.raises(AttributeError):
+        got.side
 
 
 def test_config_validation():
