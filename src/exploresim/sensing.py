@@ -31,7 +31,6 @@ from .vehicle import normalize_heading
 # beam mount angles relative to body heading: front, left, right, back
 MOUNT_ANGLES = (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
 BEAMS = ("front", "left", "right", "back")
-_INDEX = {name: i for i, name in enumerate(BEAMS)}
 
 _MIN_READING = 0.001
 _TIME_EPS = 1e-9
@@ -116,7 +115,7 @@ class TofFrame:
 def _deferred(name: str) -> property:
     """Beam ``name`` of a frame, cast from its refresh's ``_source`` on the
     first read if the refresh left it uncast, and kept in its slot."""
-    i = _INDEX[name]
+    i = BEAMS.index(name)
     slot = TofFrame.__dict__[name]
     get, put = slot.__get__, slot.__set__
 
@@ -160,7 +159,7 @@ class TofBank:
     def __init__(self, cfg: TofConfig, beams: tuple[str, ...] = BEAMS[1:]):
         self.cfg = cfg
         self._period = 1.0 / cfg.rate_hz
-        self._cast = tuple((name, _INDEX[name]) for name in beams)
+        self._cast = tuple((name, BEAMS.index(name)) for name in beams)
         self._frame_class = _frame_class(tuple(n for n in BEAMS[1:] if n not in beams))
         self._frame: TofFrame | None = None
         self.due = -math.inf
