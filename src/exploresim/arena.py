@@ -9,8 +9,10 @@ looks for.  :class:`Arena` and :class:`TargetObject` are config models
 kinds return, frozen after, so safe to share across concurrent runs.
 
 The geometric primitives of every control tick are methods of
-:class:`Arena`: ray casting (slab method) and disc collision; the
-point-in-free-space test checks positions where they enter.
+:class:`Arena`: ray casting (slab method), disc collision and the
+clearance that bounds how far a disc may travel before it needs the
+collision test again; the point-in-free-space test checks positions
+where they enter.
 """
 
 from __future__ import annotations
@@ -178,6 +180,17 @@ class Arena(Model):
             if ddx * ddx + ddy * ddy < rr:
                 return True
         return False
+
+    def clearance(self, x: float, y: float) -> float:
+        """Distance from (x, y) to the nearest wall or obstacle, 0 on or
+        inside a box, save rounding: under two ulps of the room's larger
+        side, or of 1 m if that is larger (see :func:`harness.fly`)."""
+        d = min(x, self.width - x, y, self.height - y)
+        for x0, y0, x1, y1 in self.obstacles:
+            cx = x0 if x < x0 else (x1 if x > x1 else x)
+            cy = y0 if y < y0 else (y1 if y > y1 else y)
+            d = min(d, math.hypot(x - cx, y - cy))
+        return d
 
     @property
     def center(self) -> Vec2:

@@ -236,6 +236,8 @@ def cmd_report(args) -> int:
         return 0
     if runs.exists():
         rows = _read(runs, rep.parse_runs_csv)
+        if not rows:  # an aggregate of no runs would be a table of nothing
+            raise SimError(f"{runs}: no runs")
         out.mkdir(parents=True, exist_ok=True)
         _write(out / "aggregate.csv", rep.aggregate_csv(aggregate(rows)))
         print(f"aggregate table: {out / 'aggregate.csv'}  ({len(rows)} runs)")

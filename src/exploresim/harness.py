@@ -4,25 +4,27 @@ One run interleaves two clocked tasks on a single timeline:
 
 * the control task, :func:`fly`, every ``control_dt`` (50 Hz default):
   refresh the ranging frame if its slower clock is due, step the policy,
-  integrate the vehicle, check collision;
+  integrate the vehicle, check collision once the travel could reach a
+  wall or box;
 * the detection task at the detector's own frame rate: each frame has an
   exact instant k/fps and is evaluated against the first vehicle pose
   timestamped at or after it (at 50 Hz that is within one tick of the
   instant); the ledger records the exact instant.
 
-:func:`fly_logged` runs both as the ticks go: it consumes :func:`fly`
-into the log, digest, dwell grid and collision record, and fires each
-frame at the tick that samples it.  :func:`run_single` is
-:func:`fly_logged` of one mission.  Runs are reproducible bit for
-bit: a run seed expands into independent sub-streams for the policy, the
-detector, and sensor noise, so enabling or swapping the detector never
-perturbs the trajectory.  The trajectory log is written and hashed into
+:func:`fly_logged` runs both: it consumes :func:`fly` into the log,
+digest, dwell grid and collision record a log chunk of ticks at a time,
+and after each chunk fires the frames that its ticks sample.
+:func:`run_single` is :func:`fly_logged` of one mission.  Runs are
+reproducible bit for bit: a run seed expands into independent
+sub-streams for the policy, the detector, and sensor noise, so enabling
+or swapping the detector never perturbs the trajectory.  The trajectory log is written and hashed into
 a 64-bit digest (blake2b) a chunk of rows at a time, as it is flown.
 Dwell goes to the cell of the log-quantized coordinates (six decimals),
 so that replaying the emitted log reconstructs the grid's cells; it is
 deposited a log chunk of ticks at a time, through the grid's one kernel
-for runs of points in one cell (:meth:`OccupancyGrid.deposit`), with
-one addition per tick, as marking each tick would.
+for runs of points in one cell (:meth:`OccupancyGrid.deposit`, which
+rounds a position only near a cell edge), with one addition per tick,
+as marking each tick would.
 
 The vehicle's pose is three floats, ``x, y, heading``, from the start
 pose to the crash check: :func:`fly` keeps them as locals and yields
@@ -47,7 +49,7 @@ import heapq
 import math
 import os
 import random
-from itertools import count
+from math import hypot
 from typing import NamedTuple
 
 from .arena import Arena, default_arena
@@ -147,9 +149,10 @@ class RunResult(NamedTuple):
 def fly(cfg: RunConfig):
     """The control task of one mission (``cfg`` was checked when made):
     per tick refresh the ranging frame if due, step the policy, integrate
-    the vehicle and test the airframe disc at the new pose for a collision.
-    A refresh casts the front beam and the beams the policy reads
-    (:func:`policies.policy_beams`); a frame casts any other when read.
+    the vehicle and test the airframe disc at the new pose for a collision
+    once the travel since the last test could reach a wall or box.
+    A refresh casts the front beam and the beams the policy reads on every
+    step (:func:`policies.policy_beams`); a frame casts any other when read.
     Each pose it senses from, the start or one the disc cleared, is in
     free space (see :data:`kinds.RADIUS`).
 
@@ -158,6 +161,22 @@ def fly(cfg: RunConfig):
     while the set-point object and the heading repeat.  An in-place turn
     runs no disc test: it keeps a position that the last tick, or the
     start check, cleared.
+
+    The disc test waits for the travel to spend a budget (conservative
+    advancement; Ericson, *Real-Time Collision Detection*, 2004, ch. 5).
+    Let u be ``math.ulp`` of the room's larger side, or of 1 m if that is
+    larger.  At the start, and after each test that passes at (x, y), the
+    budget is ``arena.clearance(x, y) - radius - 8u``; each tick that moves
+    spends ``hypot(dx, dy) + 4u``, and the tick that leaves it below 0
+    tests the disc.  The bound: until then the centre stays within the
+    spent travel of (x, y), so at least ``radius`` from every wall and box
+    (an addition to x or y rounds by at most u/2, ``hypot`` and the budget's
+    own arithmetic by at most 2u together, so 4u covers a tick), and 8u
+    covers the clearance's rounding (under 2u) and the disc test's own (its
+    squared distance errs by under 5 units in the last place, and a radius
+    is under half the room).  So a tick that runs no test is one
+    whose test returns False.  A tick moves at most 1 m and a flight at
+    most ``MAX_TICKS`` ticks, so the slack costs under 6e-8 m of travel.
 
     Yields ``(t, seen, frame, ps, sp, pose, blocked)`` per tick, where
     ``seen`` is the pose sensed from and ``pose`` the pose the tick moves
@@ -178,10 +197,14 @@ def fly(cfg: RunConfig):
     x, y, heading = seen = (x0, y0, h0)
     kind, policy_cfg, radius = cfg.policy, cfg.policy_cfg, cfg.drone_radius
     ps = initial_state(kind, policy_cfg, h0, arena, radius)
-    bank = TofBank(cfg.tof, policy_beams(kind))
+    bank = TofBank(cfg.tof, policy_beams(kind, policy_cfg))
     sample = bank.sample
-    disc_blocked = arena.disc_blocked
-    # the set-point and heading of the last step; dx, dy, turned its result
+    disc_blocked, clearance = arena.disc_blocked, arena.clearance
+    u = math.ulp(max(arena.width, arena.height, 1.0))
+    slack, margin = 4.0 * u, radius + 8.0 * u
+    budget = clearance(x0, y0) - margin
+    # the set-point and heading of the last step; dx, dy, turned its
+    # result, and travel what a tick of it spends of the budget
     last_sp = last_heading = None
     blocked = False
     for i in range(cfg.n_ticks()):
@@ -192,11 +215,15 @@ def fly(cfg: RunConfig):
         if sp is not last_sp or heading != last_heading:
             last_sp, last_heading = sp, heading
             dx, dy, turned = step(0.0, 0.0, heading, sp, dt)
+            travel = hypot(dx, dy) + slack
         heading = turned
         if dx or dy:  # an in-place turn keeps a position the last tick cleared
             x += dx
             y += dy
-            blocked = disc_blocked(x, y, radius)
+            budget -= travel
+            if budget < 0.0:
+                blocked = disc_blocked(x, y, radius)
+                budget = clearance(x, y) - margin
         pose = (x, y, heading)
         yield t_i, seen, frame, ps, sp, pose, blocked
         if blocked:
@@ -239,12 +266,16 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     result per config, in order.
 
     The log goes to ``log``, an open text file or ``None``, a chunk at a
-    time.  The grid gets each tick's dt at the tick's quantized position
-    (clamped into the room on a crash tick), a log chunk of ticks at a time
-    (:meth:`OccupancyGrid.deposit`).  A mission's frame due at a tick
-    evaluates the camera at the pose after that tick and draws from the
-    mission's own ``detect`` stream; its ledger records the frame's exact
-    instant.  No frame fires on the crash tick or after the last tick.
+    time.  Per tick it formats the log row and keeps the pose; the rest
+    is settled per chunk.  The grid gets each tick's dt at the tick's
+    position, which :meth:`OccupancyGrid.deposit` rounds as the log does,
+    a chunk of ticks at a time (the crash tick's position clamped into
+    the room first).  After each chunk, each frame due at a tick up to
+    the chunk's last uncrashed one fires: it evaluates the camera at the
+    pose after that tick and draws from its mission's own ``detect``
+    stream, which depends on nothing the flight does; its ledger records
+    the frame's exact instant.  No frame fires on the crash tick or after
+    the last tick.
     A coordinate or set-point is formatted as ``"%.6f" % v``, the text of
     ``f"{v:.6f}"``."""
     cfg = cfgs[0]
@@ -259,7 +290,7 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
                  for c in cfgs]
     dues = heapq.merge(*(_frame_ticks(d[0].fps, dt, j)
                          for j, d in enumerate(detectors) if d))
-    frame = next(dues, (-1,))
+    frame = next(dues, (math.inf,))
     frame_due = frame[0]
 
     # blake2b streams: hashing a chunk of rows at once equals hashing each row
@@ -275,8 +306,6 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     xs = "%.6f" % x0
     ys = "%.6f" % y0
     hs = "%.6f" % h0
-    xq = float(xs)
-    yq = float(ys)
 
     # time is the tick count times dt, never a running sum; a coordinate's
     # text is formatted again only when it changes (a zero may change sign),
@@ -284,10 +313,10 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     flight = fly(cfg)
     last_sp = None
     for first in range(0, cfg.n_ticks(), _LOG_CHUNK):
-        rows, xqs, yqs = [], [], []  # the chunk's log rows and dwell positions
-        add_x, add_y = xqs.append, yqs.append
-        for t_text, ticks, (_, _, _, _, sp, pose, blocked) in zip(
-                _tick_column(dt, first).split(" "), count(first + 1), flight):
+        rows, poses = [], []  # the chunk's log rows and the poses its ticks move to
+        keep = poses.append
+        for t_text, (_, _, _, _, sp, pose, blocked) in zip(
+                _tick_column(dt, first).split(" "), flight):
             if sp is not last_sp:
                 last_sp = sp
                 sp_text = "%.6f,%.6f\n" % sp
@@ -296,31 +325,30 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
             if px != x or not x:
                 x = px
                 xs = "%.6f" % x
-                xq = float(xs)
             if py != y or not y:
                 y = py
                 ys = "%.6f" % y
-                yq = float(ys)
             if ph != heading or not heading:
                 heading = ph
                 hs = "%.6f" % heading
-            if blocked:  # the last tick: fly stops after it, at a clamped pose
-                collision = CollisionRecord(True, ticks * dt, px, py)
-                xq = min(max(xq, 0.0), arena.width)
-                yq = min(max(yq, 0.0), arena.height)
-            else:
-                while frame_due == ticks:
-                    _, t, j = frame
-                    det, camera, ledger, rng = detectors[j]
-                    visible = objects_in_fov(arena, px, py, ph, camera)
-                    attempt_detection(det, visible, ledger, t, rng)
-                    frame = next(dues)
-                    frame_due = frame[0]
-            add_x(xq)
-            add_y(yq)
+            keep(pose)
         emit("".join(rows))
-        grid.deposit(xqs, yqs, (dt,) * len(rows))
-        if collision.occurred:
+        ticks = first + len(rows)
+        pxs, pys, _ = zip(*poses)
+        if blocked:  # the last tick: fly stops after it; its dwell goes into the room
+            collision = CollisionRecord(True, ticks * dt, px, py)
+            pxs = (*pxs[:-1], min(max(px, 0.0), arena.width))
+            pys = (*pys[:-1], min(max(py, 0.0), arena.height))
+        grid.deposit(pxs, pys, (dt,) * len(rows))
+        # the frames due by the chunk's last tick, save a crash tick
+        while frame_due <= ticks - blocked:
+            _, t, j = frame
+            det, camera, ledger, rng = detectors[j]
+            visible = objects_in_fov(arena, *poses[frame_due - first - 1], camera)
+            attempt_detection(det, visible, ledger, t, rng)
+            frame = next(dues)
+            frame_due = frame[0]
+        if blocked:
             break
     next(flight, None)  # past its last tick: fly checks its streams
 
@@ -340,7 +368,9 @@ def run_single(cfg: RunConfig, log=None) -> RunResult:
     (see :func:`fly_logged`).
 
     Identical configs (seed included) produce identical results and
-    trajectory digests, regardless of process or platform.
+    trajectory digests in any process, on what CI runs: CPython 3.10-3.13
+    on ``ubuntu-latest`` (``tests/test_libm.py`` pins the libm results a
+    flight depends on).
     """
     return fly_logged([cfg], log)[0]
 

@@ -7,8 +7,9 @@ elapsed flight time.  Coverage is visited cells over total cells.
 A flight or a log replay stays in one cell for tens of samples: it
 deposits a path of samples at a time (:meth:`OccupancyGrid.deposit`),
 which finds each run of samples in one cell and adds their time gaps
-there together, with the same float sums as marking each sample in turn
-(:meth:`OccupancyGrid.mark`).
+there together, with the same float sums as marking each sample's
+six-decimal position, the one its log row names, in turn
+(:meth:`OccupancyGrid.mark`); it rounds a sample only near a cell edge.
 
 Heatmaps export as a CSV dwell matrix (row 0 = north) and a binary PGM
 with one 32 x 32 pixel block per cell, intensity linear in dwell up to a
@@ -28,6 +29,9 @@ from .kinds import NON_NEGATIVE, POSITIVE, Model
 DEFAULT_CELL_SIZE = 0.5
 HEATMAP_SATURATION_S = 18.0
 PGM_CELL_PIXELS = 32
+# within this of a cell's upper bound a point may round to six decimals
+# across it, so :meth:`OccupancyGrid.deposit` rounds it
+_EDGE = 1e-6
 
 
 class OccupancyGrid:
@@ -64,15 +68,21 @@ class OccupancyGrid:
         self.ticks[i] += 1
 
     def deposit(self, xs, ys, gaps) -> list[int]:
-        """Deposit each time gap of the sequence ``gaps`` at the point
-        ``(xs[j], ys[j])`` of the same index ``j``, as :meth:`mark` would, and
-        return the indices at which a cell is first visited, in order.  Each
+        """Deposit each time gap of the sequence ``gaps`` at the six-decimal
+        point ``(float("%.6f" % xs[j]), float("%.6f" % ys[j]))`` of the same
+        index ``j``, as :meth:`mark` would there, and return the indices at
+        which a cell is first visited, in order: the cell that a trajectory
+        log's text names, for raw or six-decimal coordinates alike.  Each
         run of points in one cell adds its gaps there one at a time, in
         order, so the grid holds bit for bit the sums of a :meth:`mark` per
-        point, however a path is split between calls.  A run ends at the
-        first point outside its cell's bounds ``c * 0.5 <= x < (c + 1) * 0.5``
-        (so for y; the far edge cells are unbounded above): ``x / 0.5`` is
-        exact in binary, so ``int(x / 0.5) == c`` holds exactly within them."""
+        point, however a path is split between runs or calls.
+
+        A point is rounded only where a run starts.  A run goes on while a
+        point lies in its cell's bounds ``c * 0.5 <= x < (c + 1) * 0.5 - 1e-6``
+        (so for y; the far edge cells are unbounded above): ``"%.6f"`` rounds
+        monotonically and keeps a multiple of 0.5, so such a point rounds
+        into the cell.  A point outside them is rounded and starts a run
+        at its cell, which may be the same one."""
         size, cols, rows = DEFAULT_CELL_SIZE, self.cols, self.rows
         # the first point and the cell of each run; the bounds of no cell
         # hold a point before the first
@@ -81,9 +91,10 @@ class OccupancyGrid:
         for j, x, y in zip(count(), xs, ys):
             if x0 <= x < x1 and y0 <= y < y1:
                 continue
-            c, r = min(int(x / size), cols - 1), min(int(y / size), rows - 1)
-            x0, x1 = c * size, (c + 1) * size if c < cols - 1 else math.inf
-            y0, y1 = r * size, (r + 1) * size if r < rows - 1 else math.inf
+            c = min(int(float("%.6f" % x) / size), cols - 1)
+            r = min(int(float("%.6f" % y) / size), rows - 1)
+            x0, x1 = c * size, (c + 1) * size - _EDGE if c < cols - 1 else math.inf
+            y0, y1 = r * size, (r + 1) * size - _EDGE if r < rows - 1 else math.inf
             starts.append(j)
             cells.append(r * cols + c)
         dwell, ticks = self.dwell, self.ticks

@@ -20,10 +20,13 @@ its ``PolicyConfig`` holds (``turns``).
 
 A policy is one ``_POLICIES`` entry: its fresh state, its step, whether
 the step draws from its random stream, and the ranging beams its step
-reads besides ``front``; ``POLICY_KINDS``, ``initial_state``,
-``policy_step``, ``policy_draws`` and ``policy_beams`` read that table.
-A flight's refresh casts only the beams its policy reads (see
-:class:`~exploresim.sensing.TofBank`).
+reads besides ``front`` on every refresh, given its config;
+``POLICY_KINDS``, ``initial_state``, ``policy_step``, ``policy_draws``
+and ``policy_beams`` read that table.  A flight's refresh casts only
+those beams (see :class:`~exploresim.sensing.TofBank`): none for
+pseudo-random and rotate-and-measure, the followed side for wall-following
+and spiral, whose step reads the far side only to pick a corner turn's
+way, and the frame casts it then.
 Every step takes ``(ps, tof, heading, dt, cfg, rng)``; only
 pseudo-random draws from ``rng``.
 
@@ -359,18 +362,23 @@ def _spiral_state(cfg: PolicyConfig, heading: float, arena, drone_radius: float)
     return SpiralState(ring_offset=cfg.wall_standoff, ring_limit=limit)
 
 
+def _followed_side(cfg: PolicyConfig) -> tuple[str, ...]:
+    return (cfg.follow_side,)
+
+
 # kind -> (fresh state of (cfg, heading, arena, drone_radius), step, whether
-# the step draws from its rng, the beams the step reads besides front); the
-# order is that of --help, the default sweep and runs.csv
+# the step draws from its rng, the beams of cfg the step reads on every
+# refresh besides front); the order is that of --help, the default sweep
+# and runs.csv
 _POLICIES = {
     "pseudo-random": (lambda cfg, h, arena, r: PseudoRandomState(), pseudo_random_step,
-                      True, ()),
+                      True, lambda cfg: ()),
     "wall-following": (lambda cfg, h, arena, r: WallFollowState(), wall_following_step,
-                       False, ("left", "right")),
-    "spiral": (_spiral_state, spiral_step, False, ("left", "right")),
+                       False, _followed_side),
+    "spiral": (_spiral_state, spiral_step, False, _followed_side),
     "rotate-and-measure": (lambda cfg, h, arena, r: RotateMeasureState(scan_start=h,
                                                                        prev_heading=h),
-                           rotate_measure_step, False, ()),
+                           rotate_measure_step, False, lambda cfg: ()),
 }
 POLICY_KINDS = tuple(_POLICIES)
 
@@ -381,10 +389,12 @@ def policy_draws(kind: str) -> bool:
     return _POLICIES[kind][2]
 
 
-def policy_beams(kind: str) -> tuple[str, ...]:
-    """The ranging beams the ``kind`` policy's step reads besides ``front``:
-    the beams a refresh of its flight casts."""
-    return _POLICIES[kind][3]
+def policy_beams(kind: str, cfg: PolicyConfig) -> tuple[str, ...]:
+    """The ranging beams the ``kind`` policy's step under ``cfg`` reads
+    besides ``front`` on every refresh: the beams a refresh of its flight
+    casts.  A wall tracker reads the side it follows; it reads the other
+    only at a corner, and the frame casts it then."""
+    return _POLICIES[kind][3](cfg)
 
 
 def initial_state(kind: str, cfg: PolicyConfig, heading: float, arena,

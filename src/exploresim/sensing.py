@@ -7,7 +7,8 @@ between: the run owns one :class:`TofBank` holding the last frame, and
 samples it only on the ticks where its ``due`` time has come.
 
 A refresh casts the front beam and the beams its bank was made to cast
-(all four by default; a flight's bank casts those its policy reads).  A
+(all four by default; a flight's bank casts those its policy reads on
+every step, so a wall tracker's far side waits for a corner).  A
 beam left uncast is cast when the frame is first asked for it, from the
 pose the frame was sampled at and with the noise draw the refresh made
 for it, so every frame reads the same floats whichever beams were cast.

@@ -389,6 +389,20 @@ class TestReport:
         assert run_cli("report", "--in", str(out)) == 1
         assert "no samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_runs_table_exits_1(self, tmp_path, capsys, body):
+        # and writes nothing: not a header-only aggregate over the sweep's own
+        src = tmp_path / "sweep"
+        run_cli("sweep", "--runs-per-config", "1", "--out", str(src), *SMALL_SWEEP)
+        runs = src / "runs.csv"
+        runs.write_text(runs.read_text().splitlines(keepends=True)[0] + body)
+        aggregate = (src / "aggregate.csv").read_bytes()
+        assert run_cli("report", "--in", str(src)) == 1
+        assert capsys.readouterr().err == f"error: {runs}: no runs\n"
+        assert (src / "aggregate.csv").read_bytes() == aggregate
+        assert run_cli("report", "--in", str(src), "--out", str(tmp_path / "report")) == 1
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("artifact, line_no, text, message", [
         ("trajectory.csv", 4, None, "line 4: t does not increase"),  # a copy of line 3
         ("trajectory.csv", 3, "0.040000", "line 3: "),

@@ -26,7 +26,7 @@ from exploresim.seeding import derive_seed
 from exploresim.sensing import BEAMS, MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
 from oracles import (coverage_series, dense_ray_distance, detection_ledger, flight_grid,
-                     per_tick_flight)
+                     per_beam_frame, per_tick_flight)
 
 
 def make_cfg(**kw):
@@ -41,6 +41,11 @@ def logged(cfg):
     log = io.StringIO()
     res = run_single(cfg, log)
     return res, log.getvalue().splitlines(keepends=True)
+
+
+BOXED_ROOM = dict(DEFAULT_ARENA_DOC, obstacles=[{"min": [1.5, 1.5], "max": [2.2, 2.2]},
+                                               {"min": [4.5, 3.5], "max": [5.0, 4.2]}])
+BOXED = load_arena(BOXED_ROOM)
 
 
 def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
@@ -68,20 +73,28 @@ def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
 @pytest.mark.parametrize("policy", POLICY_KINDS)
 def test_a_refresh_casts_the_front_beam_and_the_beams_its_policy_reads(monkeypatch, policy,
                                                                       noise):
-    # and draws four Gaussians with noise, cast or not; no beam is cast
-    # between refreshes, so the policy reads no beam it did not declare
-    beams = policies.policy_beams(policy)
-    assert beams == {"pseudo-random": (), "wall-following": ("left", "right"),
-                     "spiral": ("left", "right"), "rotate-and-measure": ()}[policy]
+    # a refresh casts front and the beams its policy reads on every step,
+    # and draws four Gaussians with noise, cast or not; between refreshes
+    # a wall tracker's frame casts its far side once, on the first read,
+    # from the refresh's pose, and no frame casts another beam
+    for side in ("left", "right"):
+        check_refresh_casts(monkeypatch, policy, noise, side)
+
+
+def check_refresh_casts(monkeypatch, policy, noise, side):
+    policy_cfg = PolicyConfig(follow_side=side)
+    tracker = policy in ("wall-following", "spiral")
+    beams = policies.policy_beams(policy, policy_cfg)
+    assert beams == ((side,) if tracker else ())
     mounts = [MOUNT_ANGLES[BEAMS.index(name)] for name in ("front", *beams)]
-    boxed = default_arena().replace(obstacles=[(1.5, 1.5, 2.2, 2.2), (4.5, 3.5, 5.0, 4.2)])
-    cfg = RunConfig(arena=boxed, policy=policy, tof=TofConfig(noise_sigma=noise), duration=60.0,
-                    seed=7)
-    casts, refreshes = [], []
+    far = MOUNT_ANGLES[BEAMS.index("right" if side == "left" else "left")]
+    cfg = RunConfig(arena=BOXED, policy=policy, policy_cfg=policy_cfg,
+                    tof=TofConfig(noise_sigma=noise), duration=60.0, seed=7)
+    casts, refreshes = [], []  # casts since the last refresh; (pose, frame) of each
     raycast, sample = Arena.raycast, TofBank.sample
 
     def counted_raycast(arena, ox, oy, heading):
-        casts.append(heading)
+        casts.append((ox, oy, heading))
         return raycast(arena, ox, oy, heading)
 
     def checked_sample(bank, arena, x, y, heading, rng, t):
@@ -91,37 +104,73 @@ def test_a_refresh_casts_the_front_beam_and_the_beams_its_policy_reads(monkeypat
             drawn.gauss(0.0, noise)
         casts.clear()
         frame = sample(bank, arena, x, y, heading, rng, t)
-        assert frame.t == t and casts == [heading + mount for mount in mounts]
+        assert frame.t == t and casts == [(x, y, heading + mount) for mount in mounts]
         assert rng.getstate() == drawn.getstate()
-        refreshes.append(t)
+        refreshes.append(((x, y, heading), frame))
         casts.clear()
         return frame
 
     monkeypatch.setattr(Arena, "raycast", counted_raycast)
     monkeypatch.setattr(TofBank, "sample", checked_sample)
+    deferred = set()  # the refreshes whose frame cast its far side
     for _ in fly(cfg):
-        assert casts == []
+        if casts:
+            (x, y, heading), _ = refreshes[-1]
+            assert tracker and casts == [(x, y, heading + far)]
+            assert len(refreshes) not in deferred
+            deferred.add(len(refreshes))
+            casts.clear()
+    monkeypatch.undo()
     assert len(refreshes) == 1200
+    assert bool(deferred) == tracker
+    # every frame reads the floats of a frame cast a beam at a time
+    rng = random.Random(derive_seed(cfg.seed, "noise"))
+    for pose, frame in refreshes:
+        assert frame == per_beam_frame(BOXED, *pose, cfg.tof, rng, frame.t)
 
 
 @pytest.mark.parametrize("policy", POLICY_KINDS)
 def test_fly_steps_on_a_new_set_point_or_heading_and_tests_the_disc_on_a_move(
         monkeypatch, policy):
     # a tick steps the vehicle when its set-point object or its heading is
-    # not the last tick's, and tests the airframe disc when it moves
-    cfg = RunConfig(arena=default_arena(), policy=policy, seed=7)
+    # not the last tick's; it tests the airframe disc only on a tick that
+    # moves, once its travel could reach a wall or box: every tick that the
+    # oracle, which tests each tick, finds blocked is tested, and fly's
+    # poses and flags are the oracle's
+    for arena in (default_arena(), BOXED):
+        check_steps_and_disc_tests(monkeypatch, policy, arena)
+
+
+def check_steps_and_disc_tests(monkeypatch, policy, arena):
+    cfg = RunConfig(arena=arena, policy=policy, seed=7)
+    oracle = list(per_tick_flight(cfg))
     calls = []
     step, disc_blocked = harness.step, Arena.disc_blocked
     monkeypatch.setattr(harness, "step", lambda *a: calls.append("step") or step(*a))
     monkeypatch.setattr(Arena, "disc_blocked",
                         lambda *a: calls.append("disc") or disc_blocked(*a))
-    last_sp = last_heading = None
-    for *_, seen, _, _, sp, pose, _ in fly(cfg):
-        want = ["step"] * (sp is not last_sp or seen[2] != last_heading) + \
-            ["disc"] * (pose[:2] != seen[:2])
-        assert calls == want
+    flown = []
+    for tick in fly(cfg):
+        flown.append((tick, calls[:]))
         calls.clear()
+    monkeypatch.undo()
+    assert len(flown) == len(oracle)
+    last_sp = last_heading = None
+    moves = tests = 0
+    for ((_, seen, _, _, sp, pose, blocked), made), want in zip(flown, oracle):
+        stepped = sp is not last_sp or seen[2] != last_heading
+        moved = pose[:2] != seen[:2]
+        assert made[:stepped] == ["step"] * stepped
+        assert made[stepped:] in ([], ["disc"] * moved)
+        tested = made[stepped:] == ["disc"]
+        assert (pose, blocked) == (want[5], want[6])
+        assert tested or not want[6]
+        moves += moved
+        tests += tested
         last_sp, last_heading = sp, seen[2]
+    # the two golden boxed cases that collide
+    assert oracle[-1][6] == (arena is BOXED and policy in ("pseudo-random", "spiral"))
+    assert tests * 10 < moves  # most moves are far from every wall
 
 
 class TestRunConfig:
@@ -429,8 +478,6 @@ class TestAggregateDetection:
         assert means[1] >= means[0]
 
 
-BOXED_ROOM = dict(DEFAULT_ARENA_DOC, obstacles=[{"min": [1.5, 1.5], "max": [2.2, 2.2]},
-                                               {"min": [4.5, 3.5], "max": [5.0, 4.2]}])
 NOISY = TofConfig(noise_sigma=0.02)
 
 
@@ -571,9 +618,10 @@ class TestFlights:
 
 
 @st.composite
-def boxed_rooms(draw):
-    """A room of 1-8 m sides with 0-3 boxes, some of them touching a wall."""
-    width, height = draw(st.floats(1.0, 8.0)), draw(st.floats(1.0, 8.0))
+def boxed_rooms(draw, sides=st.floats(1.0, 8.0)):
+    """A room with 0-3 boxes, some of them touching a wall, and sides drawn
+    from ``sides``: 1-8 m by default."""
+    width, height = draw(sides), draw(sides)
     boxes = []
     for _ in range(draw(st.integers(0, 3))):
         box = []
@@ -604,6 +652,58 @@ def test_every_state_a_flight_senses_from_is_in_free_space(arena, policy, at, ra
             assert arena.in_free_space(x, y), (x, y, heading)
             xq, yq = float(f"{x:.6f}"), float(f"{y:.6f}")
             assert 0.0 <= xq <= arena.width and 0.0 <= yq <= arena.height, (x, y, heading)
+
+
+@st.composite
+def creeping_flights(draw):
+    """A flight that stresses the disc test's budget: a random boxed room,
+    a 100 m one among them; a start at exactly the radius from a wall or
+    box face, or a few ulps farther; a heading along an axis or any; and a
+    speed down to one that moves the vehicle under an ulp of its position
+    per tick, where rounding moves it farther than its travel.  Triggers
+    and standoffs may be tiny, so a flight runs into the face."""
+    arena = draw(boxed_rooms(st.one_of(st.floats(1.0, 8.0), st.just(100.0),
+                                       st.floats(50.0, 100.0))))
+    radius = draw(st.sampled_from([0.001, 0.05, 0.3]))
+    axis = draw(st.integers(0, 1))
+    side = (arena.width, arena.height)[axis]
+    # (face, +1 if free space lies above it): the two walls and the box faces
+    faces = [(0.0, 1), (side, -1)] + [(box[axis + k], 1 if k else -1)
+                                      for box in arena.obstacles for k in (0, 2)]
+    face, away = draw(st.sampled_from(faces))
+    at = face + away * radius
+    at += away * draw(st.integers(0, 300)) * math.ulp(at)
+    other = draw(st.floats(0.0, 1.0)) * (arena.height, arena.width)[axis]
+    x, y = (at, other) if axis == 0 else (other, at)
+    assume(0.0 < x < arena.width and 0.0 < y < arena.height)
+    assume(not arena.disc_blocked(x, y, radius))
+    toward = (math.pi if away > 0 else 0.0) if axis == 0 else (-math.pi / 2 if away > 0
+                                                                else math.pi / 2)
+    heading = draw(st.one_of(st.just(toward), st.sampled_from([0.0, math.pi / 2, -math.pi,
+                                                               -math.pi / 2]),
+                             st.floats(-math.pi, math.pi)))
+    dt = draw(st.sampled_from([0.02, 0.5]))
+    speed = draw(st.one_of(st.sampled_from([0.1, 0.5, 1.0]),
+                           st.floats(0.3, 3.0).map(lambda k: k * math.ulp(at) / dt)))
+    tiny = st.sampled_from([None, 1e-9])
+    policy_cfg = {key: value for key, value in (("trigger_dist", draw(tiny)),
+                                                 ("wall_standoff", draw(tiny)),
+                                                 ("corner_margin", draw(tiny)))
+                  if value is not None}
+    return RunConfig(arena=arena, policy=draw(st.sampled_from(POLICY_KINDS)),
+                     policy_cfg=PolicyConfig(cruise_speed=speed, **policy_cfg),
+                     control_dt=dt, duration=draw(st.integers(1, 600)) * dt,
+                     start=(x, y, heading), drone_radius=radius,
+                     seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@given(cfg=creeping_flights())
+@settings(max_examples=300, deadline=None)
+def test_a_flight_flags_every_tick_the_disc_test_flags(cfg):
+    # a tick that skips the disc test on its budget is one the test clears
+    arena, radius = cfg.arena, cfg.drone_radius
+    for _, _, _, _, _, (x, y, _), blocked in fly(cfg):
+        assert blocked == arena.disc_blocked(x, y, radius), (x, y)
 
 
 fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -709,6 +809,36 @@ def test_each_mission_of_a_shared_flight_detects_as_after_its_own_flight(cfgs):
             assert (got.ledger.first_seen, got.ledger.frames_fired,
                     got.ledger.frames_with_target) == \
                 (want.first_seen, want.frames_fired, want.frames_with_target)
+
+
+@pytest.mark.parametrize("policy", ["pseudo-random", "spiral"])
+def test_a_frame_due_on_every_tick_skips_only_the_crash_tick(policy):
+    # the golden boxed flights that collide, under a detector with a frame
+    # due at every tick: every tick but the crash tick fires one
+    det = DetectorModel("every-tick", fps=50.0, p_detect=0.5)
+    cfg = RunConfig(arena=BOXED, policy=policy, detector=det, seed=7)
+    res = run_single(cfg)
+    want = detection_ledger(cfg)
+    assert res.collision.occurred
+    assert res.ledger.frames_fired == round(res.elapsed / cfg.control_dt) - 1
+    assert (res.ledger.first_seen, res.ledger.frames_fired, res.ledger.frames_with_target) == \
+        (want.first_seen, want.frames_fired, want.frames_with_target)
+
+
+@pytest.mark.parametrize("heading", [math.pi, -math.pi / 2])
+def test_a_crash_past_a_wall_deposits_its_dwell_in_the_room(heading):
+    # a 1 m tick carries the centre 0.6 m past the west or south wall, and
+    # the crash tick's dwell goes to the edge cell that the clamped pose
+    # lies in, as the oracle marks it
+    cfg = RunConfig(arena=default_arena(), policy="pseudo-random", control_dt=1.0, duration=5.0,
+                    policy_cfg=PolicyConfig(cruise_speed=1.0, trigger_dist=0.01),
+                    start=(0.4, 0.4, heading), seed=7)
+    res = run_single(cfg)
+    (*_, (x, y, _), blocked), = fly(cfg)
+    assert blocked and min(x, y) < -0.5 and res.collision.occurred
+    grid = flight_grid(cfg)
+    assert res.grid.dwell == grid.dwell and res.grid.ticks == grid.ticks
+    assert res.grid.dwell_at(0, 0) == 1.0
 
 
 def grazes(arena, x, y, heading):

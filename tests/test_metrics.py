@@ -65,14 +65,23 @@ class TestGrid:
 
 def _coordinates(side: float):
     """Points along one side of a room: exact cell edges (multiples of 0.5),
-    both room edges, their float neighbours and any point between."""
+    both room edges, their float neighbours, points within 1e-6 of an edge,
+    where rounding to six decimals may cross it, and any point between."""
     edges = st.integers(0, int(side / 0.5)).map(lambda k: k * 0.5)
+    near = st.one_of(st.floats(-1e-6, 1e-6), st.sampled_from([-5e-7, 5e-7]),
+                     st.sampled_from([-5e-7, 5e-7]).map(lambda d: math.nextafter(d, 0.0)))
     return st.one_of(
         st.sampled_from([0.0, side, math.nextafter(side, 0.0), math.nextafter(0.0, 1.0)]),
         edges.filter(lambda v: v <= side),
         edges.map(lambda v: math.nextafter(v, math.inf)).filter(lambda v: v <= side),
         edges.map(lambda v: math.nextafter(v, 0.0)).filter(lambda v: 0.0 <= v <= side),
+        st.tuples(edges, near).map(sum).filter(lambda v: 0.0 <= v <= side),
         st.floats(0.0, side))
+
+
+def _six(v: float) -> float:
+    """``v`` at six decimals, as a trajectory log names it."""
+    return float("%.6f" % v)
 
 
 @st.composite
@@ -87,39 +96,50 @@ def _rooms_and_points(draw):
 @given(_rooms_and_points())
 @settings(max_examples=200, deadline=None)
 def test_cell_agrees_with_mark_on_every_point(room):
+    # deposit puts a raw point where mark puts its six-decimal point
     width, height, points = room
     for x, y in points:
         grid = OccupancyGrid(width, height)
-        grid.mark(x, y, 1.0)
+        grid.mark(_six(x), _six(y), 1.0)
         (i,) = [j for j, v in enumerate(grid.dwell) if v]
         c, r = i % grid.cols, i // grid.cols
         x0, x1 = c * 0.5, (c + 1) * 0.5 if c < grid.cols - 1 else math.inf
         y0, y1 = r * 0.5, (r + 1) * 0.5 if r < grid.rows - 1 else math.inf
-        assert x0 <= x < x1 and y0 <= y < y1
+        assert x0 <= _six(x) < x1 and y0 <= _six(y) < y1
 
-        def run_starts(px, py):
-            # deposit starts a new run at (px, py) unless it lies in the
-            # cell of (x, y); either way the grid is a mark per point
+        def firsts(px, py):
+            # a deposit of (x, y) then (px, py) is a mark at each six-decimal
+            # point; it visits a second cell only where that point leaves i
             probe, marked = OccupancyGrid(width, height), OccupancyGrid(width, height)
-            starts = probe.deposit([x, px], [y, py], [1.0, 1.0])
-            marked.mark(x, y, 1.0)
-            marked.mark(px, py, 1.0)
+            got = probe.deposit([x, px], [y, py], [1.0, 1.0])
+            marked.mark(_six(x), _six(y), 1.0)
+            marked.mark(_six(px), _six(py), 1.0)
             assert probe.dwell == marked.dwell and probe.ticks == marked.ticks
-            return starts
+            assert got == [0] + [1] * (marked.dwell[i] == 1.0)
+            return got
 
-        # every point of the bounds marks that cell, and deposit keeps it in the run
-        for px in (x0, math.nextafter(x1, 0.0) if x1 < math.inf else width):
-            for py in (y0, math.nextafter(y1, 0.0) if y1 < math.inf else height):
+        # every six-decimal point of the bounds marks that cell, and deposit
+        # keeps it there
+        for px in (x0, x1 - 1e-6 if x1 < math.inf else width):
+            for py in (y0, y1 - 1e-6 if y1 < math.inf else height):
                 if px <= width and py <= height:
                     probe = OccupancyGrid(width, height)
                     probe.mark(px, py, 1.0)
                     assert probe.dwell[i] == 1.0
-                    assert run_starts(px, py) == [0]
-        # and a point past a bounded side marks another cell, in a new run
+                    assert firsts(px, py) == [0]
+        # a point past a bounded side marks another cell, and is first there
         if x1 <= width:
-            assert run_starts(x1, y) == [0, 1]
+            assert firsts(x1, y) == [0, 1]
         if y1 <= height:
-            assert run_starts(x, y1) == [0, 1]
+            assert firsts(x, y1) == [0, 1]
+        # raw points within 1e-6 of each bound, on either side of the
+        # six-decimal rounding's tie, go where their six-decimal point goes
+        for edge, side in ((x0, width), (x1, width), (y0, height), (y1, height)):
+            for d in (-1e-6, -5e-7, 5e-7, 1e-6, 3e-7, -3e-7):
+                for v in {edge + d, math.nextafter(edge + d, 0.0),
+                          math.nextafter(edge + d, math.inf)}:
+                    if 0.0 <= v <= side:
+                        firsts(v, y) if side == width else firsts(x, v)
 
 
 # a flight deposits runs of its dt, a replay runs of six-decimal time gaps
@@ -131,8 +151,10 @@ _GAPS = st.sampled_from([0.02, 0.1, 1 / 60, 0.3, 1.0, 0.016666, 0.016667, 0.0200
 def test_deposit_equals_that_many_marks(room, data):
     width, height, points = room
     # a walk over the grid of the points' coordinates, which lie on cell
-    # bounds, just below them and on the far edges: each step stays, or moves
-    # to a neighbouring coordinate along x, y or both, often across a bound
+    # bounds, just below them, within 1e-6 of them and on the far edges: each
+    # step stays, or moves to a neighbouring coordinate along x, y or both,
+    # often across a bound; deposit puts each where mark puts its
+    # six-decimal point
     xs, ys = (sorted(set(c)) for c in zip(*points))
     i, k = data.draw(st.integers(0, len(xs) - 1)), data.draw(st.integers(0, len(ys) - 1))
     path = []
@@ -145,7 +167,7 @@ def test_deposit_equals_that_many_marks(room, data):
     rises = []
     for j, (x, y, gap) in enumerate(path):
         before = marked.coverage()
-        marked.mark(x, y, gap)
+        marked.mark(_six(x), _six(y), gap)
         if marked.coverage() != before:
             rises.append(j)
     firsts = []
