@@ -25,8 +25,8 @@ from .detection import DETECTORS
 from .errors import SimError, ValidationError
 from .harness import RunConfig, aggregate, aggregate_detection, run_single, run_sweep
 from .kinds import COUNT, ROOM_SIDE
-from .metrics import (HEATMAP_SATURATION_S, EnergyModel, OccupancyGrid, dwell_matrix_pgm,
-                      export_heatmap, mean_grid, parse_dwell_csv)
+from .metrics import (HEATMAP_SATURATION_S, MAX_SIDE_CELLS, EnergyModel, OccupancyGrid,
+                      dwell_matrix_pgm, export_heatmap, mean_grid, parse_dwell_csv)
 from .policies import POLICY_KINDS
 from . import report as rep
 
@@ -250,7 +250,11 @@ def cmd_heatmap(args) -> int:
     src = Path(args.input_csv)
     matrix = _read(src, lambda f: parse_dwell_csv(f.read()))
     if not matrix:
-        raise SimError(f"empty dwell matrix: {src}")
+        raise SimError(f"{src}: empty dwell matrix")
+    rows, cols = len(matrix), len(matrix[0])
+    if max(rows, cols) > MAX_SIDE_CELLS:  # no room's grid; its PGM takes 1024 bytes a cell
+        raise SimError(f"{src}: {rows} x {cols} cells, more than the {MAX_SIDE_CELLS} a side "
+                       "of the largest room")
     out = Path(args.out) if args.out else src.with_suffix(".pgm")
     out.write_bytes(dwell_matrix_pgm(matrix, saturation))
     print(f"wrote {out}")

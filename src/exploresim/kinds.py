@@ -82,7 +82,9 @@ SPEED = Kind("a speed in (0, 1] m/s", _real, lambda x: 0.0 < x <= 1.0)
 TURN_RATE = Kind("a turn rate in (0, 2] rad/s", _real, lambda x: 0.0 < x <= 2.0)
 # a room has (width / 0.5 m) x (height / 0.5 m) dwell cells: 1e300 m
 # overflowed; 100 m x 100 m is 40 000 cells
-ROOM_SIDE = Kind("a length in (0, 100] m", _real, lambda x: 0.0 < x <= 100.0)
+MAX_ROOM_SIDE = 100.0
+ROOM_SIDE = Kind(f"a length in (0, {MAX_ROOM_SIDE:g}] m", _real,
+                 lambda x: 0.0 < x <= MAX_ROOM_SIDE)
 # the ranging bank refreshes at most once per control tick (>= 1 ms) and the
 # stock detectors run at 1.6-4.3 frames/s: tof.rate_hz=1e308 overflowed, and
 # detector.fps=1e12 put its first frame at tick 0, which never comes

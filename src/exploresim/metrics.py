@@ -24,11 +24,13 @@ from itertools import count
 from operator import add
 
 from .errors import SimError
-from .kinds import NON_NEGATIVE, POSITIVE, Model
+from .kinds import MAX_ROOM_SIDE, NON_NEGATIVE, POSITIVE, Model
 
 DEFAULT_CELL_SIZE = 0.5
 HEATMAP_SATURATION_S = 18.0
 PGM_CELL_PIXELS = 32
+# the most cells a room's grid has on a side
+MAX_SIDE_CELLS = int(math.ceil(MAX_ROOM_SIDE / DEFAULT_CELL_SIZE - 1e-9))
 # within this of a cell's upper bound a point may round to six decimals
 # across it, so :meth:`OccupancyGrid.deposit` rounds it
 _EDGE = 1e-6

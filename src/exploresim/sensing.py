@@ -3,8 +3,8 @@
 Four single-beam ranging sensors (front, left, right, back) return
 line-of-sight distances saturated at ``max_range``.  They refresh on
 their own clock, slower than the control loop, with a zero-order hold in
-between: the run owns one :class:`TofBank` holding the last frame, and
-samples it only on the ticks where its ``due`` time has come.
+between: the run owns one :class:`TofBank`, samples it only on the ticks
+where its ``due`` time has come, and holds the frame on the others.
 
 A refresh casts the front beam and the beams its bank was made to cast
 (all four by default; a flight's bank casts those its policy reads on
@@ -61,14 +61,13 @@ def _reading(source: tuple, i: int) -> float:
     return r
 
 
-@functools.total_ordering
 class TofFrame:
     """One ranging measurement of the four beams, in meters, taken at ``t``.
 
-    It reads by field name, and it iterates, indexes, slices, compares and
-    hashes as the tuple ``(front, left, right, back, t)``.  A frame that
-    :meth:`TofBank.sample` made without casting a beam casts it on its
-    first read, from the refresh's pose and draw, and keeps the reading.
+    It reads by field name, and two frames are equal when their readings
+    and ``t`` are.  A frame that :meth:`TofBank.sample` made without
+    casting a beam casts it on its first read, from the refresh's pose and
+    draw, and keeps the reading.
     """
 
     __slots__ = ("front", "left", "right", "back", "t", "_source")
@@ -83,30 +82,13 @@ class TofFrame:
     def _values(self) -> tuple:
         return (self.front, self.left, self.right, self.back, self.t)
 
-    def __iter__(self):
-        return iter(self._values())
-
-    def __len__(self) -> int:
-        return 5
-
-    def __getitem__(self, k):
-        return self._values()[k]
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def __eq__(self, other):
-        if isinstance(other, TofFrame):
-            other = other._values()
-        return self._values() == other if isinstance(other, tuple) else NotImplemented
+        return self._values() == other._values() if isinstance(other, TofFrame) else NotImplemented
 
-    def __lt__(self, other):
-        if isinstance(other, TofFrame):
-            other = other._values()
-        return self._values() < other if isinstance(other, tuple) else NotImplemented
+    def __deepcopy__(self, memo=None):  # a copy is a plain frame, every beam cast
+        return TofFrame(*self._values())
 
-    def __reduce__(self):  # a copy or pickle is a plain frame, every beam cast
-        return TofFrame, self._values()
+    __copy__ = __deepcopy__
 
     def __repr__(self) -> str:
         return "TofFrame(" + ", ".join(f"{name}={v!r}" for name, v in
@@ -147,11 +129,11 @@ class CameraModel(Model):
 
 
 class TofBank:
-    """Owns the zero-order-hold register for one run's ranging sensors.
+    """Refreshes the ranging frames of one run's sensors.
 
-    ``due`` is the time from which the next refresh is due: before it,
-    :meth:`sample` returns the held frame, so a caller that keeps the last
-    frame itself may call :meth:`sample` only once ``t >= due``.
+    ``due`` is the time from which the next refresh is due; the caller
+    holds the last frame until then and calls :meth:`sample` only once
+    ``t >= due``, as :func:`~exploresim.harness.fly` does.
 
     ``beams`` names the beams a refresh casts besides the front one; the
     frame casts any other beam when it is first read.
@@ -162,24 +144,22 @@ class TofBank:
         self._period = 1.0 / cfg.rate_hz
         self._cast = tuple((name, BEAMS.index(name)) for name in beams)
         self._frame_class = _frame_class(tuple(n for n in BEAMS[1:] if n not in beams))
-        self._frame: TofFrame | None = None
         self.due = -math.inf
 
     def sample(self, arena: Arena, x: float, y: float, heading: float, rng,
                t: float) -> TofFrame:
-        """Return the frame valid at time t, refreshing it from the pose
-        ``x, y, heading`` when due: a refresh casts the front beam and the
-        bank's ``beams``, and leaves the others to the frame.
+        """A new frame measured at time t from the pose ``x, y, heading``:
+        it casts the front beam and the bank's ``beams``, and leaves the
+        others to the frame.
 
-        The first frame is measured at t=0; afterwards a new measurement
-        happens on the first call at or after each sensor period, and
-        moves ``due`` to the next one.  With ``noise_sigma`` zero the rng
-        is never touched; else a refresh draws one Gaussian per beam in
-        the order front, left, right, back, cast or not.  ``(x, y)`` must
-        be in free space, as every pose a flight senses from is.
+        Every call refreshes, and moves ``due`` to the first sensor period
+        boundary after t, so the first frame of a run is measured at t=0
+        and the next on the first call at or after each period.  With
+        ``noise_sigma`` zero the rng is never touched; else a refresh
+        draws one Gaussian per beam in the order front, left, right,
+        back, cast or not.  ``(x, y)`` must be in free space, as every
+        pose a flight senses from is.
         """
-        if t < self.due:
-            return self._frame
         cfg = self.cfg
         sigma = cfg.noise_sigma
         if sigma > 0.0:
@@ -201,7 +181,6 @@ class TofBank:
         for name, i in self._cast:
             setattr(frame, name, _reading(source, i))
         frame.t = t
-        self._frame = frame
         period = self._period
         self.due = (int(t / period + _TIME_EPS) + 1) * period - _TIME_EPS
         return frame

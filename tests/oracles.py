@@ -90,6 +90,12 @@ def per_beam_frame(arena, x, y, heading, tof, rng, t):
     return TofFrame(*readings, t)
 
 
+def frame_values(frame):
+    """The readings of a ranging frame by name, front, left, right, back,
+    then its time ``t``."""
+    return frame.front, frame.left, frame.right, frame.back, frame.t
+
+
 def per_tick_flight(cfg):
     """The ticks of ``fly(cfg)``, flown without any memo: per tick a frame
     from :func:`per_beam_frame` when the sensor period is due (else the held

@@ -88,6 +88,13 @@ class TestRun:
         assert err.startswith(f"config error: {'arena' if as_arena else bad}: "), err
         assert not (tmp_path / "o").exists()
 
+    def test_out_that_is_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli("run", "--duration", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert out.read_text() == ""
+
     def test_duration_override(self, tmp_path):
         out = tmp_path / "short"
         assert run_cli("run", "--duration", "5", "--seed", "1",
@@ -189,9 +196,14 @@ class TestRun:
         # decodes, but is too deep to copy or echo in full
         (["--set", f"run.seed={DEEP}"], "config error: run.seed: "),
         (["--config", {"run": {"seed": json.loads(DEEP)}}], "config error: run.seed: "),
+        # past the decoder's recursion limit
+        (["--set", "run.seed=" + "[" * 100_000], "config error: run.seed: not valid JSON: "),
+        (["--set", "run=5"], "config error: run: expected an object"),
+        (["--config", [1]], "top level must be an object"),
+        (["--duration", "0.001"], "config error: run.duration: shorter than one control tick"),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, argv, field):
-        if isinstance(argv[-1], dict):  # a --config document: written to a file
+        if isinstance(argv[-1], (dict, list)):  # a --config document: written to a file
             (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
             argv = [*argv[:-1], str(tmp_path / "cfg.json")]
         assert run_cli("run", "--out", str(tmp_path / "o"), *argv) == 2
@@ -408,6 +420,7 @@ class TestReport:
         ("trajectory.csv", 3, "0.040000", "line 3: "),
         ("trajectory.csv", 3, "0.040000,x,1,0,0,0", "line 3: "),
         ("summary.json", 1, "{not json", ""),
+        ("summary.json", 3, '  "room": {', "no arena width and height, coverage and digest: "),
         ("trajectory.csv", 3, "0.040000,inf,1,0,0,0", "line 3: "),
         ("trajectory.csv", 3, "0.040000,nan,1,0,0,0", "line 3: "),
     ])
@@ -651,6 +664,12 @@ class TestHeatmap:
         body = (tmp_path / "empty.pgm").read_bytes().split(b"255\n", 1)[1]
         assert set(body) == {0}
 
+    def test_a_room_of_200_cells_a_side_renders(self, tmp_path):
+        csv = tmp_path / "wide.csv"
+        csv.write_text(",".join(["0"] * 200) + "\n")
+        assert run_cli("heatmap", "--in", str(csv)) == 0
+        assert (tmp_path / "wide.pgm").read_bytes().startswith(b"P5\n6400 32\n255\n")
+
     def test_missing_csv_exits_1(self, tmp_path):
         assert run_cli("heatmap", "--in", str(tmp_path / "nope.csv")) == 1
 
@@ -668,6 +687,11 @@ class TestHeatmap:
         ("1,2\nx,3\n", "line 2: "),
         ("1,2\n3\n", "line 2: "),
         ("1,nan\n3,4\n", "line 1: "),
+        ("", "empty dwell matrix"),
+        ("\n \n", "empty dwell matrix"),
+        # no room has more than 200 cells on a side, and a cell takes 1 kB of PGM
+        (",".join(["0"] * 201) + "\n", "1 x 201 cells, more than the 200 a side"),
+        ("0\n" * 201, "201 x 1 cells, more than the 200 a side"),
     ])
     def test_malformed_csv_exits_1(self, tmp_path, capsys, text, message):
         csv = tmp_path / "dwell.csv"

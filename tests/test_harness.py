@@ -26,7 +26,7 @@ from exploresim.seeding import derive_seed
 from exploresim.sensing import BEAMS, MOUNT_ANGLES, CameraModel, TofBank, TofConfig
 from exploresim.vehicle import DEFAULT_DRONE_RADIUS
 from oracles import (coverage_series, dense_ray_distance, detection_ledger, flight_grid,
-                     per_beam_frame, per_tick_flight)
+                     frame_values, per_beam_frame, per_tick_flight)
 
 
 def make_cfg(**kw):
@@ -49,8 +49,8 @@ BOXED = load_arena(BOXED_ROOM)
 
 
 def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
-    # a 20 Hz bank under a 50 Hz loop refreshes on 3600 of 9000 ticks; each
-    # tick's frame is the one a bank sampled on every tick would hold
+    # a 20 Hz bank under a 50 Hz loop refreshes on 3600 of 9000 ticks; fly
+    # holds each frame until the next refresh, as the per-tick oracle does
     for tof in (TofConfig(), TofConfig(noise_sigma=0.02)):
         cfg = make_cfg(tof=tof)
         calls = []
@@ -64,9 +64,9 @@ def test_fly_samples_the_tof_bank_only_when_due(monkeypatch):
         ticks = list(fly(cfg))
         monkeypatch.undo()
         assert len(ticks) == 9000 and len(calls) == 3600
-        bank, rng = TofBank(tof), random.Random(derive_seed(cfg.seed, "noise"))
-        assert [frame for _, _, frame, *_ in ticks] == \
-            [bank.sample(cfg.arena, *seen, rng, t) for t, seen, *_ in ticks]
+        frames = [frame for _, _, frame, *_ in ticks]
+        assert len({id(frame) for frame in frames}) == 3600
+        assert frames == [frame for _, _, frame, *_ in per_tick_flight(cfg)]
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.02])
@@ -897,7 +897,7 @@ def check_mission_accounts_for_itself(cfg):
         assert res.elapsed == cfg.duration
     if cfg.tof.noise_sigma == 0.0:
         ((x, y, heading), frame), max_range = sensed, cfg.tof.max_range
-        for mount, reading in zip(MOUNT_ANGLES, frame[:4]):
+        for mount, reading in zip(MOUNT_ANGLES, frame_values(frame)):
             if grazes(arena, x, y, heading + mount) or clips(arena, x, y, heading + mount):
                 continue
             want = min(dense_ray_distance(arena.width, arena.height, arena.obstacles,
@@ -968,7 +968,7 @@ def tick_hex(tick):
     """A tick of ``fly``, its floats by ``float.hex``: time, the pose sensed
     from, the frame, the set-point, the pose moved to, and the blocked flag."""
     t, seen, frame, _, sp, pose, blocked = tick
-    return (t.hex(), *(v.hex() for v in (*seen, *frame, *sp, *pose)), blocked)
+    return (t.hex(), *(v.hex() for v in (*seen, *frame_values(frame), *sp, *pose)), blocked)
 
 
 @given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),

@@ -93,6 +93,15 @@ class TestWallFollowing:
         assert normalize_heading(ps.target_heading - 0.0) == pytest.approx(-math.pi / 2)
         assert sp.v == 0.0 and sp.omega == -CFG.turn_rate
 
+    @pytest.mark.parametrize("side, turn", [("left", -1.0), ("right", 1.0)])
+    def test_corner_with_equal_sides_turns_away_from_followed_side(self, side, turn):
+        ps = WallFollowState(mode="follow", acquired=True)
+        ps, sp = wall_following_step(ps, frame(front=0.55, left=1.2, right=1.2), 0.0, 0.02,
+                                     CFG.replace(follow_side=side), None)
+        assert ps.mode == "corner"
+        assert normalize_heading(ps.target_heading) == pytest.approx(turn * math.pi / 2)
+        assert sp.v == 0.0 and sp.omega == turn * CFG.turn_rate
+
     def test_right_following_sign(self):
         ps = WallFollowState(mode="follow", acquired=True)
         ps, sp = wall_following_step(ps, frame(front=3.0, right=0.7), 0.0, 0.02,
