@@ -12,8 +12,7 @@ network's quantized accuracy score as its per-frame success probability
 from __future__ import annotations
 
 from .errors import SimError
-from .kinds import PROBABILITY, RATE, Model
-from .vehicle import State
+from .kinds import PROBABILITY, RATE, Fieldwise, Model
 
 
 class DetectorModel(Model):
@@ -31,7 +30,7 @@ DETECTORS = {
 }
 
 
-class DetectionLedger(State):
+class DetectionLedger(Fieldwise):
     """Per-run record of first detections and frame counters."""
 
     __slots__ = ("first_seen", "frames_fired", "frames_with_target")

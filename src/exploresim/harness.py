@@ -521,8 +521,8 @@ def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
                      res.detection_rate, res.collision.occurred,
                      res.energy["total"], res.digest)
             for cfg, i, res in zip(cfgs, runs, results)]
-    return SweepResult(rows=rows, grids=[res.grid for res in results],
-                       flights=len(set(map(flight_key, cfgs))))
+    grids = [res.grid for res in results]  # one grid object a flight, also from a worker
+    return SweepResult(rows=rows, grids=grids, flights=len(set(map(id, grids))))
 
 
 class AggregateRow(NamedTuple):

@@ -5,6 +5,8 @@ attribute; :class:`Model` checks them when it is made and keeps what
 each kind returns, so a field given a list holds a tuple and one given
 an int holds a float.  The config table (:mod:`exploresim.config`)
 reads the same declarations, so each bound is written once.
+:class:`Fieldwise`, the base of :class:`Model`, is also the base of a
+run's mutable states, which keep their fields in ``__slots__``.
 """
 
 from __future__ import annotations
@@ -138,11 +140,19 @@ def in_degrees(kind: Kind) -> Kind:
 class Fieldwise:
     """Equality and ``repr`` by the values of ``FIELDS``, as for a
     dataclass: equal only to an instance of the same class, and shown as
-    ``Name(field=value, ...)``.  The base of :class:`Model` and of
-    ``vehicle.State``."""
+    ``Name(field=value, ...)``.  ``FIELDS`` are the ``__slots__`` along
+    the MRO, a subclass's after its base's: a run's mutable states (the
+    policy states, the detection ledger) keep their fields there, in the
+    order of their positional ``__init__``, and take no other attribute.
+    :class:`Model` takes its fields from annotations instead."""
 
     __slots__ = ()
     FIELDS = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.FIELDS = tuple(name for c in reversed(cls.__mro__)
+                           for name in c.__dict__.get("__slots__", ()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

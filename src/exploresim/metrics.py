@@ -143,13 +143,25 @@ def dwell_matrix_csv(matrix: list[list[float]]) -> str:
     return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in matrix)
 
 
-def parse_dwell_csv(text: str) -> list[list[float]]:
-    """Inverse of :func:`dwell_matrix_csv` (north-first rows); a
-    :class:`SimError` names the first line that is not a row of finite
-    dwell times >= 0 as long as the first row."""
+def parse_dwell_csv(lines) -> list[list[float]]:
+    """Inverse of :func:`dwell_matrix_csv` (north-first rows), from an
+    iterable of text lines such as an open file; a :class:`SimError`
+    names the first line that is not a row of finite dwell times >= 0 as
+    long as the first row.  A matrix with more than ``MAX_SIDE_CELLS``
+    rows or cells a row is no room's grid: it is refused at the line that
+    passes the bound, and no later line is read."""
     rows = []
-    for n, line in enumerate(text.splitlines(), 1):
+    for n, line in enumerate(lines, 1):
         if line.strip():
+            # checked before the row is split, so refusing a file far past
+            # the bound costs one line of it; a cell takes 1 kB of PGM
+            cells = line.count(",") + 1
+            if len(rows) == MAX_SIDE_CELLS:
+                raise SimError(f"line {n}: row {MAX_SIDE_CELLS + 1}, more than the "
+                               f"{MAX_SIDE_CELLS} a side of the largest room")
+            if cells > MAX_SIDE_CELLS:
+                raise SimError(f"line {n}: {cells} cells, more than the "
+                               f"{MAX_SIDE_CELLS} a side of the largest room")
             try:
                 row = [float(v) for v in line.split(",")]
             except ValueError as exc:

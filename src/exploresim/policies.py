@@ -46,9 +46,9 @@ from __future__ import annotations
 import math
 from operator import attrgetter
 
-from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, Model, choice
+from .kinds import POSITIVE, SCAN_STEP, SPEED, TURN_RATE, Fieldwise, Model, choice
 from .sensing import TofFrame
-from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, State, normalize_heading
+from .vehicle import DEFAULT_DRONE_RADIUS, Setpoint, normalize_heading
 
 _EPS = 1e-12
 _WALL_LOST_MARGIN = 0.5  # side error beyond this means the wall is lost, m
@@ -89,7 +89,7 @@ class PolicyConfig(Model):
         object.__setattr__(self, "scan_records", max(1, round(2.0 * math.pi / self.scan_step)))
 
 
-class PseudoRandomState(State):
+class PseudoRandomState(Fieldwise):
     __slots__ = ("mode", "target_heading")
 
     def __init__(self, mode: str = "cruise", target_heading: float = 0.0):
@@ -97,7 +97,7 @@ class PseudoRandomState(State):
         self.target_heading = target_heading
 
 
-class WallFollowState(State):
+class WallFollowState(Fieldwise):
     __slots__ = ("mode", "acquired", "target_heading", "prev_frame", "deriv", "held_sp")
 
     def __init__(self, mode: str = "acquire", acquired: bool = False,
@@ -133,7 +133,7 @@ class SpiralState(WallFollowState):
         self.ring_limit = ring_limit
 
 
-class RotateMeasureState(State):
+class RotateMeasureState(Fieldwise):
     __slots__ = ("mode", "scan_start", "prev_heading", "rotated", "scan_table", "leg_heading",
                  "leg_len", "leg_travelled")
 

@@ -235,7 +235,7 @@ def check_heatmap_csv(text: str, grid: OccupancyGrid) -> None:
     save float rounding: the last digit of a cell is checked unless the
     cell holds every tick.
     """
-    matrix = parse_dwell_csv(text)
+    matrix = parse_dwell_csv(text.splitlines())
     if dwell_matrix_csv(matrix) != text:
         raise SimError("not a dwell matrix as run writes it: six decimals, one line a row")
     rows, cols = grid.rows, grid.cols

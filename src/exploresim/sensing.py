@@ -6,12 +6,12 @@ their own clock, slower than the control loop, with a zero-order hold in
 between: the run owns one :class:`TofBank`, samples it only on the ticks
 where its ``due`` time has come, and holds the frame on the others.
 
-A refresh casts the front beam and the beams its bank was made to cast
-(all four by default; a flight's bank casts those its policy reads on
-every step, so a wall tracker's far side waits for a corner).  A
-beam left uncast is cast when the frame is first asked for it, from the
-pose the frame was sampled at and with the noise draw the refresh made
-for it, so every frame reads the same floats whichever beams were cast.
+A refresh casts the front beam and the beams its bank names; a bank
+has no default, and a flight's names those its policy reads on every
+step, so a wall tracker's far side waits for a corner.  A beam left
+uncast is cast when the frame is first asked for it, from the pose the
+frame was sampled at and with the noise draw the refresh made for it,
+so every frame reads the same floats whichever beams were cast.
 
 The camera model is a forward cone used to decide which target objects
 an inference frame can possibly see; it synthesizes no images.
@@ -116,8 +116,6 @@ def _deferred(name: str) -> property:
 def _frame_class(uncast: tuple[str, ...]) -> type:
     """The class of the frames of a refresh that leaves the beams ``uncast``
     uncast: a :class:`TofFrame` whose other fields read as plain slots."""
-    if not uncast:
-        return TofFrame
     return type("TofFrame", (TofFrame,), {"__slots__": (), **{n: _deferred(n) for n in uncast}})
 
 
@@ -139,7 +137,7 @@ class TofBank:
     frame casts any other beam when it is first read.
     """
 
-    def __init__(self, cfg: TofConfig, beams: tuple[str, ...] = BEAMS[1:]):
+    def __init__(self, cfg: TofConfig, beams: tuple[str, ...]):
         self.cfg = cfg
         self._period = 1.0 / cfg.rate_hz
         self._cast = tuple((name, BEAMS.index(name)) for name in beams)

@@ -1,5 +1,4 @@
-"""Planar drone kinematics: set-point integration, the collision record,
-and :class:`State`, the base of a run's mutable states.
+"""Planar drone kinematics: set-point integration and the collision record.
 
 The vehicle's pose is three floats, ``x``, ``y`` (meters) and ``heading``
 (radians, in [-pi, pi)), held in no class: :func:`step` takes them and
@@ -17,8 +16,6 @@ import math
 from math import cos, pi, sin
 from typing import NamedTuple
 
-from .kinds import Fieldwise
-
 TWO_PI = 2.0 * math.pi
 DEFAULT_DRONE_RADIUS = 0.05  # 10 cm diameter airframe
 
@@ -34,22 +31,6 @@ class Setpoint(NamedTuple):
 
     v: float
     omega: float
-
-
-class State(Fieldwise):
-    """Base of a mutable state held in ``__slots__``: a policy's, the
-    detection ledger.  Its fields are the slots along the MRO, a
-    subclass's after its base's (``FIELDS``), in the order of its
-    positional ``__init__``.  Equality and ``repr`` go by those fields
-    (:class:`~exploresim.kinds.Fieldwise`).  A state takes no other
-    attribute."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        cls.FIELDS = tuple(name for c in reversed(cls.__mro__)
-                           for name in c.__dict__.get("__slots__", ()))
 
 
 class CollisionRecord(NamedTuple):

@@ -11,6 +11,7 @@ import pytest
 
 from exploresim import report
 from exploresim.cli import main
+from exploresim.errors import SimError
 from exploresim.metrics import parse_dwell_csv
 from exploresim.report import parse_runs_csv
 
@@ -690,8 +691,9 @@ class TestHeatmap:
         ("", "empty dwell matrix"),
         ("\n \n", "empty dwell matrix"),
         # no room has more than 200 cells on a side, and a cell takes 1 kB of PGM
-        (",".join(["0"] * 201) + "\n", "1 x 201 cells, more than the 200 a side"),
-        ("0\n" * 201, "201 x 1 cells, more than the 200 a side"),
+        (",".join(["0"] * 201) + "\n", "line 1: 201 cells, more than the 200 a side"),
+        ("0\n" * 201, "line 201: row 201, more than the 200 a side"),
+        ("\n" + "0\n" * 200 + "x\n" * 3, "line 202: row 201, more than the 200 a side"),
     ])
     def test_malformed_csv_exits_1(self, tmp_path, capsys, text, message):
         csv = tmp_path / "dwell.csv"
@@ -699,6 +701,19 @@ class TestHeatmap:
         assert run_cli("heatmap", "--in", str(csv)) == 1
         assert capsys.readouterr().err.startswith(f"error: {csv}: {message}")
         assert not (tmp_path / "dwell.pgm").exists()
+
+    @pytest.mark.parametrize("lines, line_no", [
+        (["0\n"] * 201, 201),
+        ([",".join(["0"] * 201) + "\n"], 1),
+        (["0,0\n", "\n", ",".join(["0"] * 201) + "\n"], 3),
+    ], ids=["rows", "cells", "cells-of-a-later-row"])
+    def test_an_oversized_matrix_is_refused_before_the_next_line_is_read(self, lines, line_no):
+        def reader():
+            yield from lines
+            raise AssertionError("read past the oversized line")
+
+        with pytest.raises(SimError, match=f"^line {line_no}: "):
+            parse_dwell_csv(reader())
 
 
 def test_help_documents_config_keys(capsys):
@@ -761,7 +776,7 @@ def test_no_class_is_a_dataclass_and_no_command_imports_dataclasses(command_modu
     # a dataclass generates its methods when its module is imported, and
     # `dataclasses` loads `inspect`: every command would pay for both.  The
     # config models are kinds.Model classes, records NamedTuples and run
-    # states vehicle.State classes
+    # states slotted kinds.Fieldwise classes
     assert command_modules["dataclasses"] == []
     assert loaded_after_each_command(command_modules, ("dataclasses", "inspect")) == {
         "import": [], "run": [], "report": [], "sweep": []}

@@ -427,6 +427,21 @@ class TestSweep:
         assert len(sweep.rows) == 6
         assert sweep.flights == 4
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_default_sweep_counts_its_flights_grouping_each_config_once(self, monkeypatch,
+                                                                         jobs):
+        # the count is of the distinct flights flown, not a second grouping
+        cfgs = []
+
+        def counted(cfg):
+            cfgs.append(cfg)
+            return flight_key(cfg)
+
+        monkeypatch.setattr(harness, "flight_key", counted)
+        sweep = run_sweep(SweepSpec(), jobs=jobs)
+        assert len(cfgs) == len(sweep.rows) == 60
+        assert sweep.flights == len(set(map(flight_key, cfgs))) == 24
+
     def test_errors_tagged_with_configuration(self):
         boxed = Arena(6.5, 5.5, obstacles=[(3.0, 2.5, 3.5, 3.0)])
         with pytest.raises(ValidationError) as err:

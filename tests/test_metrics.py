@@ -187,7 +187,7 @@ class TestHeatmapArtifacts:
         grid.mark(0.3, 0.2, 1.234567)
         grid.mark(6.1, 5.2, 17.5)
         matrix = grid.matrix_north_first()
-        back = parse_dwell_csv(dwell_matrix_csv(matrix))
+        back = parse_dwell_csv(dwell_matrix_csv(matrix).splitlines())
         assert len(back) == 11 and len(back[0]) == 13
         for row_a, row_b in zip(matrix, back):
             for a, b in zip(row_a, row_b):
@@ -196,7 +196,7 @@ class TestHeatmapArtifacts:
     def test_csv_orientation_row0_is_north(self):
         grid = default_grid()
         grid.mark(0.1, 5.4, 2.0)  # north-west cell
-        matrix = parse_dwell_csv(dwell_matrix_csv(grid.matrix_north_first()))
+        matrix = parse_dwell_csv(dwell_matrix_csv(grid.matrix_north_first()).splitlines())
         assert matrix[0][0] == pytest.approx(2.0)
         assert matrix[-1][0] == 0.0
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import types
 from collections import namedtuple
@@ -6,6 +7,7 @@ import pytest
 
 from exploresim import harness
 from exploresim.arena import Arena, default_arena
+from exploresim.detection import DetectionLedger
 from exploresim.harness import RunConfig, fly
 from exploresim.policies import (POLICY_KINDS, PolicyConfig, PseudoRandomState,
                                  RotateMeasureState, SpiralState,
@@ -316,6 +318,17 @@ class TestDispatchAndInvariants:
         assert [t.seen for t in a] == [t.seen for t in b]
 
 
+WALL_FIELDS = ("mode", "acquired", "target_heading", "prev_frame", "deriv", "held_sp")
+STATE_FIELDS = {
+    PseudoRandomState: ("mode", "target_heading"),
+    WallFollowState: WALL_FIELDS,
+    SpiralState: (*WALL_FIELDS, "ring_offset", "direction", "corners_done", "ring_limit"),
+    RotateMeasureState: ("mode", "scan_start", "prev_heading", "rotated", "scan_table",
+                         "leg_heading", "leg_len", "leg_travelled"),
+    DetectionLedger: ("first_seen", "frames_fired", "frames_with_target"),
+}
+
+
 class TestStates:
     """The policy states are hand-written slotted classes: ``_copy`` must
     carry every slot, the inherited ones of a spiral state too."""
@@ -340,6 +353,12 @@ class TestStates:
             assert set(WallFollowState.FIELDS) < names
         copy.mode = "other"
         assert copy != ps and ps.mode is values[0]
+
+    @pytest.mark.parametrize("cls", STATE_FIELDS, ids=lambda cls: cls.__name__)
+    def test_fields_are_the_positional_init_in_order(self, cls):
+        # _copy rebuilds a state as cls(*values of FIELDS)
+        params = tuple(inspect.signature(cls.__init__).parameters)[1:]
+        assert cls.FIELDS == params == STATE_FIELDS[cls]
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_takes_no_unknown_attribute(self, room, kind):

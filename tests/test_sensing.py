@@ -14,7 +14,7 @@ from oracles import frame_values, per_beam_frame, sight_line_blocked
 
 
 def _bank():
-    return TofBank(TofConfig())
+    return TofBank(TofConfig(), BEAMS[1:])
 
 
 class TestTofSampling:
@@ -58,7 +58,7 @@ class TestTofSampling:
     def test_noise_statistics(self):
         # front beam sees exactly 2.0 m; 1e5 refreshed samples
         arena = Arena(6.5, 5.5)
-        bank = TofBank(TofConfig(noise_sigma=0.02))
+        bank = TofBank(TofConfig(noise_sigma=0.02), BEAMS[1:])
         rng = random.Random(123)
         pose = (4.5, 2.75, 0.0)
         period = 1.0 / 20.0
@@ -68,7 +68,7 @@ class TestTofSampling:
 
     def test_never_exceeds_max_range(self, room):
         rng = random.Random(5)
-        noisy = TofBank(TofConfig(noise_sigma=0.5))
+        noisy = TofBank(TofConfig(noise_sigma=0.5), BEAMS[1:])
         for k in range(200):
             x = rng.uniform(0.2, 6.3)
             y = rng.uniform(0.2, 5.3)
@@ -85,7 +85,7 @@ class TestTofSampling:
         for k in range(400):
             x, y = picks.uniform(0.06, 6.44), picks.uniform(0.06, 5.44)
             heading = picks.uniform(-math.pi, math.pi)
-            got = TofBank(tof).sample(room, x, y, heading, got_rng, k * 0.05)
+            got = TofBank(tof, BEAMS[1:]).sample(room, x, y, heading, got_rng, k * 0.05)
             want = per_beam_frame(room, x, y, heading, tof, want_rng, k * 0.05)
             assert list(map(float.hex, frame_values(got))) == \
                 list(map(float.hex, frame_values(want))), (x, y, heading)
@@ -175,7 +175,7 @@ def test_tof_frame_fields_order():
 
 def test_a_frame_with_uncast_beams_equals_its_cast_frame(room):
     got = TofBank(TofConfig(), ()).sample(room, 2.0, 2.0, 0.7, None, 0.0)
-    full = TofBank(TofConfig()).sample(room, 2.0, 2.0, 0.7, None, 0.0)
+    full = TofBank(TofConfig(), BEAMS[1:]).sample(room, 2.0, 2.0, 0.7, None, 0.0)
     values = (full.front, full.left, full.right, full.back, 0.0)
     assert isinstance(got, TofFrame)
     assert got == full and TofFrame(*values) == got and got != TofFrame(*values[:4], 1.0)
