@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ValidationError
 from .kinds import (BOX, INTEGER, LIST, POINT, POSITIVE, ROOM_SIDE, Kind, Model,
@@ -47,11 +47,8 @@ DEFAULT_ARENA_DOC = {
 }
 
 
-class Vec2(NamedTuple):
-    """Planar position in meters; the ``POSITION`` kind makes one from ``[x, y]``."""
-
-    x: float
-    y: float
+Vec2 = namedtuple("Vec2", "x y")
+Vec2.__doc__ = """Planar position in meters; the ``POSITION`` kind makes one from ``[x, y]``."""
 
 
 POSITION = Kind(POINT.text, lambda v: Vec2._make(POINT.convert(v)), POINT.test)

@@ -8,7 +8,6 @@ runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import reprlib
 import shutil
@@ -28,6 +27,7 @@ from .kinds import COUNT, ROOM_SIDE
 from .metrics import (HEATMAP_SATURATION_S, EnergyModel, OccupancyGrid, dwell_matrix_pgm,
                       export_heatmap, mean_grid, parse_dwell_csv)
 from .policies import POLICY_KINDS
+from .seeding import blake2b
 from . import report as rep
 
 
@@ -208,7 +208,7 @@ def cmd_report(args) -> int:
         summary = src / "summary.json"
         width, height, coverage, digest = _read(summary, _record)
         detections = src / "detections.csv"
-        hasher = hashlib.blake2b(digest_size=8)
+        hasher = blake2b(digest_size=8)
         grid = OccupancyGrid(width, height)
         with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as series:
             # the log's bytes, as written: they are hashed, and a byte
@@ -222,7 +222,7 @@ def cmd_report(args) -> int:
                     raise SimError(f"{trajectory}: {field} {replayed} does not match "
                                    f"{summary}'s {reprlib.repr(recorded)}")
             # the dwell grid the log replays to; heatmap.pgm is not checked
-            _read(src / "heatmap.csv", lambda f: rep.check_heatmap_csv(f.read(), grid),
+            _read(src / "heatmap.csv", lambda f: rep.check_heatmap_csv(f, grid),
                   encoding="ascii", newline="\n")
             found = _read(detections, rep.parse_detections_csv) if detections.exists() else []
             out.mkdir(parents=True, exist_ok=True)

@@ -44,13 +44,12 @@ the record is flagged.
 from __future__ import annotations
 
 import functools
-import hashlib
 import heapq
 import math
 import os
 import random
+from collections import namedtuple
 from math import hypot
-from typing import NamedTuple
 
 from .arena import Arena, default_arena
 from .detection import (DETECTORS, DetectionLedger, DetectorModel, attempt_detection,
@@ -61,7 +60,7 @@ from .kinds import (COUNT, POSE, POSITIVE, RADIUS, SEED, SPEED, TIME_STEP, Model
 from .metrics import EnergyModel, OccupancyGrid, mission_energy
 from .policies import (POLICY_KINDS, PolicyConfig, initial_state, policy_beams, policy_draws,
                        policy_step)
-from .seeding import derive_seed
+from .seeding import blake2b, derive_seed
 from .sensing import CameraModel, TofBank, TofConfig, objects_in_fov
 from .vehicle import DEFAULT_DRONE_RADIUS, CollisionRecord, step
 
@@ -128,22 +127,18 @@ class RunConfig(Model):
         return (c.x, c.y, 0.0)
 
 
-class RunResult(NamedTuple):
-    """One mission's outcome.
+RunResult = namedtuple("RunResult", "coverage grid ledger detection_rate collision digest "
+                                    "energy elapsed")
+RunResult.__doc__ = """One mission's outcome: ``coverage`` and ``detection_rate``
+(None without a detector or objects), floats; its dwell ``grid``, an
+:class:`OccupancyGrid`; its :class:`DetectionLedger` ``ledger`` or None;
+its :class:`CollisionRecord`; its log ``digest``, an int; ``energy``,
+joules by component; ``elapsed``, seconds flown.
 
-    Missions that share a flight (see :func:`run_batch`) share its
-    ``grid`` object: read it, do not change it.  The ``collision`` record
-    they also share is immutable.
-    """
-
-    coverage: float
-    grid: OccupancyGrid
-    ledger: DetectionLedger | None
-    detection_rate: float | None
-    collision: CollisionRecord
-    digest: int
-    energy: dict[str, float]
-    elapsed: float
+Missions that share a flight (see :func:`run_batch`) share its
+``grid`` object: read it, do not change it.  The ``collision`` record
+they also share is immutable.
+"""
 
 
 def fly(cfg: RunConfig):
@@ -294,7 +289,7 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     frame_due = frame[0]
 
     # blake2b streams: hashing a chunk of rows at once equals hashing each row
-    hasher = hashlib.blake2b(digest_size=8)
+    hasher = blake2b(digest_size=8)
 
     def emit(text: str) -> None:
         hasher.update(text.encode("ascii"))
@@ -465,23 +460,13 @@ class SweepSpec(Model):
                     yield policy, speed, det
 
 
-class SweepRow(NamedTuple):
-    policy: str
-    speed: float
-    detector: str | None
-    run: int
-    seed: int
-    coverage: float
-    detection_rate: float | None
-    collision: bool
-    energy_j: float
-    digest: int
-
-
-class SweepResult(NamedTuple):
-    rows: list[SweepRow]
-    grids: list[OccupancyGrid]  # each run's dwell grid, in row order
-    flights: int                # distinct flights flown for the rows
+SweepRow = namedtuple("SweepRow", "policy speed detector run seed coverage detection_rate "
+                                  "collision energy_j digest")
+SweepRow.__doc__ = """One run of a sweep, a row of ``runs.csv``: its
+``detector`` and ``detection_rate`` are None where it has none."""
+SweepResult = namedtuple("SweepResult", "rows grids flights")
+SweepResult.__doc__ = """A sweep's :class:`SweepRow` list, each run's dwell grid in row
+order, and the number of distinct flights flown for the rows."""
 
 
 def run_seed_for(base_seed: int, policy: str, speed: float, detector: str | None,
@@ -525,15 +510,10 @@ def run_sweep(spec: SweepSpec, template: RunConfig | None = None,
     return SweepResult(rows=rows, grids=grids, flights=len(set(map(id, grids))))
 
 
-class AggregateRow(NamedTuple):
-    policy: str
-    speed: float
-    detector: str | None
-    runs: int
-    coverage_mean: float
-    coverage_var: float
-    rate_mean: float | None
-    rate_var: float | None
+AggregateRow = namedtuple("AggregateRow", "policy speed detector runs coverage_mean "
+                                          "coverage_var rate_mean rate_var")
+AggregateRow.__doc__ = """One configuration's runs: mean and population variance of
+coverage and of detection rate (None unless every run has one)."""
 
 
 def _mean_var(values: list[float]) -> tuple[float, float]:

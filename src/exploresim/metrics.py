@@ -31,6 +31,10 @@ HEATMAP_SATURATION_S = 18.0
 PGM_CELL_PIXELS = 32
 # the most cells a room's grid has on a side
 MAX_SIDE_CELLS = int(math.ceil(MAX_ROOM_SIDE / DEFAULT_CELL_SIZE - 1e-9))
+# the longest line of a dwell CSV, a row of the largest room: a cell holds
+# at most a flight's time, 10**6 ticks of at most 1 s, so its six-decimal
+# text has at most seven digits before the point, then a comma or the "\n"
+MAX_CSV_LINE = MAX_SIDE_CELLS * len("9999999.999999,")
 # within this of a cell's upper bound a point may round to six decimals
 # across it, so :meth:`OccupancyGrid.deposit` rounds it
 _EDGE = 1e-6
@@ -143,15 +147,19 @@ def dwell_matrix_csv(matrix: list[list[float]]) -> str:
     return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in matrix)
 
 
-def parse_dwell_csv(lines) -> list[list[float]]:
-    """Inverse of :func:`dwell_matrix_csv` (north-first rows), from an
-    iterable of text lines such as an open file; a :class:`SimError`
-    names the first line that is not a row of finite dwell times >= 0 as
-    long as the first row.  A matrix with more than ``MAX_SIDE_CELLS``
-    rows or cells a row is no room's grid: it is refused at the line that
-    passes the bound, and no later line is read."""
+def parse_dwell_csv(f) -> list[list[float]]:
+    """Inverse of :func:`dwell_matrix_csv` (north-first rows), from a text
+    file ``f`` read a line at a time; a :class:`SimError` names the first
+    line that is not a row of finite dwell times >= 0 as long as the first
+    row.  A line longer than ``MAX_CSV_LINE`` characters, or a matrix with
+    more than ``MAX_SIDE_CELLS`` rows or cells a row, is no room's grid: it
+    is refused at the line that passes the bound, and neither the rest of
+    a long line nor a later line is read."""
     rows = []
-    for n, line in enumerate(lines, 1):
+    for n, line in enumerate(iter(lambda: f.readline(MAX_CSV_LINE + 1), ""), 1):
+        if len(line) > MAX_CSV_LINE:
+            raise SimError(f"line {n}: longer than {MAX_CSV_LINE} characters, "
+                           f"a row of the largest room")
         if line.strip():
             # checked before the row is split, so refusing a file far past
             # the bound costs one line of it; a cell takes 1 kB of PGM

@@ -18,7 +18,7 @@ from operator import sub
 from .arena import Arena
 from .errors import SimError
 from .harness import AggregateRow, SweepRow, TRAJECTORY_HEADER, RunResult
-from .metrics import OccupancyGrid, dwell_matrix_csv, parse_dwell_csv
+from .metrics import MAX_CSV_LINE, OccupancyGrid, dwell_matrix_csv, parse_dwell_csv
 
 RUNS_CSV_HEADER = "policy,speed,detector,run,seed,coverage,detection_rate,collision,energy_j,digest"
 AGGREGATE_CSV_HEADER = ("policy,speed,detector,runs,coverage_mean,coverage_var,"
@@ -218,12 +218,17 @@ def coverage_series_csv(log, grid: OccupancyGrid, out, hasher) -> str:
     return f"{shown:.6f}"
 
 
-def check_heatmap_csv(text: str, grid: OccupancyGrid) -> None:
-    """Raise :class:`SimError` unless ``text`` is the ``heatmap.csv`` that
-    ``run`` writes for the flight that ``grid`` replays from its log.
+def check_heatmap_csv(f, grid: OccupancyGrid) -> None:
+    """Raise :class:`SimError` unless the seekable text file ``f`` is the
+    ``heatmap.csv`` that ``run`` writes for the flight that ``grid``
+    replays from its log.
 
     The text must be the six-decimal rendering of a dwell matrix the size
-    of the grid.  A cell's value is not compared digit for digit: the
+    of the grid.  It is read a line at a time, twice: parsed within the
+    bounds of :func:`parse_dwell_csv`, then compared with the rendering of
+    each row it parsed to, so a file far past the bounds costs one line.
+
+    A cell's value is not compared digit for digit: the
     flight deposits its ``dt`` on each tick, while the replay deposits the
     gaps between six-decimal times, each within 1e-6 of ``dt``, so at a
     ``dt`` that is not a whole number of microseconds (1/60 s) the two
@@ -235,8 +240,10 @@ def check_heatmap_csv(text: str, grid: OccupancyGrid) -> None:
     save float rounding: the last digit of a cell is checked unless the
     cell holds every tick.
     """
-    matrix = parse_dwell_csv(text.splitlines())
-    if dwell_matrix_csv(matrix) != text:
+    matrix = parse_dwell_csv(f)
+    f.seek(0)
+    if any(f.readline(MAX_CSV_LINE + 1) != dwell_matrix_csv([row]) for row in matrix) \
+            or f.read(1):
         raise SimError("not a dwell matrix as run writes it: six decimals, one line a row")
     rows, cols = grid.rows, grid.cols
     if len(matrix) != rows or len(matrix[0]) != cols:

@@ -5,11 +5,15 @@ Every run draws from ``random.Random`` instances seeded through
 with string labels (configuration tokens, stream names) and integers
 (run indices).  The mix is order-sensitive and platform-independent, so
 identical inputs yield identical random streams everywhere.
+
+It is also where the package gets :class:`blake2b`, the hash of these
+labels and of a trajectory log's digest.
 """
 
 from __future__ import annotations
 
-import hashlib
+# CPython's hashlib.blake2b itself; hashlib would load OpenSSL to hand it out
+from _blake2 import blake2b
 
 _MASK = (1 << 64) - 1
 
@@ -25,7 +29,7 @@ def splitmix64(x: int) -> int:
 
 def stable_hash64(text: str) -> int:
     """64-bit hash of a string, stable across processes and platforms."""
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

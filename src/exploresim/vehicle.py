@@ -13,8 +13,8 @@ exactly ``|v| * dt``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from math import cos, pi, sin
-from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_DRONE_RADIUS = 0.05  # 10 cm diameter airframe
@@ -25,19 +25,14 @@ def normalize_heading(h: float) -> float:
     return (h + math.pi) % TWO_PI - math.pi
 
 
-class Setpoint(NamedTuple):
-    """Commanded forward speed (m/s) and yaw rate (rad/s); an immutable
-    pair, so a policy may hand out the same set-point on every tick."""
+Setpoint = namedtuple("Setpoint", "v omega")
+Setpoint.__doc__ = """Commanded forward speed (m/s) and yaw rate (rad/s); an immutable
+pair, so a policy may hand out the same set-point on every tick."""
 
-    v: float
-    omega: float
-
-
-class CollisionRecord(NamedTuple):
-    occurred: bool = False
-    time: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
+CollisionRecord = namedtuple("CollisionRecord", "occurred time x y",
+                             defaults=(False, 0.0, 0.0, 0.0))
+CollisionRecord.__doc__ = """Whether a flight collided, and when (s) and where (m); the
+default record is of no collision."""
 
 
 def step(x: float, y: float, heading: float, sp: Setpoint,

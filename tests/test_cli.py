@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from exploresim import report
 from exploresim.cli import main
 from exploresim.errors import SimError
-from exploresim.metrics import parse_dwell_csv
+from exploresim.metrics import MAX_CSV_LINE, OccupancyGrid, parse_dwell_csv
 from exploresim.report import parse_runs_csv
 
 
@@ -24,9 +25,10 @@ def run_cli(*argv):
 
 
 def run_python(script, *argv, cwd):
-    """``script`` run by a fresh, isolated interpreter that imports
+    """``script`` run by a fresh, isolated interpreter without the site
+    module, so that no site-package preloads a module, that imports
     exploresim from this checkout's ``src``, with ``argv`` as its arguments."""
-    return subprocess.run([sys.executable, "-I", "-c", script, str(SRC), *argv], cwd=cwd,
+    return subprocess.run([sys.executable, "-I", "-S", "-c", script, str(SRC), *argv], cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -582,7 +584,14 @@ class TestReport:
         lambda rows: rows.pop() and "10 x 13 cells, the 6.5 x 5.5 m room has 11 x 13",
         # the same values, written with fewer decimals
         lambda rows: rows.__setitem__(0, [float(v) for v in rows[0]]) or "not a dwell matrix",
-    ], ids=["last-digit", "mirrored", "dropped-row", "reformatted"])
+        # a blank line between rows, and one after the last
+        lambda rows: rows.insert(5, [""]) or "not a dwell matrix",
+        lambda rows: rows.append([""]) or "not a dwell matrix",
+        # a row of the 2000 x 2000 matrix: refused at its first line, as heatmap --in does
+        lambda rows: rows.__setitem__(0, ["0.000000"] * 2000)
+        or "line 1: longer than 3000 characters, a row of the largest room",
+    ], ids=["last-digit", "mirrored", "dropped-row", "reformatted", "blank-line", "blank-last-line",
+            "oversized-row"])
     def test_edited_heatmap_csv_exits_1(self, tmp_path, capsys, edit):
         src, out = tmp_path / "mission", tmp_path / "report"
         assert run_cli("run", "--duration", "20", "--out", str(src)) == 0
@@ -666,8 +675,10 @@ class TestHeatmap:
         assert set(body) == {0}
 
     def test_a_room_of_200_cells_a_side_renders(self, tmp_path):
+        # the longest line there is: a cell holds at most a flight's 10**6 s
         csv = tmp_path / "wide.csv"
-        csv.write_text(",".join(["0"] * 200) + "\n")
+        csv.write_text(",".join(["9999999.999999"] * 200) + "\n")
+        assert len(csv.read_text()) == MAX_CSV_LINE
         assert run_cli("heatmap", "--in", str(csv)) == 0
         assert (tmp_path / "wide.pgm").read_bytes().startswith(b"P5\n6400 32\n255\n")
 
@@ -694,6 +705,14 @@ class TestHeatmap:
         (",".join(["0"] * 201) + "\n", "line 1: 201 cells, more than the 200 a side"),
         ("0\n" * 201, "line 201: row 201, more than the 200 a side"),
         ("\n" + "0\n" * 200 + "x\n" * 3, "line 202: row 201, more than the 200 a side"),
+        # nor a line longer than a row of the largest room's longest flight
+        pytest.param("0" * 3000 + "\n",
+                     "line 1: longer than 3000 characters, a row of the largest room",
+                     id="long-line"),
+        pytest.param("0\n" + "0" * 10**6, "line 2: longer than 3000 characters",
+                     id="long-last-line"),
+        pytest.param("1,2\n" + " " * 3001 + "\n", "line 2: longer than 3000 characters",
+                     id="long-blank-line"),
     ])
     def test_malformed_csv_exits_1(self, tmp_path, capsys, text, message):
         csv = tmp_path / "dwell.csv"
@@ -702,18 +721,27 @@ class TestHeatmap:
         assert capsys.readouterr().err.startswith(f"error: {csv}: {message}")
         assert not (tmp_path / "dwell.pgm").exists()
 
-    @pytest.mark.parametrize("lines, line_no", [
-        (["0\n"] * 201, 201),
-        ([",".join(["0"] * 201) + "\n"], 1),
-        (["0,0\n", "\n", ",".join(["0"] * 201) + "\n"], 3),
-    ], ids=["rows", "cells", "cells-of-a-later-row"])
-    def test_an_oversized_matrix_is_refused_before_the_next_line_is_read(self, lines, line_no):
-        def reader():
-            yield from lines
-            raise AssertionError("read past the oversized line")
-
+    @pytest.mark.parametrize("text, line_no", [
+        ("0\n" * 201, 201),
+        (",".join(["0"] * 201) + "\n", 1),
+        ("0,0\n\n" + ",".join(["0"] * 201) + "\n", 3),
+        ("0" * 10**5, 1),
+        ("0,0\n" + "0," * 10**5, 2),
+    ], ids=["rows", "cells", "cells-of-a-later-row", "long-line", "long-later-line"])
+    def test_an_oversized_matrix_is_refused_before_the_next_line_is_read(self, text, line_no):
+        f = io.StringIO(text + "x\n" * 3)
         with pytest.raises(SimError, match=f"^line {line_no}: "):
-            parse_dwell_csv(reader())
+            parse_dwell_csv(f)
+        # the lines before the refused one, and that one up to the bound
+        *before, refused = text.splitlines(keepends=True)[:line_no]
+        assert f.tell() == sum(map(len, before)) + min(len(refused), MAX_CSV_LINE + 1)
+
+    def test_report_reads_an_oversized_heatmap_csv_no_further_than_parsing_it(self):
+        # a 2000-cell row: each cell 9 characters, so line 1 is past the bound
+        f = io.StringIO(("0.000000," * 1999 + "0.000000\n") * 5)
+        with pytest.raises(SimError, match="^line 1: longer than 3000 characters"):
+            report.check_heatmap_csv(f, OccupancyGrid(6.5, 5.5))
+        assert f.tell() == MAX_CSV_LINE + 1
 
 
 def test_help_documents_config_keys(capsys):
@@ -728,12 +756,12 @@ def test_help_documents_config_keys(capsys):
 
 @pytest.fixture(scope="module")
 def command_modules(tmp_path_factory):
-    """In one fresh, isolated interpreter: the modules loaded after
-    ``import exploresim.cli`` and after each of ``run``, ``report`` and
-    ``sweep --jobs 1``; then the exploresim classes that carry
-    ``__dataclass_fields__``, found by importing every module."""
+    """In one fresh, isolated interpreter without the site module: the
+    modules loaded after ``import exploresim.cli`` and after each of
+    ``run``, ``report`` and ``sweep --jobs 1``; then the exploresim classes
+    that carry ``__dataclass_fields__``, found by importing every module."""
     script = """if True:
-        import importlib, json, pkgutil, sys
+        import json, sys
         sys.path.insert(0, sys.argv[1])
         import exploresim
         from exploresim import cli
@@ -744,6 +772,7 @@ def command_modules(tmp_path_factory):
                       "--set", "sweep.duration=1", "--out", "s"]):
             assert cli.main(argv) == 0
             found[argv[0]] = sorted(sys.modules)
+        import importlib, pkgutil  # pkgutil loads typing
         found["dataclasses"] = []
         for info in pkgutil.iter_modules(exploresim.__path__):
             if info.name == "__main__":  # importing it runs the command line
@@ -775,10 +804,17 @@ def test_no_command_but_a_parallel_sweep_imports_a_process_pool(command_modules)
 def test_no_class_is_a_dataclass_and_no_command_imports_dataclasses(command_modules):
     # a dataclass generates its methods when its module is imported, and
     # `dataclasses` loads `inspect`: every command would pay for both.  The
-    # config models are kinds.Model classes, records NamedTuples and run
-    # states slotted kinds.Fieldwise classes
+    # config models are kinds.Model classes, records collections.namedtuple
+    # types and run states slotted kinds.Fieldwise classes
     assert command_modules["dataclasses"] == []
     assert loaded_after_each_command(command_modules, ("dataclasses", "inspect")) == {
+        "import": [], "run": [], "report": [], "sweep": []}
+
+
+def test_no_command_imports_typing_or_openssl(command_modules):
+    # a typing.NamedTuple class costs more to build than a collections.namedtuple,
+    # and hashlib loads OpenSSL's _hashlib only to hand out _blake2.blake2b
+    assert loaded_after_each_command(command_modules, ("typing", "hashlib", "_hashlib")) == {
         "import": [], "run": [], "report": [], "sweep": []}
 
 

@@ -24,7 +24,7 @@ from exploresim.report import (check_heatmap_csv, coverage_series_csv,
                                parse_trajectory)
 from exploresim.seeding import derive_seed
 from exploresim.sensing import BEAMS, MOUNT_ANGLES, CameraModel, TofBank, TofConfig
-from exploresim.vehicle import DEFAULT_DRONE_RADIUS
+from exploresim.vehicle import DEFAULT_DRONE_RADIUS, CollisionRecord, Setpoint
 from oracles import (coverage_series, dense_ray_distance, detection_ledger, flight_grid,
                      frame_values, per_beam_frame, per_tick_flight)
 
@@ -284,6 +284,25 @@ class TestRunSingle:
         assert res.ledger.first_seen and res.ledger.frames_fired == 48
         assert back._replace(grid=None) == res._replace(grid=None)
         assert (back.grid.dwell, back.grid.coverage()) == (res.grid.dwell, res.grid.coverage())
+
+    def test_records_keep_their_fields_defaults_and_type_through_pickling(self):
+        records = [
+            (Vec2(1.0, 2.0), "x y"),
+            (Setpoint(0.5, -1.0), "v omega"),
+            (CollisionRecord(), "occurred time x y"),
+            (harness.RunResult(*range(8)),
+             "coverage grid ledger detection_rate collision digest energy elapsed"),
+            (harness.SweepRow(*range(10)),
+             "policy speed detector run seed coverage detection_rate collision energy_j digest"),
+            (harness.SweepResult([], [], 0), "rows grids flights"),
+            (harness.AggregateRow(*range(8)),
+             "policy speed detector runs coverage_mean coverage_var rate_mean rate_var"),
+        ]
+        for record, fields in records:
+            assert type(record)._fields == tuple(fields.split())
+            back = pickle.loads(pickle.dumps(record))
+            assert type(back) is type(record) and back == record
+        assert CollisionRecord() == (False, 0.0, 0.0, 0.0)
 
     def test_no_objects_means_no_rate(self):
         empty = load_arena({"width": 6.5, "height": 5.5})
@@ -976,7 +995,7 @@ def test_the_series_of_a_random_mission_replays_its_flight(data, arena, policy, 
     assert replay.dwell == pytest.approx(res.grid.dwell, abs=1e-9)
     assert grid.dwell == replay.dwell and grid.ticks == res.grid.ticks
     # the report vouches for the run's heatmap.csv
-    check_heatmap_csv(dwell_matrix_csv(res.grid.matrix_north_first()), grid)
+    check_heatmap_csv(io.StringIO(dwell_matrix_csv(res.grid.matrix_north_first())), grid)
 
 
 def tick_hex(tick):

@@ -1,11 +1,15 @@
+import io
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exploresim.metrics import (EnergyModel, OccupancyGrid, dwell_matrix_csv,
-                                dwell_matrix_pgm, export_heatmap,
+from exploresim.errors import ValidationError
+from exploresim.harness import MAX_TICKS
+from exploresim.kinds import TIME_STEP
+from exploresim.metrics import (MAX_CSV_LINE, MAX_SIDE_CELLS, EnergyModel, OccupancyGrid,
+                                dwell_matrix_csv, dwell_matrix_pgm, export_heatmap,
                                 mission_energy, parse_dwell_csv)
 
 
@@ -187,16 +191,24 @@ class TestHeatmapArtifacts:
         grid.mark(0.3, 0.2, 1.234567)
         grid.mark(6.1, 5.2, 17.5)
         matrix = grid.matrix_north_first()
-        back = parse_dwell_csv(dwell_matrix_csv(matrix).splitlines())
+        back = parse_dwell_csv(io.StringIO(dwell_matrix_csv(matrix)))
         assert len(back) == 11 and len(back[0]) == 13
         for row_a, row_b in zip(matrix, back):
             for a, b in zip(row_a, row_b):
                 assert abs(a - b) <= 1e-6
 
+    def test_the_longest_line_is_a_row_of_the_longest_flight(self):
+        # a cell holds at most a flight's time: MAX_TICKS ticks of the longest step
+        with pytest.raises(ValidationError):
+            TIME_STEP(math.nextafter(1.0, 2.0), "run.control_dt")
+        row = dwell_matrix_csv([[MAX_TICKS * TIME_STEP(1.0, "run.control_dt")] * MAX_SIDE_CELLS])
+        assert len(row) == MAX_CSV_LINE
+        assert parse_dwell_csv(io.StringIO(row)) == [[1e6] * MAX_SIDE_CELLS]
+
     def test_csv_orientation_row0_is_north(self):
         grid = default_grid()
         grid.mark(0.1, 5.4, 2.0)  # north-west cell
-        matrix = parse_dwell_csv(dwell_matrix_csv(grid.matrix_north_first()).splitlines())
+        matrix = parse_dwell_csv(io.StringIO(dwell_matrix_csv(grid.matrix_north_first())))
         assert matrix[0][0] == pytest.approx(2.0)
         assert matrix[-1][0] == 0.0
 
