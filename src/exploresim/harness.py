@@ -2,23 +2,25 @@
 
 One run interleaves two clocked tasks on a single timeline:
 
-* the control task, :func:`fly`, every ``control_dt`` (50 Hz default):
-  refresh the ranging frame if its slower clock is due, step the policy,
-  integrate the vehicle, check collision once the travel could reach a
-  wall or box;
+* the control task every ``control_dt`` (50 Hz default): refresh the
+  ranging frame if its slower clock is due, step the policy, integrate
+  the vehicle, check collision once the travel could reach a wall or
+  box, and format the tick's log row;
 * the detection task at the detector's own frame rate: each frame has an
   exact instant k/fps and is evaluated against the first vehicle pose
   timestamped at or after it (at 50 Hz that is within one tick of the
   instant); the ledger records the exact instant.
 
-:func:`fly_logged` runs both: it consumes :func:`fly` into the log,
-digest, dwell grid and collision record a log chunk of ticks at a time,
-and after each chunk fires the frames that its ticks sample.
+One loop, :func:`_flight`, runs the control task a log chunk of ticks
+at a time.  :func:`fly_logged` takes each chunk into the log, digest,
+dwell grid and collision record, then fires the frames its ticks sample;
+:func:`fly` is a view of the loop that yields each tick.
 :func:`run_single` is :func:`fly_logged` of one mission.  Runs are
 reproducible bit for bit: a run seed expands into independent
 sub-streams for the policy, the detector, and sensor noise, so enabling
-or swapping the detector never perturbs the trajectory.  The trajectory log is written and hashed into
-a 64-bit digest (blake2b) a chunk of rows at a time, as it is flown.
+or swapping the detector never perturbs the trajectory.  The trajectory
+log is written and hashed into a 64-bit digest (blake2b) a chunk of rows
+at a time, as it is flown.
 Dwell goes to the cell of the log-quantized coordinates (six decimals),
 so that replaying the emitted log reconstructs the grid's cells; it is
 deposited a log chunk of ticks at a time, through the grid's one kernel
@@ -27,7 +29,7 @@ rounds a position only near a cell edge), with one addition per tick,
 as marking each tick would.
 
 The vehicle's pose is three floats, ``x, y, heading``, from the start
-pose to the crash check: :func:`fly` keeps them as locals and yields
+pose to the crash check: the loop keeps them as locals and hands on
 each tick's pose as one tuple ``(x, y, heading)``.
 
 A flight depends on the seed only through the policy stream, if the
@@ -179,51 +181,97 @@ def fly(cfg: RunConfig):
     previous tick's ``pose`` object.  It stops after the last tick or the
     first blocked one.  Once run to its end it raises :class:`SimError` if
     it drew from a stream that :func:`_streams` declares undrawn: that
-    would be a program error.
+    would be a program error.  It is a view of the run loop
+    :func:`_flight`, so it flies up to 500 ticks ahead of its consumer,
+    and formats their log rows too.
     """
+    records = []
+    for _ in _flight(cfg, records):
+        yield from records
+        records.clear()
+
+
+# ticks per chunk of log rows: the rows of a chunk are hashed as one string
+_LOG_CHUNK = 500
+
+
+@functools.lru_cache(maxsize=20)  # 10 000 ticks in about 100 kB
+def _tick_column(dt: float, first: int) -> str:
+    """The `t` column of the log rows of the chunk of ticks from ``first``,
+    ``f"{i * dt:.6f}"`` each, space-separated: built once for every
+    flight at ``dt``, and kept as one string to keep it small."""
+    return " ".join(f"{i * dt:.6f}" for i in range(first, first + _LOG_CHUNK))
+
+
+def _flight(cfg: RunConfig, records: list | None = None):
+    """The run loop: the ticks of :func:`fly` of ``cfg``, a log chunk at a
+    time.  Yields ``(text, poses, blocked)`` per chunk: the log rows of
+    its ticks, the pose each tick moves to, and whether the last tick is
+    blocked; it checks the streams after the last chunk.  Each tick's
+    ``(t, seen, frame, ps, sp, pose, blocked)`` goes to ``records``, if
+    given.  A row is the tick's time (from :func:`_tick_column`), the pose
+    it senses from and its set-point, each the text of ``f"{v:.6f}"``,
+    which is formatted where a value may change: a position's when it
+    moves, the heading's when the vehicle steps, a set-point's when it is
+    a new object."""
     arena = cfg.arena
-    x0, y0, h0 = cfg.start_pose()
-    dt = cfg.control_dt
+    dt, n_ticks = cfg.control_dt, cfg.n_ticks()
     streams = _streams(cfg)
     rngs = {name: random.Random(derive_seed(cfg.seed, name)) for name, _ in streams}
     policy_rng, noise_rng = rngs["policy"], rngs["noise"]
     unused = [rngs[name] for name, drawn in streams if not drawn]
     before = [rng.getstate() for rng in unused]
-    x, y, heading = seen = (x0, y0, h0)
+    x, y, heading = seen = cfg.start_pose()
+    xy_text, h_text = "%.6f,%.6f" % (x, y), "%.6f" % heading
     kind, policy_cfg, radius = cfg.policy, cfg.policy_cfg, cfg.drone_radius
-    ps = initial_state(kind, policy_cfg, h0, arena, radius)
+    ps = initial_state(kind, policy_cfg, heading, arena, radius)
     bank = TofBank(cfg.tof, policy_beams(kind, policy_cfg))
     sample = bank.sample
     disc_blocked, clearance = arena.disc_blocked, arena.clearance
     u = math.ulp(max(arena.width, arena.height, 1.0))
     slack, margin = 4.0 * u, radius + 8.0 * u
-    budget = clearance(x0, y0) - margin
-    # the set-point and heading of the last step; dx, dy, turned its
-    # result, and travel what a tick of it spends of the budget
+    budget = clearance(x, y) - margin
+    # the set-point and heading of the last step; dx, dy and the heading
+    # its result (a reused step leaves the heading as it is), and travel
+    # what a tick of it spends of the budget
     last_sp = last_heading = None
     blocked = False
-    for i in range(cfg.n_ticks()):
-        t_i = i * dt
-        if t_i >= bank.due:  # else the held frame is still valid
-            frame = sample(arena, x, y, heading, noise_rng, t_i)
-        ps, sp = policy_step(kind, ps, frame, heading, dt, policy_cfg, policy_rng)
-        if sp is not last_sp or heading != last_heading:
-            last_sp, last_heading = sp, heading
-            dx, dy, turned = step(0.0, 0.0, heading, sp, dt)
-            travel = hypot(dx, dy) + slack
-        heading = turned
-        if dx or dy:  # an in-place turn keeps a position the last tick cleared
-            x += dx
-            y += dy
-            budget -= travel
-            if budget < 0.0:
-                blocked = disc_blocked(x, y, radius)
-                budget = clearance(x, y) - margin
-        pose = (x, y, heading)
-        yield t_i, seen, frame, ps, sp, pose, blocked
+    for first in range(0, n_ticks, _LOG_CHUNK):
+        rows, poses = [], []
+        row, keep = rows.append, poses.append
+        # time is the tick count times dt, never a running sum
+        for i, t_text in zip(range(first, min(first + _LOG_CHUNK, n_ticks)),
+                             _tick_column(dt, first).split(" ")):
+            t_i = i * dt
+            if t_i >= bank.due:  # else the held frame is still valid
+                frame = sample(arena, x, y, heading, noise_rng, t_i)
+            ps, sp = policy_step(kind, ps, frame, heading, dt, policy_cfg, policy_rng)
+            if sp is not last_sp:
+                sp_text = "%.6f,%.6f\n" % sp
+            row(f"{t_text},{xy_text},{h_text},{sp_text}")
+            if sp is not last_sp or heading != last_heading:
+                last_sp, last_heading = sp, heading
+                dx, dy, heading = step(0.0, 0.0, heading, sp, dt)
+                travel = hypot(dx, dy) + slack
+                h_text = "%.6f" % heading
+            if dx or dy:  # an in-place turn keeps a position the last tick cleared
+                x += dx
+                y += dy
+                xy_text = "%.6f,%.6f" % (x, y)
+                budget -= travel
+                if budget < 0.0:
+                    blocked = disc_blocked(x, y, radius)
+                    budget = clearance(x, y) - margin
+            pose = (x, y, heading)
+            keep(pose)
+            if records is not None:
+                records.append((t_i, seen, frame, ps, sp, pose, blocked))
+            if blocked:
+                break
+            seen = pose
+        yield "".join(rows), poses, blocked
         if blocked:
             break
-        seen = pose
     if [rng.getstate() for rng in unused] != before:
         raise SimError(f"program error: a {cfg.policy} flight drew from a random stream "
                        "that its flight key leaves out")
@@ -242,40 +290,23 @@ def _frame_ticks(fps: float, dt: float, j: int):
         k += 1
 
 
-# ticks per chunk of log rows: the rows of a chunk are hashed as one string
-_LOG_CHUNK = 500
-
-
-@functools.lru_cache(maxsize=20)  # 10 000 ticks in about 100 kB
-def _tick_column(dt: float, first: int) -> str:
-    """The `t` column of the log rows of the chunk of ticks from ``first``,
-    ``f"{i * dt:.6f}"`` each, space-separated: built once for every
-    flight at ``dt``, and kept as one string to keep it small."""
-    return " ".join(f"{i * dt:.6f}" for i in range(first, first + _LOG_CHUNK))
-
-
 def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     """The missions of ``cfgs``, which share one :func:`flight_key`, flown
-    once: :func:`fly` of the first, with the log, digest, grid and collision
-    record, and each detector's frames as the flight reaches them.  One
-    result per config, in order.
+    once: the flight of the first, from the run loop :func:`_flight`, with
+    the log, digest, grid and collision record, and each detector's frames
+    as the flight reaches them.  One result per config, in order.
 
-    The log goes to ``log``, an open text file or ``None``, a chunk at a
-    time.  Per tick it formats the log row and keeps the pose; the rest
-    is settled per chunk.  The grid gets each tick's dt at the tick's
-    position, which :meth:`OccupancyGrid.deposit` rounds as the log does,
-    a chunk of ticks at a time (the crash tick's position clamped into
-    the room first).  After each chunk, each frame due at a tick up to
-    the chunk's last uncrashed one fires: it evaluates the camera at the
-    pose after that tick and draws from its mission's own ``detect``
-    stream, which depends on nothing the flight does; its ledger records
-    the frame's exact instant.  No frame fires on the crash tick or after
-    the last tick.
-    A coordinate or set-point is formatted as ``"%.6f" % v``, the text of
-    ``f"{v:.6f}"``."""
+    The loop hands over a log chunk of ticks at a time.  Its rows go to
+    ``log``, an open text file or ``None``, and to the digest; the grid gets
+    each tick's dt at the tick's position, which :meth:`OccupancyGrid.deposit`
+    rounds as the log does (the crash tick's clamped into the room first).
+    After each chunk, each frame due at a tick up to the chunk's last
+    uncrashed one fires: it evaluates the camera at the pose after that
+    tick and draws from its mission's own ``detect`` stream, which depends
+    on nothing the flight does; its ledger records the frame's exact
+    instant.  No frame fires on the crash tick or after the last tick."""
     cfg = cfgs[0]
     arena = cfg.arena
-    x0, y0, h0 = cfg.start_pose()
     dt = cfg.control_dt
     grid = OccupancyGrid(arena.width, arena.height)
     collision = CollisionRecord()
@@ -297,44 +328,16 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
             log.write(text)
 
     emit(TRAJECTORY_HEADER + "\n")
-    x, y, heading = x0, y0, h0
-    xs = "%.6f" % x0
-    ys = "%.6f" % y0
-    hs = "%.6f" % h0
-
-    # time is the tick count times dt, never a running sum; a coordinate's
-    # text is formatted again only when it changes (a zero may change sign),
-    # and a set-point's only when it is not the object of the last tick
-    flight = fly(cfg)
-    last_sp = None
-    for first in range(0, cfg.n_ticks(), _LOG_CHUNK):
-        rows, poses = [], []  # the chunk's log rows and the poses its ticks move to
-        keep = poses.append
-        for t_text, (_, _, _, _, sp, pose, blocked) in zip(
-                _tick_column(dt, first).split(" "), flight):
-            if sp is not last_sp:
-                last_sp = sp
-                sp_text = "%.6f,%.6f\n" % sp
-            rows.append(f"{t_text},{xs},{ys},{hs},{sp_text}")
-            px, py, ph = pose
-            if px != x or not x:
-                x = px
-                xs = "%.6f" % x
-            if py != y or not y:
-                y = py
-                ys = "%.6f" % y
-            if ph != heading or not heading:
-                heading = ph
-                hs = "%.6f" % heading
-            keep(pose)
-        emit("".join(rows))
-        ticks = first + len(rows)
+    ticks = 0
+    for text, poses, blocked in _flight(cfg):
+        emit(text)
+        first, ticks = ticks, ticks + len(poses)
         pxs, pys, _ = zip(*poses)
-        if blocked:  # the last tick: fly stops after it; its dwell goes into the room
-            collision = CollisionRecord(True, ticks * dt, px, py)
-            pxs = (*pxs[:-1], min(max(px, 0.0), arena.width))
-            pys = (*pys[:-1], min(max(py, 0.0), arena.height))
-        grid.deposit(pxs, pys, (dt,) * len(rows))
+        if blocked:  # the last tick: the flight stops after it; its dwell goes into the room
+            collision = CollisionRecord(True, ticks * dt, pxs[-1], pys[-1])
+            pxs = (*pxs[:-1], min(max(pxs[-1], 0.0), arena.width))
+            pys = (*pys[:-1], min(max(pys[-1], 0.0), arena.height))
+        grid.deposit(pxs, pys, (dt,) * len(poses))
         # the frames due by the chunk's last tick, save a crash tick
         while frame_due <= ticks - blocked:
             _, t, j = frame
@@ -343,12 +346,9 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
             attempt_detection(det, visible, ledger, t, rng)
             frame = next(dues)
             frame_due = frame[0]
-        if blocked:
-            break
-    next(flight, None)  # past its last tick: fly checks its streams
 
     elapsed = ticks * dt
-    emit(f"{elapsed:.6f},{xs},{ys},{hs},0.000000,0.000000\n")
+    emit("%.6f,%.6f,%.6f,%.6f,0.000000,0.000000\n" % (elapsed, *poses[-1]))
     digest = int.from_bytes(hasher.digest(), "big")
     coverage, n_objects = grid.coverage(), len(arena.objects)
     ledgers = [d and d[2] for d in detectors]

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -97,7 +98,18 @@ def check_refresh_casts(monkeypatch, policy, noise, side):
         casts.append((ox, oy, heading))
         return raycast(arena, ox, oy, heading)
 
+    deferred = []  # the refreshes whose frame cast its far side
+
+    def check_deferred():
+        # the casts since the last refresh: at most its far side, once
+        if casts:
+            (x, y, heading), _ = refreshes[-1]
+            assert tracker and casts == [(x, y, heading + far)]
+            deferred.append(len(refreshes))
+
     def checked_sample(bank, arena, x, y, heading, rng, t):
+        if refreshes:
+            check_deferred()
         drawn = random.Random()
         drawn.setstate(rng.getstate())
         for _ in range(4 if noise else 0):
@@ -112,14 +124,9 @@ def check_refresh_casts(monkeypatch, policy, noise, side):
 
     monkeypatch.setattr(Arena, "raycast", counted_raycast)
     monkeypatch.setattr(TofBank, "sample", checked_sample)
-    deferred = set()  # the refreshes whose frame cast its far side
     for _ in fly(cfg):
-        if casts:
-            (x, y, heading), _ = refreshes[-1]
-            assert tracker and casts == [(x, y, heading + far)]
-            assert len(refreshes) not in deferred
-            deferred.add(len(refreshes))
-            casts.clear()
+        pass
+    check_deferred()
     monkeypatch.undo()
     assert len(refreshes) == 1200
     assert bool(deferred) == tracker
@@ -145,15 +152,22 @@ def check_steps_and_disc_tests(monkeypatch, policy, arena):
     cfg = RunConfig(arena=arena, policy=policy, seed=7)
     oracle = list(per_tick_flight(cfg))
     calls = []
-    step, disc_blocked = harness.step, Arena.disc_blocked
+    policy_step, step, disc_blocked = harness.policy_step, harness.step, Arena.disc_blocked
+    # a tick steps the policy once, before it steps the vehicle or tests the disc
+    monkeypatch.setattr(harness, "policy_step",
+                        lambda *a: calls.append("tick") or policy_step(*a))
     monkeypatch.setattr(harness, "step", lambda *a: calls.append("step") or step(*a))
     monkeypatch.setattr(Arena, "disc_blocked",
                         lambda *a: calls.append("disc") or disc_blocked(*a))
-    flown = []
-    for tick in fly(cfg):
-        flown.append((tick, calls[:]))
-        calls.clear()
+    ticks = list(fly(cfg))
     monkeypatch.undo()
+    made = []  # the calls of each tick
+    for call in calls:
+        if call == "tick":
+            made.append([])
+        else:
+            made[-1].append(call)
+    flown = list(zip(ticks, made, strict=True))
     assert len(flown) == len(oracle)
     last_sp = last_heading = None
     moves = tests = 0
@@ -396,10 +410,13 @@ class TestSweep:
 
     def test_every_configuration_checked_before_the_first_mission(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(harness, "fly", lambda *a, **k: calls.append(a))
-        boxed = Arena(6.5, 5.5, obstacles=[(3.0, 2.5, 3.5, 3.0)])
-        with pytest.raises(ValidationError):
-            run_sweep(small_spec(), RunConfig(arena=boxed, start=(3.25, 2.75, 0.0)))
+        flight = harness._flight  # the run loop that every mission flies through
+        monkeypatch.setattr(harness, "_flight", lambda *a: calls.append(a) or flight(*a))
+        # every run flies the sweep's 10 s, not a whole number of 0.03 s ticks
+        template = RunConfig(arena=default_arena(), control_dt=0.03, duration=9.99)
+        with pytest.raises(ValidationError) as err:
+            run_sweep(small_spec(), template)
+        assert err.value.path == "sweep.duration"
         assert calls == []
 
     @pytest.mark.parametrize("detector", [DETECTORS["ssd-1.0"],
@@ -408,7 +425,8 @@ class TestSweep:
     def test_template_detector_refused_before_the_first_mission(self, monkeypatch, detector):
         # the runs' detectors come from spec.detectors; the template's would be dropped
         calls = []
-        monkeypatch.setattr(harness, "fly", lambda *a, **k: calls.append(a))
+        flight = harness._flight
+        monkeypatch.setattr(harness, "_flight", lambda *a: calls.append(a) or flight(*a))
         template = RunConfig(arena=default_arena(), detector=detector)
         with pytest.raises(ValidationError) as err:
             run_sweep(small_spec(detectors=("ssd-1.0",)), template)
@@ -540,8 +558,14 @@ class TestFlights:
 
     def test_a_flight_that_draws_against_its_declaration_fails(self, monkeypatch):
         monkeypatch.setattr(harness, "policy_draws", lambda kind: False)
+        cfg = make_cfg(duration=30.0)
         with pytest.raises(SimError, match="program error"):
-            run_single(make_cfg(duration=30.0))
+            run_single(cfg)  # fly_logged([cfg])[0]
+        flown = []  # fly checks its streams after its last tick
+        with pytest.raises(SimError, match="program error"):
+            for tick in fly(cfg):
+                flown.append(tick)
+        assert len(flown) == cfg.n_ticks()
 
     def test_a_batch_task_labels_a_program_error(self, monkeypatch, tmp_path, capsys):
         # wall-following is declared not to draw: its flight key leaves the seed out
@@ -937,6 +961,33 @@ def check_mission_accounts_for_itself(cfg):
             want = min(dense_ray_distance(arena.width, arena.height, arena.obstacles,
                                           x, y, heading + mount), max_range)
             assert abs(reading - want) <= 0.001 + 1e-9, (mount, reading, want)
+
+
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_fly_gives_the_same_ticks_however_it_is_consumed(monkeypatch, policy):
+    # fly is a view of the run loop, which flies a log chunk of ticks ahead
+    # of its consumer: a consumer that stops early gets the ticks of a full
+    # run, and each tick senses from the object of the last tick's pose
+    chunk = harness._LOG_CHUNK
+    n_ticks = 2 * chunk + 7
+    cfg = RunConfig(arena=BOXED, policy=policy, tof=NOISY, duration=n_ticks * 0.02, seed=7)
+    full = list(fly(cfg))
+    assert len(full) == n_ticks
+    for stop in (1, chunk - 1, chunk, chunk + 1, n_ticks - 1):
+        assert list(map(tick_hex, islice(fly(cfg), stop))) == list(map(tick_hex, full[:stop]))
+    assert all(tick[1] is last[5] for last, tick in zip(full, full[1:]))
+    # the policy steps once a tick: the loop is at most a chunk ahead
+    steps = []
+    policy_step = harness.policy_step
+    monkeypatch.setattr(harness, "policy_step", lambda *a: steps.append(a) or policy_step(*a))
+    flight, taken = fly(cfg), 0
+    for upto, flown in ((1, chunk), (chunk, chunk), (chunk + 1, 2 * chunk),
+                        (2 * chunk + 1, n_ticks), (n_ticks, n_ticks)):
+        for _ in range(upto - taken):
+            next(flight)
+        taken = upto
+        assert len(steps) == flown, upto
+    assert next(flight, None) is None
 
 
 @given(data=st.data(), arena=boxed_rooms(), policy=st.sampled_from(POLICY_KINDS),

@@ -1,12 +1,13 @@
 """The flight's trajectory log equals the plain log of its control ticks.
 
-``harness.fly_logged`` takes the `t` column from cached per-chunk tables,
-formats a set-point again only when it is a new object and a coordinate
-only when it changes, and hashes a chunk of rows at a time.  The reference
-here formats every field of every tick from ``harness.fly``'s yields with
-a plain ``f"{v:.6f}"`` and hashes the joined rows once.  The log is
-written a chunk at a time as the flight goes, and replayed and hashed a
-block of lines at a time as it is read.
+The run loop takes the `t` column from cached per-chunk tables, formats
+a set-point again only when it is a new object and a coordinate only
+when it changes, and ``harness.fly_logged`` hashes a chunk of rows at a
+time.  The reference here formats every field of every tick with a plain
+``f"{v:.6f}"`` and hashes the joined rows once, from ``harness.fly``'s
+yields, a view of that loop, and from the per-tick oracle's, which flies
+a loop of its own.  The log is written a chunk at a time as the flight
+goes, and replayed and hashed a block of lines at a time as it is read.
 """
 
 import functools
@@ -27,7 +28,7 @@ from exploresim.policies import POLICY_KINDS
 from exploresim.report import coverage_series_csv
 from exploresim.sensing import TofConfig
 from exploresim.vehicle import Setpoint
-from oracles import coverage_series
+from oracles import coverage_series, per_tick_flight
 
 CHUNK = harness._LOG_CHUNK
 # the golden boxed room (tests/test_golden.py)
@@ -37,12 +38,12 @@ BOXED = Arena(6.5, 5.5, obstacles=[(1.5, 1.5, 2.2, 2.2), (4.5, 3.5, 5.0, 4.2)])
 COLLIDING = (1.3, 1.47, 0.0)
 
 
-def plain_log(cfg: RunConfig) -> list[str]:
-    """Header, one row per tick of ``fly(cfg)`` and the terminal row."""
+def plain_log(cfg: RunConfig, flight=fly) -> list[str]:
+    """Header, one row per tick of ``flight(cfg)`` and the terminal row."""
     def row(*values):
         return ",".join(f"{v:.6f}" for v in values) + "\n"
 
-    ticks = list(fly(cfg))
+    ticks = list(flight(cfg))
     rows = [TRAJECTORY_HEADER + "\n"]
     rows += [row(t, *seen, sp.v, sp.omega) for t, seen, _, _, sp, _, _ in ticks]
     end = ticks[-1][5]
@@ -77,6 +78,8 @@ def test_fast_log_equals_plain_log(policy, dt, n_ticks, boxed, start, noise, see
     flight = fly_logged([cfg], log=log)[0]
     expected = plain_log(cfg)
     assert log.getvalue().splitlines(keepends=True) == expected
+    # fly is a view of the loop that wrote the log; the oracle flies a loop of its own
+    assert plain_log(cfg, per_tick_flight) == expected
     assert flight.digest == digest(expected)
     assert flight.elapsed == (len(expected) - 2) * dt
 
