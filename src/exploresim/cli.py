@@ -12,7 +12,6 @@ import json
 import reprlib
 import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -205,6 +204,7 @@ def cmd_report(args) -> int:
     trajectory = src / "trajectory.csv"
     runs = src / "runs.csv"
     if trajectory.exists():
+        import tempfile  # only a run's report keeps its coverage series aside
         summary = src / "summary.json"
         width, height, coverage, digest = _read(summary, _record)
         detections = src / "detections.csv"

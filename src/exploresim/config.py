@@ -8,7 +8,6 @@ checks and the builders derive from it.  Unknown keys are rejected.
 
 from __future__ import annotations
 
-import copy
 import json
 
 from .arena import Arena, default_arena, load_arena, load_arena_file
@@ -120,11 +119,15 @@ def _assign(cfg: dict, key: str, value) -> None:
 DEFAULT_CONFIG = {"schema_version": SCHEMA_VERSION}
 for _leaf in LEAVES:
     _assign(DEFAULT_CONFIG, _leaf.key, _leaf.default)
+# the defaults hold only JSON values, so each parse of this text is a deep
+# copy of them, made without the copy module
+_DEFAULT_TEXT = json.dumps(DEFAULT_CONFIG)
 
 
 def load_config(path=None) -> dict:
-    """Defaults merged with an optional JSON config file."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """Defaults merged with an optional JSON config file; every list and
+    object in the result is the caller's own."""
+    cfg = json.loads(_DEFAULT_TEXT)
     if path is None:
         return cfg
     try:

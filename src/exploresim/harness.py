@@ -46,7 +46,6 @@ the record is flagged.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import os
 import random
@@ -314,9 +313,13 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     detectors = [(c.detector, c.camera, DetectionLedger(),
                   random.Random(derive_seed(c.seed, "detect"))) if c.detector else None
                  for c in cfgs]
-    dues = heapq.merge(*(_frame_ticks(d[0].fps, dt, j)
-                         for j, d in enumerate(detectors) if d))
-    frame = next(dues, (math.inf,))
+    streams = [_frame_ticks(d[0].fps, dt, j) for j, d in enumerate(detectors) if d]
+    if streams:  # heapq is imported only then: a flight with no detector merges nothing
+        from heapq import merge
+        dues = merge(*streams)
+        frame = next(dues)
+    else:
+        frame = (math.inf,)
     frame_due = frame[0]
 
     # blake2b streams: hashing a chunk of rows at once equals hashing each row

@@ -754,12 +754,24 @@ def test_help_documents_config_keys(capsys):
         assert key in text
 
 
+# the stages of ``command_modules``, in order: each one's argv
+COMMAND_STAGES = {
+    "run": ["run", "--duration", "1", "--out", "r"],
+    "report": ["report", "--in", "r"],
+    "sweep": ["sweep", "--jobs", "1", "--runs-per-config", "1", "--set", "sweep.duration=1",
+              "--out", "s"],
+    "run --detector": ["run", "--detector", "ssd-1.0", "--duration", "1", "--out", "d"],
+}
+STAGES = ("import", *COMMAND_STAGES)  # command_modules' module lists, in order
+
+
 @pytest.fixture(scope="module")
 def command_modules(tmp_path_factory):
     """In one fresh, isolated interpreter without the site module: the
-    modules loaded after ``import exploresim.cli`` and after each of
-    ``run``, ``report`` and ``sweep --jobs 1``; then the exploresim classes
-    that carry ``__dataclass_fields__``, found by importing every module."""
+    modules loaded after ``import exploresim.cli`` and after each stage of
+    :data:`COMMAND_STAGES` (only the last flies a detector); then the
+    exploresim classes that carry ``__dataclass_fields__``, found by
+    importing every module."""
     script = """if True:
         import json, sys
         sys.path.insert(0, sys.argv[1])
@@ -767,11 +779,9 @@ def command_modules(tmp_path_factory):
         from exploresim import cli
 
         found = {"import": sorted(sys.modules)}
-        for argv in (["run", "--duration", "1", "--out", "r"], ["report", "--in", "r"],
-                     ["sweep", "--jobs", "1", "--runs-per-config", "1",
-                      "--set", "sweep.duration=1", "--out", "s"]):
+        for stage, argv in json.loads(sys.argv[2]).items():
             assert cli.main(argv) == 0
-            found[argv[0]] = sorted(sys.modules)
+            found[stage] = sorted(sys.modules)
         import importlib, pkgutil  # pkgutil loads typing
         found["dataclasses"] = []
         for info in pkgutil.iter_modules(exploresim.__path__):
@@ -783,22 +793,25 @@ def command_modules(tmp_path_factory):
                                      and hasattr(cls, "__dataclass_fields__")]
         print(json.dumps(found))
     """
-    proc = run_python(script, cwd=tmp_path_factory.mktemp("imports"))
+    proc = run_python(script, json.dumps(COMMAND_STAGES), cwd=tmp_path_factory.mktemp("imports"))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def loaded_after_each_command(found, prefixes):
     """The modules named by ``prefixes`` (or in a package they name) that
-    ``found`` lists after the import and after each command."""
+    ``found`` lists after the import and after each command stage."""
     return {stage: [m for m in found[stage] if m in prefixes or m.startswith(
-        tuple(f"{p}." for p in prefixes))] for stage in ("import", "run", "report", "sweep")}
+        tuple(f"{p}." for p in prefixes))] for stage in STAGES}
+
+
+NONE_LOADED = {stage: [] for stage in STAGES}
 
 
 def test_no_command_but_a_parallel_sweep_imports_a_process_pool(command_modules):
     # every command pays for its imports before its first tick
     assert loaded_after_each_command(command_modules, ("concurrent.futures", "multiprocessing")) \
-        == {"import": [], "run": [], "report": [], "sweep": []}
+        == NONE_LOADED
 
 
 def test_no_class_is_a_dataclass_and_no_command_imports_dataclasses(command_modules):
@@ -807,15 +820,29 @@ def test_no_class_is_a_dataclass_and_no_command_imports_dataclasses(command_modu
     # config models are kinds.Model classes, records collections.namedtuple
     # types and run states slotted kinds.Fieldwise classes
     assert command_modules["dataclasses"] == []
-    assert loaded_after_each_command(command_modules, ("dataclasses", "inspect")) == {
-        "import": [], "run": [], "report": [], "sweep": []}
+    assert loaded_after_each_command(command_modules, ("dataclasses", "inspect")) == NONE_LOADED
 
 
 def test_no_command_imports_typing_or_openssl(command_modules):
     # a typing.NamedTuple class costs more to build than a collections.namedtuple,
     # and hashlib loads OpenSSL's _hashlib only to hand out _blake2.blake2b
-    assert loaded_after_each_command(command_modules, ("typing", "hashlib", "_hashlib")) == {
-        "import": [], "run": [], "report": [], "sweep": []}
+    assert loaded_after_each_command(command_modules, ("typing", "hashlib", "_hashlib")) \
+        == NONE_LOADED
+
+
+def test_no_command_imports_copy_and_only_a_detector_flight_imports_heapq(command_modules):
+    # load_config copies the defaults by parsing their JSON text, and only
+    # the merge of detector frame streams needs heapq: the fixture's run and
+    # sweep fly no detector, and the last stage, which does, imports it
+    assert loaded_after_each_command(command_modules, ("copy", "heapq", "_heapq")) \
+        == {**NONE_LOADED, "run --detector": ["_heapq", "heapq"]}
+
+
+def test_only_report_imports_tempfile(command_modules):
+    # a run's report keeps its coverage series in a temporary file; before
+    # it, no stage has imported tempfile
+    assert [stage for stage in STAGES if "tempfile" in command_modules[stage]] \
+        == ["report", "sweep", "run --detector"]
 
 
 def _bump_busiest(rows, delta):

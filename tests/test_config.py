@@ -24,6 +24,21 @@ def test_defaults_load_without_a_file():
     assert cfg is not DEFAULT_CONFIG  # caller gets a private copy
 
 
+@pytest.mark.parametrize("with_file", [False, True])
+def test_a_loaded_config_is_private_all_the_way_down(tmp_path, with_file):
+    path = None
+    if with_file:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"policy": {"kind": "spiral"}}))
+    defaults, fresh = json.dumps(DEFAULT_CONFIG), load_config(path)
+    cfg = load_config(path)
+    cfg["sweep"]["speeds"].append(2.0)  # a list the defaults hold
+    cfg["run"]["seed"] = 7  # a section the defaults hold
+    assert json.dumps(DEFAULT_CONFIG) == defaults
+    assert load_config(path) == fresh
+    assert fresh["sweep"]["speeds"] == [0.1, 0.5, 1.0] and fresh["run"]["seed"] == 42
+
+
 def test_file_merge_keeps_unrelated_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"policy": {"kind": "spiral"}}))
