@@ -31,7 +31,11 @@ DETECTORS = {
 
 
 class DetectionLedger(Fieldwise):
-    """Per-run record of first detections and frame counters."""
+    """Per-run record of first detections and frame counters.
+
+    ``frames_fired`` also schedules the run's frames: the next is frame
+    ``frames_fired + 1``, due at its instant ``(frames_fired + 1) / fps``
+    (see :func:`~exploresim.harness.fly_logged`)."""
 
     __slots__ = ("first_seen", "frames_fired", "frames_with_target")
 

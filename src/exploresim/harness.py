@@ -276,19 +276,6 @@ def _flight(cfg: RunConfig, records: list | None = None):
                        "that its flight key leaves out")
 
 
-def _frame_ticks(fps: float, dt: float, j: int):
-    """``(tick, instant, j)`` of the detector frames k = 1, 2, ... of mission
-    ``j``: frame k's exact instant k/fps is sampled by the first tick at or
-    after it.  ``j`` is an argument, bound when the stream is made."""
-    k = 1
-    while True:
-        t = k / fps
-        tick = t / dt - _EPS
-        # no mission reaches a frame after MAX_TICKS; ceil(inf) would raise
-        yield (math.ceil(tick) if tick <= MAX_TICKS else MAX_TICKS + 1), t, j
-        k += 1
-
-
 def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     """The missions of ``cfgs``, which share one :func:`flight_key`, flown
     once: the flight of the first, from the run loop :func:`_flight`, with
@@ -299,11 +286,14 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     ``log``, an open text file or ``None``, and to the digest; the grid gets
     each tick's dt at the tick's position, which :meth:`OccupancyGrid.deposit`
     rounds as the log does (the crash tick's clamped into the room first).
-    After each chunk, each frame due at a tick up to the chunk's last
-    uncrashed one fires: it evaluates the camera at the pose after that
-    tick and draws from its mission's own ``detect`` stream, which depends
-    on nothing the flight does; its ledger records the frame's exact
-    instant.  No frame fires on the crash tick or after the last tick."""
+    After each chunk, each mission with a detector fires its frames due at
+    a tick up to the chunk's last uncrashed one: its ledger's
+    ``frames_fired`` counts the frames fired so far, and so names the next.
+    A frame evaluates the camera at the pose after its tick and draws from
+    its mission's own ``detect`` stream, which depends on nothing the
+    flight does; the ledger records the frame's exact instant.  Missions
+    share only the poses, so each fires its frames in turn.  No frame
+    fires on the crash tick or after the last tick."""
     cfg = cfgs[0]
     arena = cfg.arena
     dt = cfg.control_dt
@@ -313,14 +303,7 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     detectors = [(c.detector, c.camera, DetectionLedger(),
                   random.Random(derive_seed(c.seed, "detect"))) if c.detector else None
                  for c in cfgs]
-    streams = [_frame_ticks(d[0].fps, dt, j) for j, d in enumerate(detectors) if d]
-    if streams:  # heapq is imported only then: a flight with no detector merges nothing
-        from heapq import merge
-        dues = merge(*streams)
-        frame = next(dues)
-    else:
-        frame = (math.inf,)
-    frame_due = frame[0]
+    firing = [d for d in detectors if d]
 
     # blake2b streams: hashing a chunk of rows at once equals hashing each row
     hasher = blake2b(digest_size=8)
@@ -341,14 +324,18 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
             pxs = (*pxs[:-1], min(max(pxs[-1], 0.0), arena.width))
             pys = (*pys[:-1], min(max(pys[-1], 0.0), arena.height))
         grid.deposit(pxs, pys, (dt,) * len(poses))
-        # the frames due by the chunk's last tick, save a crash tick
-        while frame_due <= ticks - blocked:
-            _, t, j = frame
-            det, camera, ledger, rng = detectors[j]
-            visible = objects_in_fov(arena, *poses[frame_due - first - 1], camera)
-            attempt_detection(det, visible, ledger, t, rng)
-            frame = next(dues)
-            frame_due = frame[0]
+        # each mission's frames due by the chunk's last tick, save a crash tick;
+        # the next is frame frames_fired + 1, which attempt_detection counts
+        for det, camera, ledger, rng in firing:
+            while True:
+                t = (ledger.frames_fired + 1) / det.fps
+                tick = t / dt - _EPS
+                # no mission reaches a frame after MAX_TICKS; ceil(inf) would raise
+                due = math.ceil(tick) if tick <= MAX_TICKS else MAX_TICKS + 1
+                if due > ticks - blocked:
+                    break
+                visible = objects_in_fov(arena, *poses[due - first - 1], camera)
+                attempt_detection(det, visible, ledger, t, rng)
 
     elapsed = ticks * dt
     emit("%.6f,%.6f,%.6f,%.6f,0.000000,0.000000\n" % (elapsed, *poses[-1]))

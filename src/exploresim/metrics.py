@@ -124,9 +124,6 @@ class OccupancyGrid:
         """Visited-cell count over total cells."""
         return self._visited / self.total_cells
 
-    def dwell_at(self, col: int, row: int) -> float:
-        return self.dwell[row * self.cols + col]
-
     def matrix_north_first(self) -> list[list[float]]:
         """Dwell rows ordered north to south (export orientation)."""
         return [self.dwell[r * self.cols:(r + 1) * self.cols]

@@ -121,12 +121,8 @@ class SpiralState(WallFollowState):
                  deriv: float = 0.0, held_sp: Setpoint | None = None,
                  ring_offset: float = 0.5, direction: str = "in", corners_done: int = 0,
                  ring_limit: float = 2.7):
-        self.mode = mode
-        self.acquired = acquired
-        self.target_heading = target_heading
-        self.prev_frame = prev_frame
-        self.deriv = deriv
-        self.held_sp = held_sp
+        WallFollowState.__init__(self, mode, acquired, target_heading, prev_frame, deriv,
+                                 held_sp)
         self.ring_offset = ring_offset
         self.direction = direction  # in | out
         self.corners_done = corners_done

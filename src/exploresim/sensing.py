@@ -64,35 +64,12 @@ def _reading(source: tuple, i: int) -> float:
 class TofFrame:
     """One ranging measurement of the four beams, in meters, taken at ``t``.
 
-    It reads by field name, and two frames are equal when their readings
-    and ``t`` are.  A frame that :meth:`TofBank.sample` made without
-    casting a beam casts it on its first read, from the refresh's pose and
-    draw, and keeps the reading.
+    It reads by field name only; only :meth:`TofBank.sample` makes one.
+    A frame made without casting a beam casts it on its first read, from
+    the refresh's pose and draw, and keeps the reading.
     """
 
     __slots__ = ("front", "left", "right", "back", "t", "_source")
-
-    def __init__(self, front: float, left: float, right: float, back: float, t: float):
-        self.front = front
-        self.left = left
-        self.right = right
-        self.back = back
-        self.t = t
-
-    def _values(self) -> tuple:
-        return (self.front, self.left, self.right, self.back, self.t)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if isinstance(other, TofFrame) else NotImplemented
-
-    def __deepcopy__(self, memo=None):  # a copy is a plain frame, every beam cast
-        return TofFrame(*self._values())
-
-    __copy__ = __deepcopy__
-
-    def __repr__(self) -> str:
-        return "TofFrame(" + ", ".join(f"{name}={v!r}" for name, v in
-                                       zip((*BEAMS, "t"), self._values())) + ")"
 
 
 def _deferred(name: str) -> property:

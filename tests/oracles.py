@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from exploresim.metrics import OccupancyGrid
 from exploresim.policies import initial_state, policy_step
 from exploresim.report import parse_trajectory
 from exploresim.seeding import derive_seed
-from exploresim.sensing import MOUNT_ANGLES, TofFrame, objects_in_fov
+from exploresim.sensing import MOUNT_ANGLES, objects_in_fov
 
 
 def dense_ray_distance(width, height, boxes, ox, oy, heading, step=0.001):
@@ -72,6 +73,11 @@ def fine_integrate(x, y, heading, v, omega, total_time, substeps):
     return x, y, heading
 
 
+# a ranging frame that a test builds, read by field name as a
+# sensing.TofFrame is; only TofBank.sample makes a TofFrame
+Frame = namedtuple("Frame", "front left right back t")
+
+
 def per_beam_frame(arena, x, y, heading, tof, rng, t):
     """The ranging frame from the pose ``x, y, heading`` at ``t``, a beam at
     a time in ``MOUNT_ANGLES`` order: each reading saturates at the range,
@@ -87,13 +93,19 @@ def per_beam_frame(arena, x, y, heading, tof, rng, t):
             elif r > tof.max_range:
                 r = tof.max_range
         readings.append(r)
-    return TofFrame(*readings, t)
+    return Frame(*readings, t)
 
 
 def frame_values(frame):
     """The readings of a ranging frame by name, front, left, right, back,
     then its time ``t``."""
     return frame.front, frame.left, frame.right, frame.back, frame.t
+
+
+def frame_hex(frame):
+    """:func:`frame_values` of a frame by ``float.hex``, to compare frames
+    bit for bit."""
+    return tuple(map(float.hex, frame_values(frame)))
 
 
 def per_tick_flight(cfg):

@@ -172,7 +172,7 @@ def test_criterion_05_wall_following_stays_near_walls():
         assert not res.collision.occurred
         for row in range(grid0.rows):
             for col in range(grid0.cols):
-                if res.grid.dwell_at(col, row) > 0.0:
+                if res.grid.dwell[row * res.grid.cols + col] > 0.0:
                     cx = (col + 0.5) * 0.5
                     cy = (row + 0.5) * 0.5
                     wall_dist = min(cx, cy, 6.5 - cx, 5.5 - cy)

@@ -830,12 +830,12 @@ def test_no_command_imports_typing_or_openssl(command_modules):
         == NONE_LOADED
 
 
-def test_no_command_imports_copy_and_only_a_detector_flight_imports_heapq(command_modules):
-    # load_config copies the defaults by parsing their JSON text, and only
-    # the merge of detector frame streams needs heapq: the fixture's run and
-    # sweep fly no detector, and the last stage, which does, imports it
+def test_no_command_imports_copy_or_heapq(command_modules):
+    # load_config copies the defaults by parsing their JSON text, and each
+    # mission fires its detector frames from its own ledger, merging no
+    # streams: the last stage flies a detector
     assert loaded_after_each_command(command_modules, ("copy", "heapq", "_heapq")) \
-        == {**NONE_LOADED, "run --detector": ["_heapq", "heapq"]}
+        == NONE_LOADED
 
 
 def test_only_report_imports_tempfile(command_modules):

@@ -26,14 +26,14 @@ class TestGrid:
     def test_mark_first_cell(self):
         grid = default_grid()
         grid.mark(0.1, 0.1, 0.02)
-        assert grid.dwell_at(0, 0) == pytest.approx(0.02)
+        assert grid.dwell[0] == pytest.approx(0.02)
         assert grid.total_dwell() == pytest.approx(0.02)
 
     def test_far_corner_clamps_into_last_cell(self):
         grid = default_grid()
         grid.mark(6.49, 5.49, 0.01)
         grid.mark(6.5, 5.5, 0.02)  # closed boundary lands in the edge cell
-        assert grid.dwell_at(12, 10) == pytest.approx(0.03)
+        assert grid.dwell[10 * grid.cols + 12] == pytest.approx(0.03)
         assert grid.coverage() == pytest.approx(1 / 143)
 
     def test_conservation_over_a_mission(self):

@@ -14,8 +14,9 @@ from exploresim.policies import (POLICY_KINDS, PolicyConfig, PseudoRandomState,
                                  WallFollowState, _copy, initial_state, policy_step,
                                  pseudo_random_step, rotate_measure_step,
                                  spiral_step, wall_following_step)
-from exploresim.sensing import TofFrame
 from exploresim.vehicle import normalize_heading
+
+from oracles import Frame
 
 CFG = PolicyConfig()
 
@@ -33,7 +34,7 @@ def drive(arena, kind, cfg, start, duration, seed=0):
 
 
 def frame(front=4.0, left=4.0, right=4.0, back=4.0, t=0.0):
-    return TofFrame(front, left, right, back, t)
+    return Frame(front, left, right, back, t)
 
 
 class StubRng:
