@@ -5,16 +5,17 @@ One run interleaves two clocked tasks on a single timeline:
 * the control task every ``control_dt`` (50 Hz default): refresh the
   ranging frame if its slower clock is due, step the policy, integrate
   the vehicle, check collision once the travel could reach a wall or
-  box, and format the tick's log row;
+  box, and keep the tick's log row values;
 * the detection task at the detector's own frame rate: each frame has an
   exact instant k/fps and is evaluated against the first vehicle pose
   timestamped at or after it (at 50 Hz that is within one tick of the
   instant); the ledger records the exact instant.
 
 One loop, :func:`_flight`, runs the control task a log chunk of ticks
-at a time.  :func:`fly_logged` takes each chunk into the log, digest,
-dwell grid and collision record, then fires the frames its ticks sample;
-:func:`fly` is a view of the loop that yields each tick.
+at a time and renders the chunk's log rows at its end, in one ``%``.
+:func:`fly_logged` takes each chunk into the log, digest, dwell grid and
+collision record, then fires the frames its ticks sample; :func:`fly` is
+a view of the loop that yields each tick, and renders no rows.
 :func:`run_single` is :func:`fly_logged` of one mission.  Runs are
 reproducible bit for bit: a run seed expands into independent
 sub-streams for the policy, the detector, and sensor noise, so enabling
@@ -29,8 +30,9 @@ rounds a position only near a cell edge), with one addition per tick,
 as marking each tick would.
 
 The vehicle's pose is three floats, ``x, y, heading``, from the start
-pose to the crash check: the loop keeps them as locals and hands on
-each tick's pose as one tuple ``(x, y, heading)``.
+pose to the crash check: the loop keeps them as locals, and a tick's row
+values begin with the pose it senses from, so a chunk's row values, and
+the pose appended after them, are the chunk's poses.
 
 A flight depends on the seed only through the policy stream, if the
 policy draws from it, and the noise stream, if the ranging is noisy
@@ -181,8 +183,8 @@ def fly(cfg: RunConfig):
     first blocked one.  Once run to its end it raises :class:`SimError` if
     it drew from a stream that :func:`_streams` declares undrawn: that
     would be a program error.  It is a view of the run loop
-    :func:`_flight`, so it flies up to 500 ticks ahead of its consumer,
-    and formats their log rows too.
+    :func:`_flight`, so it flies up to 500 ticks ahead of its consumer;
+    the loop renders no log rows for it.
     """
     records = []
     for _ in _flight(cfg, records):
@@ -198,21 +200,30 @@ _LOG_CHUNK = 500
 def _tick_column(dt: float, first: int) -> str:
     """The `t` column of the log rows of the chunk of ticks from ``first``,
     ``f"{i * dt:.6f}"`` each, space-separated: built once for every
-    flight at ``dt``, and kept as one string to keep it small."""
+    flight at ``dt``, and kept as one string to keep it small; the run
+    loop turns it into the chunk's row format."""
     return " ".join(f"{i * dt:.6f}" for i in range(first, first + _LOG_CHUNK))
+
+
+# the rest of a log row after its `t`: the pose it senses from and the
+# set-point's text, which holds the line end
+_ROW = ",%.6f,%.6f,%.6f,%s"
 
 
 def _flight(cfg: RunConfig, records: list | None = None):
     """The run loop: the ticks of :func:`fly` of ``cfg``, a log chunk at a
-    time.  Yields ``(text, poses, blocked)`` per chunk: the log rows of
-    its ticks, the pose each tick moves to, and whether the last tick is
-    blocked; it checks the streams after the last chunk.  Each tick's
-    ``(t, seen, frame, ps, sp, pose, blocked)`` goes to ``records``, if
-    given.  A row is the tick's time (from :func:`_tick_column`), the pose
-    it senses from and its set-point, each the text of ``f"{v:.6f}"``,
-    which is formatted where a value may change: a position's when it
-    moves, the heading's when the vehicle steps, a set-point's when it is
-    a new object."""
+    time.  Yields ``(text, values, blocked)`` per chunk.  ``values`` is a
+    flat list: each tick's row values, the pose it senses from and its
+    set-point's text, ``x, y, heading, sp_text``, then the pose the last
+    tick moves to, ``x, y, heading``; so the pose tick k moves to is the
+    row of tick k + 1.  ``blocked`` tells whether the last tick is blocked.
+    ``text`` is the chunk's log rows, rendered from ``values`` at the
+    chunk's end by one ``%`` with the format ``%.6f`` of each float and the
+    tick's time (from :func:`_tick_column`) baked in; a set-point's text
+    is formatted on the tick it is a new object.  With ``records`` given,
+    each tick's ``(t, seen, frame, ps, sp, pose, blocked)`` goes there and
+    ``text`` is None: only :func:`fly_logged` reads the rows.  It checks
+    the streams after the last chunk."""
     arena = cfg.arena
     dt, n_ticks = cfg.control_dt, cfg.n_ticks()
     streams = _streams(cfg)
@@ -220,8 +231,7 @@ def _flight(cfg: RunConfig, records: list | None = None):
     policy_rng, noise_rng = rngs["policy"], rngs["noise"]
     unused = [rngs[name] for name, drawn in streams if not drawn]
     before = [rng.getstate() for rng in unused]
-    x, y, heading = seen = cfg.start_pose()
-    xy_text, h_text = "%.6f,%.6f" % (x, y), "%.6f" % heading
+    x, y, heading = pose = cfg.start_pose()
     kind, policy_cfg, radius = cfg.policy, cfg.policy_cfg, cfg.drone_radius
     ps = initial_state(kind, policy_cfg, heading, arena, radius)
     bank = TofBank(cfg.tof, policy_beams(kind, policy_cfg))
@@ -236,39 +246,41 @@ def _flight(cfg: RunConfig, records: list | None = None):
     last_sp = last_heading = None
     blocked = False
     for first in range(0, n_ticks, _LOG_CHUNK):
-        rows, poses = [], []
-        row, keep = rows.append, poses.append
+        values = []
+        row = values.extend
         # time is the tick count times dt, never a running sum
-        for i, t_text in zip(range(first, min(first + _LOG_CHUNK, n_ticks)),
-                             _tick_column(dt, first).split(" ")):
+        for i in range(first, min(first + _LOG_CHUNK, n_ticks)):
             t_i = i * dt
             if t_i >= bank.due:  # else the held frame is still valid
                 frame = sample(arena, x, y, heading, noise_rng, t_i)
             ps, sp = policy_step(kind, ps, frame, heading, dt, policy_cfg, policy_rng)
             if sp is not last_sp:
                 sp_text = "%.6f,%.6f\n" % sp
-            row(f"{t_text},{xy_text},{h_text},{sp_text}")
+            row((x, y, heading, sp_text))
             if sp is not last_sp or heading != last_heading:
                 last_sp, last_heading = sp, heading
                 dx, dy, heading = step(0.0, 0.0, heading, sp, dt)
                 travel = hypot(dx, dy) + slack
-                h_text = "%.6f" % heading
             if dx or dy:  # an in-place turn keeps a position the last tick cleared
                 x += dx
                 y += dy
-                xy_text = "%.6f,%.6f" % (x, y)
                 budget -= travel
                 if budget < 0.0:
                     blocked = disc_blocked(x, y, radius)
                     budget = clearance(x, y) - margin
-            pose = (x, y, heading)
-            keep(pose)
             if records is not None:
+                seen, pose = pose, (x, y, heading)
                 records.append((t_i, seen, frame, ps, sp, pose, blocked))
             if blocked:
                 break
-            seen = pose
-        yield "".join(rows), poses, blocked
+        text = None
+        if records is None:
+            n, column = i + 1 - first, _tick_column(dt, first)
+            if n < _LOG_CHUNK:  # a crash or the last chunk: the t of its n ticks
+                column = " ".join(column.split(" ", n)[:n])
+            text = (column.replace(" ", _ROW) + _ROW) % tuple(values)
+        row((x, y, heading))
+        yield text, values, blocked
         if blocked:
             break
     if [rng.getstate() for rng in unused] != before:
@@ -282,10 +294,14 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
     the log, digest, grid and collision record, and each detector's frames
     as the flight reaches them.  One result per config, in order.
 
-    The loop hands over a log chunk of ticks at a time.  Its rows go to
-    ``log``, an open text file or ``None``, and to the digest; the grid gets
-    each tick's dt at the tick's position, which :meth:`OccupancyGrid.deposit`
-    rounds as the log does (the crash tick's clamped into the room first).
+    The loop hands over a log chunk of ticks at a time: its rendered rows
+    and its row values, which hold the pose after each tick (the next
+    tick's row, and after the last tick the pose appended past the rows).
+    The rows go to ``log``, an open text file or ``None``, and to the
+    digest; the grid gets each tick's dt at the position after the tick,
+    which :meth:`OccupancyGrid.deposit` rounds as the log does (the crash
+    tick's clamped into the room first, after the collision record takes
+    the unclamped last pose).
     After each chunk, each mission with a detector fires its frames due at
     a tick up to the chunk's last uncrashed one: its ledger's
     ``frames_fired`` counts the frames fired so far, and so names the next.
@@ -315,15 +331,16 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
 
     emit(TRAJECTORY_HEADER + "\n")
     ticks = 0
-    for text, poses, blocked in _flight(cfg):
+    for text, values, blocked in _flight(cfg):
         emit(text)
-        first, ticks = ticks, ticks + len(poses)
-        pxs, pys, _ = zip(*poses)
+        # the position each tick moves to: the next tick's row, the last the final pose
+        pxs, pys = values[4::4], values[5::4]
+        first, ticks = ticks, ticks + len(pxs)
         if blocked:  # the last tick: the flight stops after it; its dwell goes into the room
             collision = CollisionRecord(True, ticks * dt, pxs[-1], pys[-1])
-            pxs = (*pxs[:-1], min(max(pxs[-1], 0.0), arena.width))
-            pys = (*pys[:-1], min(max(pys[-1], 0.0), arena.height))
-        grid.deposit(pxs, pys, (dt,) * len(poses))
+            pxs[-1] = min(max(pxs[-1], 0.0), arena.width)
+            pys[-1] = min(max(pys[-1], 0.0), arena.height)
+        grid.deposit(pxs, pys, (dt,) * len(pxs))
         # each mission's frames due by the chunk's last tick, save a crash tick;
         # the next is frame frames_fired + 1, which attempt_detection counts
         for det, camera, ledger, rng in firing:
@@ -334,11 +351,12 @@ def fly_logged(cfgs: list[RunConfig], log=None) -> list[RunResult]:
                 due = math.ceil(tick) if tick <= MAX_TICKS else MAX_TICKS + 1
                 if due > ticks - blocked:
                     break
-                visible = objects_in_fov(arena, *poses[due - first - 1], camera)
+                j = 4 * (due - first)  # the pose after due ticks: the row of tick due
+                visible = objects_in_fov(arena, *values[j:j + 3], camera)
                 attempt_detection(det, visible, ledger, t, rng)
 
     elapsed = ticks * dt
-    emit("%.6f,%.6f,%.6f,%.6f,0.000000,0.000000\n" % (elapsed, *poses[-1]))
+    emit("%.6f,%.6f,%.6f,%.6f,0.000000,0.000000\n" % (elapsed, *values[-3:]))
     digest = int.from_bytes(hasher.digest(), "big")
     coverage, n_objects = grid.coverage(), len(arena.objects)
     ledgers = [d and d[2] for d in detectors]

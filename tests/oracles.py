@@ -169,13 +169,14 @@ def coverage_series(lines, width, height):
     return "".join(rows), grid
 
 
-def flight_grid(cfg):
+def flight_grid(cfg, flight=fly):
     """The dwell grid of the flight of ``cfg``, one ``mark`` per tick: its
-    ``dt`` at the six-decimal position of the pose ``fly`` moves to, which
-    is clamped into the room on the blocked tick."""
+    ``dt`` at the six-decimal position of the pose ``flight`` (``fly`` or
+    :func:`per_tick_flight`) moves to, which is clamped into the room on
+    the blocked tick."""
     width, height = cfg.arena.width, cfg.arena.height
     grid = OccupancyGrid(width, height)
-    for *_, (x, y, _), blocked in fly(cfg):
+    for *_, (x, y, _), blocked in flight(cfg):
         x, y = float(f"{x:.6f}"), float(f"{y:.6f}")
         if blocked:
             x, y = min(max(x, 0.0), width), min(max(y, 0.0), height)
@@ -183,9 +184,10 @@ def flight_grid(cfg):
     return grid
 
 
-def detection_ledger(cfg):
+def detection_ledger(cfg, flight=fly):
     """The ledger of the detector of ``cfg``, ``None`` without one, built
-    after its flight from the poses that ``fly`` moves to: the pose after
+    after its flight from the poses that ``flight`` (``fly`` or
+    :func:`per_tick_flight`) moves to: the pose after
     tick i, at time i * dt, takes each frame k whose instant k / fps no
     earlier tick reached (within 1e-9 of a tick), in order, and evaluates
     the camera there with a draw from the mission's ``detect`` stream.  The
@@ -193,7 +195,7 @@ def detection_ledger(cfg):
     det = cfg.detector
     if det is None:
         return None
-    poses = [pose for *_, pose, blocked in fly(cfg) if not blocked]
+    poses = [pose for *_, pose, blocked in flight(cfg) if not blocked]
     rng = random.Random(derive_seed(cfg.seed, "detect"))
     ledger = DetectionLedger()
     k = 1

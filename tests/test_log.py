@@ -19,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from exploresim import harness, policies, report
 from exploresim.arena import Arena, default_arena
+from exploresim.detection import DetectorModel
 from exploresim.errors import SimError
 from exploresim.harness import TRAJECTORY_HEADER, RunConfig, fly, fly_logged
 from exploresim.metrics import OccupancyGrid
@@ -28,7 +30,7 @@ from exploresim.policies import POLICY_KINDS
 from exploresim.report import coverage_series_csv
 from exploresim.sensing import TofConfig
 from exploresim.vehicle import Setpoint
-from oracles import coverage_series, per_tick_flight
+from oracles import coverage_series, detection_ledger, flight_grid, per_tick_flight
 
 CHUNK = harness._LOG_CHUNK
 # the golden boxed room (tests/test_golden.py)
@@ -119,6 +121,84 @@ def test_a_repeated_200s_flight_formats_no_t_column():
     assert fly_logged([cfg])[0].elapsed == 200.0
     info = harness._tick_column.cache_info()
     assert (info.hits, info.misses) == (20, 20)
+
+
+def test_fly_renders_no_log_rows():
+    # only fly_logged reads the rows: a pass over fly looks up no t column
+    cfg = RunConfig(arena=default_arena(), policy="spiral", duration=(CHUNK + 3) * 0.02)
+    harness._tick_column.cache_clear()
+    assert sum(1 for _ in fly(cfg)) == CHUNK + 3
+    info = harness._tick_column.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def crash_on_tick(k: int) -> RunConfig:
+    """A boxed-room flight east at 2 mm a tick, whose airframe disc first
+    reaches the second box on tick ``k`` (counted from 1)."""
+    return RunConfig(arena=BOXED, policy="pseudo-random",
+                     policy_cfg=policies.PolicyConfig(cruise_speed=0.1, trigger_dist=0.011),
+                     start=(4.45 - (k - 0.5) * 0.002, 3.8, 0.0), duration=(2 * CHUNK + 9) * 0.02)
+
+
+# a frame every 3 ticks: due on the first tick of the second chunk (tick
+# CHUNK + 1) and on the last tick of the third (3 * CHUNK)
+EVERY_3_TICKS = DetectorModel("every-3-ticks", fps=50 / 3, p_detect=0.5)
+# each flight and the ticks it flies
+EDGE_FLIGHTS = {
+    **{f"crash-on-tick-{k}": (crash_on_tick(k), k)
+       for k in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)},
+    "dt-1/60": (RunConfig(arena=BOXED, policy="wall-following", control_dt=1 / 60,
+                          duration=(2 * CHUNK + 3) / 60, seed=2), 2 * CHUNK + 3),
+    "start-heading--0.0": (RunConfig(arena=default_arena(), policy="pseudo-random",
+                                     start=(3.0, 2.0, -0.0), duration=(CHUNK + 3) * 0.02,
+                                     seed=5), CHUNK + 3),
+    "frames-at-chunk-edges": (RunConfig(arena=default_arena(), policy="spiral",
+                                        detector=EVERY_3_TICKS,
+                                        duration=(3 * CHUNK + 7) * 0.02), 3 * CHUNK + 7),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_FLIGHTS)
+def test_a_flight_at_chunk_edges_is_its_per_tick_oracle(monkeypatch, name):
+    # the loop keeps a chunk's row values as its poses: the pose after tick
+    # k is the row of tick k + 1, and after the chunk's last tick the pose
+    # appended past its rows; a crash settles on that last pose, and a
+    # frame reads the row after its tick
+    cfg, n_ticks = EDGE_FLIGHTS[name]
+    cameras = {"flown": [], "oracle": []}  # the pose each frame evaluates the camera at
+    for module, key in ((harness, "flown"), (oracles, "oracle")):
+        def objects_in_fov(arena, x, y, heading, camera, _fov=module.objects_in_fov,
+                           _poses=cameras[key]):
+            _poses.append((x.hex(), y.hex(), heading.hex()))
+            return _fov(arena, x, y, heading, camera)
+        monkeypatch.setattr(module, "objects_in_fov", objects_in_fov)
+    log = io.StringIO()
+    res = fly_logged([cfg], log=log)[0]
+    ticks = list(per_tick_flight(cfg))
+    oracle = lambda _: ticks  # noqa: E731
+    expected = plain_log(cfg, oracle)
+    assert len(expected) == n_ticks + 2
+    assert log.getvalue().splitlines(keepends=True) == expected
+    assert res.digest == digest(expected) and res.elapsed == n_ticks * cfg.control_dt
+    grid = flight_grid(cfg, oracle)
+    assert [v.hex() for v in res.grid.dwell] == [v.hex() for v in grid.dwell]
+    assert res.grid.ticks == grid.ticks
+    *_, (x, y, _), blocked = ticks[-1]
+    assert res.collision.occurred == blocked == name.startswith("crash")
+    if blocked:
+        assert (res.collision.time, res.collision.x, res.collision.y) == (res.elapsed, x, y)
+    if name == "start-heading--0.0":
+        assert expected[1].split(",")[3] == "-0.000000"
+    want = detection_ledger(cfg, oracle)
+    if want is None:
+        assert res.ledger is None and cameras == {"flown": [], "oracle": []}
+        return
+    fired = res.ledger.frames_fired
+    assert {CHUNK + 1, 3 * CHUNK} <= {math.ceil(k / cfg.detector.fps / cfg.control_dt - 1e-9)
+                                      for k in range(1, fired + 1)}
+    assert (res.ledger.first_seen, fired, res.ledger.frames_with_target) == \
+        (want.first_seen, want.frames_fired, want.frames_with_target)
+    assert len(cameras["flown"]) == fired and cameras["flown"] == cameras["oracle"]
 
 
 class RecordingSink:
